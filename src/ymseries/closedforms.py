@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .exactalg import Poly, RatFun, one_minus_t, one_plus_t
 from .gaugeseries import bg_levi, bg_orientable, unitary_block_profile
-from .levidata import _compositions, enumerate_parabolics, levi_profile
+from .levidata import _compositions, _cut_positions, _pair_sum, enumerate_parabolics, levi_profile
 from .rootsys import (
     SO_EVEN,
     SO_ODD,
@@ -38,6 +38,7 @@ from .rootsys import (
     UNITARY,
     GroupSpec,
     UnsupportedFamily,
+    frac_part,
     validate_topclass,
     weight_on_pi1,
 )
@@ -88,13 +89,6 @@ class FlatSeriesRequest:
         validate_topclass(self.group, self.topclass)
 
 
-def frac_part(x: Fraction) -> Fraction:
-    """The representative of x mod Z in (0, 1]; in particular <0> = 1."""
-    x = Fraction(x)
-    r = x - (x.numerator // x.denominator)
-    return r if r != 0 else F(1)
-
-
 def _as_int_exponent(x: Fraction) -> int:
     x = Fraction(x)
     if x.denominator != 1 or x < 0:
@@ -105,20 +99,6 @@ def _as_int_exponent(x: Fraction) -> int:
 def _u_block(m: int, ell: int) -> RatFun:
     """Gauge series of a unitary block of size m over genus ell."""
     return bg_orientable(unitary_block_profile(m), ell)
-
-
-def _pair_sum(comp) -> int:
-    total = sum(comp)
-    return (total * total - sum(p * p for p in comp)) // 2
-
-
-def _prefixes(comp):
-    acc = 0
-    out = []
-    for part in comp[:-1]:
-        acc += part
-        out.append(acc)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +113,7 @@ def _zagier_cached(n: int, kmod: int, ell: int) -> RatFun:
         for i in range(r - 1):
             den = den * one_minus_t(2 * (comp[i] + comp[i + 1]))
         twist = F(0)
-        for i, prefix in enumerate(_prefixes(comp)):
+        for i, prefix in enumerate(_cut_positions(comp)):
             twist += 2 * (comp[i] + comp[i + 1]) * frac_part(F(-kmod * prefix, n))
         exponent = 2 * (ell - 1) * _pair_sum(comp) + _as_int_exponent(twist)
         term = gauge * RatFun(Poly.t_power(exponent), den)

@@ -380,39 +380,7 @@ class CoeffVector:
         return CoeffVector(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-# -- spec-level operation wrappers -------------------------------------
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Ring arithmetic on polynomials; op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_pow(base: Poly, e: int) -> Poly:
-    return base**e
-
-
-def ratfun_make(num: Poly, den: Poly) -> RatFun:
-    return RatFun(num, den)
-
-
-def ratfun_arith(f: RatFun, g: RatFun, op: str) -> RatFun:
-    """Field arithmetic on rational functions; op is add, sub, mul or div."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")
+# -- spec-level operations ---------------------------------------------
 
 
 def ratfun_eq(f: RatFun, g: RatFun) -> bool:

@@ -27,23 +27,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from .closedforms import NonIntegerExponent
 from .exactalg import CoeffVector, Poly, RatFun, one_minus_t, series_expand
 from .gaugeseries import bg_orientable
 from .levidata import ParabolicIndex, levi_profile
 from .rootsys import (
     GroupSpec,
     UnsupportedFamily,
+    _frac01,
+    _nullspace,
+    _solve,
     build_root_system,
-    expand_in_simple_roots,
+    frac_part,
     pairing,
     pi1_representative,
 )
 
 F = Fraction
-
-
-class NonIntegerExponent(ValueError):
-    """A cone-sum exponent came out non-integral."""
 
 
 class WallPoint(ValueError):
@@ -52,16 +52,6 @@ class WallPoint(ValueError):
 
 class TruncationTooSmall(ValueError):
     """The truncation order cannot support the requested residual check."""
-
-
-def _frac01(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _bracket(x: Fraction) -> Fraction:
-    """Representative of x mod Z in (0, 1]."""
-    r = _frac01(Fraction(x))
-    return r if r != 0 else F(1)
 
 
 @dataclass(frozen=True)
@@ -77,8 +67,8 @@ class ConeSumSpec:
         if any(p < 1 for p in self.weights):
             raise ValueError("weights must be positive integers")
         for p, x in zip(self.weights, self.classes):
-            if (p * _bracket(Fraction(x))).denominator != 1:
-                raise NonIntegerExponent(f"p*<x> = {p * _bracket(Fraction(x))} not integral")
+            if (p * frac_part(x)).denominator != 1:
+                raise NonIntegerExponent(f"p*<x> = {p * frac_part(x)} not integral")
 
 
 def cone_sum_closed(spec: ConeSumSpec) -> RatFun:
@@ -86,7 +76,7 @@ def cone_sum_closed(spec: ConeSumSpec) -> RatFun:
     num_exp = 0
     den = Poly.one()
     for p, x in zip(spec.weights, spec.classes):
-        num_exp += int(p * _bracket(Fraction(x)))
+        num_exp += int(p * frac_part(x))
         den = den * one_minus_t(p)
     return RatFun(Poly.t_power(num_exp), den)
 
@@ -105,7 +95,7 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
         x = _frac01(Fraction(spec.classes[idx]))
         # integers m with x + m > 0: the smallest admissible value of
         # p*(x+m) is p*<x>
-        first = int(p * _bracket(Fraction(x)))
+        first = int(p * frac_part(x))
         e = exponent + first
         while e <= order:
             rec(idx + 1, e)
@@ -117,45 +107,10 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
 # -- exact linear algebra helpers ---------------------------------------
 
 
-def _dot(u, v) -> Fraction:
-    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
-
-
-def _solve(matrix_rows, rhs):
-    """Solve a consistent linear system by Gaussian elimination."""
-    m = len(matrix_rows)
-    n = len(matrix_rows[0]) if m else 0
-    rows = [[F(x) for x in row] + [F(b)] for row, b in zip(matrix_rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            raise ValueError("inconsistent system")
-    sol = [F(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][n]
-    return sol
-
-
 def _gram_inverse_apply(basis, vector):
     """Coordinates of the projection of vector onto span(basis) in that basis."""
-    k = len(basis)
-    gram = [[_dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-    rhs = [_dot(b, vector) for b in basis]
-    return _solve(gram, rhs)
+    rows = [[pairing(b, c) for c in basis] + [pairing(b, vector)] for b in basis]
+    return _solve(rows, len(basis))
 
 
 def _project_onto(basis, vector):
@@ -196,33 +151,7 @@ class _TypeAPoset:
         dim = self.rank + 1
         # vectors orthogonal to the levi roots and to (1,...,1)
         constraints = [self.simple[i] for i in sorted(levi)] + [tuple(F(1) for _ in range(dim))]
-        basis = []
-        # nullspace by elimination on the constraint matrix
-        m = len(constraints)
-        rows = [[F(x) for x in row] for row in constraints]
-        pivots = {}
-        r = 0
-        for col in range(dim):
-            piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][col]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots[col] = r
-            r += 1
-        free = [c for c in range(dim) if c not in pivots]
-        for fc in free:
-            vec = [F(0)] * dim
-            vec[fc] = F(1)
-            for col, row_idx in pivots.items():
-                vec[col] = -rows[row_idx][fc]
-            basis.append(tuple(vec))
-        return basis
+        return _nullspace(constraints, dim)
 
     def relative_basis(self, small: frozenset, large: frozenset):
         """Basis of a_small^large = a_small intersect (a_large)^perp."""
@@ -249,7 +178,7 @@ class _TypeAPoset:
 
     def tau(self, small: frozenset, large: frozenset, h) -> bool:
         """Chamber indicator: alpha(h) > 0 for alpha in large minus small."""
-        vals = [_dot(self.simple[i], h) for i in sorted(large - small)]
+        vals = [pairing(self.simple[i], h) for i in sorted(large - small)]
         if any(v == 0 for v in vals):
             raise WallPoint("root functional vanishes at the sample")
         return all(v > 0 for v in vals)
@@ -445,8 +374,7 @@ def _relative_rho(rs, small_cut: frozenset, large_cut: frozenset):
     """
     n = len(rs.positive_roots[0]) if rs.positive_roots else 0
     total = [F(0)] * n
-    for beta in rs.positive_roots:
-        coeffs = expand_in_simple_roots(beta, rs.simple_roots)
+    for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
         support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
         if support & large_cut:
             continue  # outside the large Levi
@@ -478,44 +406,11 @@ def _relative_weight(rs, q_cut: frozenset, a: int):
     n = len(rs.simple_coroots[0])
     rank = len(rs.simple_roots)
     levi_idx = [i for i in range(rank) if (i + 1) not in q_cut]
-    rows = [list(rs.simple_coroots[i]) for i in levi_idx]
-    rhs = [F(int(i + 1 == a)) for i in levi_idx]
+    rows = [list(rs.simple_coroots[i]) + [F(int(i + 1 == a))] for i in levi_idx]
     # center of the Levi: common kernel of the Levi simple roots
     center = _nullspace([rs.simple_roots[i] for i in levi_idx], n)
-    rows += [list(z) for z in center]
-    rhs += [F(0)] * len(center)
-    return tuple(_solve(rows, rhs))
-
-
-def _nullspace(covectors, n):
-    """Basis of the common kernel of the given covectors in Q^n."""
-    m = len(covectors)
-    rows = [[F(x) for x in cv] for cv in covectors]
-    pivots = {}
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    out = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [F(0)] * n
-        vec[free] = F(1)
-        for col, row_idx in pivots.items():
-            vec[col] = -rows[row_idx][free]
-        out.append(tuple(vec))
-    return out
+    rows += [list(z) + [F(0)] for z in center]
+    return tuple(_solve(rows, n))
 
 
 def _b0_at_element(poset: ParabolicPoset, a0: dict, rs, q_cut: frozenset, rep) -> RatFun:
@@ -541,7 +436,7 @@ def _b0_at_element(poset: ParabolicPoset, a0: dict, rs, q_cut: frozenset, rep) -
             den = Poly.one()
             twist = F(0)
             for a, p in zip(data.indices, data.weights):
-                x = _bracket(pairing(_relative_weight(rs, q_cut, a), rep))
+                x = frac_part(pairing(_relative_weight(rs, q_cut, a), rep))
                 den = den * one_minus_t(p)
                 twist += p * x
             # individual p<x> may be fractional; the total twist may not be

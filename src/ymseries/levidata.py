@@ -32,7 +32,6 @@ from .rootsys import (
     GroupSpec,
     UnsupportedFamily,
     build_root_system,
-    expand_in_simple_roots,
     pairing,
 )
 
@@ -227,10 +226,12 @@ def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
     )
 
 
-# -- independent recomputation from root data ---------------------------
+# -- recomputation from root data ---------------------------------------
 #
 # Used by the consistency tests: the table values above must agree exactly
-# with what the root system says.
+# with what the root system says.  Root supports are read off
+# RootSystem.positive_coefficients, which is computed from the simple roots
+# and stays independent of the case tables.
 
 
 def _unipotent_positive_roots(g: GroupSpec, idx: ParabolicIndex):
@@ -238,8 +239,7 @@ def _unipotent_positive_roots(g: GroupSpec, idx: ParabolicIndex):
     rs = build_root_system(g)
     in_i = set(levi_profile(g, idx).simple_indices)
     outside = []
-    for beta in rs.positive_roots:
-        coeffs = expand_in_simple_roots(beta, rs.simple_roots)
+    for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
         support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
         if support & in_i:
             outside.append(beta)

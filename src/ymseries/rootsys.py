@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 UNITARY = "u"
@@ -107,6 +108,9 @@ class RootSystem:
     positive_roots: tuple
     simple_coroots: tuple
     fundamental_weights: tuple
+    # coefficients of each positive root in the simple roots, aligned with
+    # positive_roots
+    positive_coefficients: tuple
 
 
 def pairing(covector, vector) -> Fraction:
@@ -162,34 +166,71 @@ def _close_under_reflections(simple_roots, simple_coroots):
     return roots
 
 
-def expand_in_simple_roots(beta, simple_roots):
-    """Coefficients of beta in the simple-root basis, or None."""
-    n = len(beta)
-    s = len(simple_roots)
-    # Gaussian elimination on the n x (s+1) system
-    rows = [[Fraction(simple_roots[j][i]) for j in range(s)] + [Fraction(beta[i])] for i in range(n)]
+def _rref(rows, ncols):
+    """Reduce rows in place to reduced row echelon form over Q.
+
+    Pivots are sought in the first ncols columns only, so an augmented
+    system [A | b] keeps b out of the pivot search.  Returns the pivot
+    columns; the i-th one belongs to row i.
+    """
+    m = len(rows)
     pivots = []
     r = 0
-    for col in range(s):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
+    for col in range(ncols):
+        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][col]
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
+        for i in range(m):
             if i != r and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-    for i in range(r, n):
-        if rows[i][s] != 0:
-            return None
-    coeffs = [Fraction(0)] * s
-    for i, col in enumerate(pivots):
-        coeffs[col] = rows[i][s]
-    return coeffs
+    return pivots
+
+
+def _solve(rows, n):
+    """A solution of the system given as augmented rows [A | b] in n unknowns.
+
+    Unknowns without a pivot are set to 0; an inconsistent system raises
+    ValueError.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = _rref(rows, n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        raise ValueError("inconsistent system")
+    sol = [Fraction(0)] * n
+    for row, col in zip(rows, pivots):
+        sol[col] = row[n]
+    return sol
+
+
+def _nullspace(covectors, n):
+    """Basis of the common kernel of the given covectors in Q^n."""
+    rows = [[Fraction(x) for x in cv] for cv in covectors]
+    pivots = _rref(rows, n)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def expand_in_simple_roots(beta, simple_roots):
+    """Coefficients of beta in the simple-root basis, or None."""
+    rows = [[a[i] for a in simple_roots] + [b] for i, b in enumerate(beta)]
+    try:
+        return _solve(rows, len(simple_roots))
+    except ValueError:
+        return None
 
 
 def _fundamental_weights(g: GroupSpec, simple_coroots):
@@ -203,71 +244,52 @@ def _fundamental_weights(g: GroupSpec, simple_coroots):
     n = g.n
     s = len(simple_coroots)
     constraints = [list(v) for v in simple_coroots]
-    rhs_rows = [[Fraction(int(i == j)) for j in range(s)] for i in range(s)]
     if g.family in (UNITARY, SPECIAL_UNITARY):
         constraints.append([Fraction(1)] * n)
-        rhs_rows.append([Fraction(0)] * s)
-    m = len(constraints)
-    weights = []
-    for j in range(s):
-        rows = [list(constraints[i]) + [rhs_rows[i][j]] for i in range(m)]
-        sol = _solve_square(rows, n)
-        weights.append(tuple(sol))
-    return weights
-
-
-def _solve_square(rows, n):
-    """Solve an m x n full-column-rank system given as rows [A | b]."""
-    m = len(rows)
-    r = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if r < n:
+    if len(_rref([list(c) for c in constraints], n)) < n:
         raise ValueError("system is rank deficient")
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            raise ValueError("inconsistent system")
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][n]
-    return sol
+    # weight j pairs to 1 with coroot j and to 0 with every other constraint
+    return [
+        tuple(_solve([c + [int(i == j)] for i, c in enumerate(constraints)], n))
+        for j in range(s)
+    ]
 
 
+@lru_cache(maxsize=None)
 def build_root_system(g: GroupSpec) -> RootSystem:
-    """Simple roots, positive roots, coroots and fundamental weights of g."""
+    """Simple roots, positive roots, coroots and fundamental weights of g.
+
+    Built once per group and shared, which is safe because every field is
+    immutable.
+    """
     simple_roots, simple_coroots = _simple_data(g)
     all_roots = _close_under_reflections(simple_roots, simple_coroots)
     positive = []
     for beta in all_roots:
         coeffs = expand_in_simple_roots(beta, simple_roots)
         if coeffs is not None and all(c >= 0 for c in coeffs):
-            positive.append(beta)
+            positive.append((beta, tuple(coeffs)))
     positive.sort()
     weights = _fundamental_weights(g, simple_coroots)
     return RootSystem(
         n=g.n,
         simple_roots=tuple(simple_roots),
-        positive_roots=tuple(positive),
+        positive_roots=tuple(beta for beta, _ in positive),
         simple_coroots=tuple(simple_coroots),
         fundamental_weights=tuple(weights),
+        positive_coefficients=tuple(coeffs for _, coeffs in positive),
     )
 
 
 def _frac01(x: Fraction) -> Fraction:
     """Representative of x mod Z in [0, 1)."""
     return x - (x.numerator // x.denominator)
+
+
+def frac_part(x) -> Fraction:
+    """The bracket <x>: the representative of x mod Z in (0, 1], so <0> = 1."""
+    r = _frac01(Fraction(x))
+    return r if r != 0 else Fraction(1)
 
 
 def pi1_representative(g: GroupSpec, c: int) -> tuple:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil
 
 from .closedforms import so_even_flat, so_odd_flat, sp_flat, zagier_un
@@ -35,8 +34,6 @@ from .rootsys import (
     build_root_system,
     validate_topclass,
 )
-
-_root_system = lru_cache(maxsize=None)(build_root_system)
 
 F = Fraction
 
@@ -164,7 +161,7 @@ def codim(g: GroupSpec, mu: AtiyahBottPoint, ell: int) -> int:
         raise ValueError("need ell >= 1")
     if mu.family != g.family or sum(mu.composition) != g.n:
         raise InvalidPoint("point does not belong to this group")
-    rs = _root_system(g)
+    rs = build_root_system(g)
     v = mu.chamber_vector()
     total = F(0)
     for alpha in rs.positive_roots:

@@ -8,7 +8,10 @@ from ymseries.rootsys import (
     TopClass,
     UnsupportedFamily,
     UnsupportedRank,
+    _fundamental_weights,
+    _solve,
     build_root_system,
+    expand_in_simple_roots,
     pairing,
     root_system_to_json,
     validate_topclass,
@@ -42,11 +45,23 @@ class TestBuildRootSystem:
 
     def test_positive_root_counts(self):
         for n in range(1, 7):
-            assert len(build_root_system(GroupSpec("u", n)).positive_roots) == n * (n - 1) // 2
-            assert len(build_root_system(GroupSpec("so-odd", n)).positive_roots) == n * n
-            assert len(build_root_system(GroupSpec("sp", n)).positive_roots) == n * n
+            counts = {"u": n * (n - 1) // 2, "so-odd": n * n, "sp": n * n}
             if n >= 2:
-                assert len(build_root_system(GroupSpec("so-even", n)).positive_roots) == n * (n - 1)
+                counts["so-even"] = n * (n - 1)
+            for fam, count in counts.items():
+                g = GroupSpec(fam, n)
+                rs = build_root_system(g)
+                # built once per group and shared
+                assert rs is build_root_system(GroupSpec(g.family, g.n))
+                assert len(rs.positive_roots) == count
+                assert len(rs.positive_coefficients) == count
+                for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
+                    assert all(c.denominator == 1 and c >= 0 for c in coeffs), (fam, n, beta)
+                    expanded = tuple(
+                        sum((c * alpha[i] for c, alpha in zip(coeffs, rs.simple_roots)), F(0))
+                        for i in range(n)
+                    )
+                    assert expanded == beta, (fam, n, beta)
 
     def test_weight_coroot_duality(self):
         for fam, lo in (("u", 1), ("su", 2), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
@@ -76,6 +91,26 @@ class TestBuildRootSystem:
             GroupSpec("so-even", 1)
         with pytest.raises(UnsupportedFamily):
             GroupSpec("e8", 8)
+
+
+class TestExactLinearAlgebra:
+    def test_expand_outside_span(self):
+        simple_roots = build_root_system(GroupSpec("u", 2)).simple_roots
+        assert expand_in_simple_roots(V(1, 1), simple_roots) is None
+
+    def test_solve_singular_2x2(self):
+        # x + 2y = 1 and 2x + 4y = 3
+        with pytest.raises(ValueError):
+            _solve([V(1, 2, 1), V(2, 4, 3)], 2)
+
+    def test_solve_inconsistent(self):
+        # x = 1, y = 1, x + y = 3
+        with pytest.raises(ValueError):
+            _solve([V(1, 0, 1), V(0, 1, 1), V(1, 1, 3)], 2)
+
+    def test_fundamental_weights_rank_deficient(self):
+        with pytest.raises(ValueError, match="rank deficient"):
+            _fundamental_weights(GroupSpec("sp", 2), [V(1, 1), V(2, 2)])
 
 
 class TestPairing:
