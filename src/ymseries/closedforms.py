@@ -6,7 +6,8 @@ The specialized route transcribes, family by family, the closed alternating
 sums over compositions of n: the unitary series (Zagier's solution of the
 rank-n recursion), and its symplectic and orthogonal counterparts.  Each
 function builds its formula exactly as printed, term by term, so the code
-doubles as the auditable transcription.
+doubles as the auditable transcription.  Both routes hand their signed terms
+to exactalg.signed_sum, the one accumulator of every alternating series.
 
 The general route (lr_general) evaluates the abstract inversion of the
 stratification recursion: a single signed sum over all standard parabolics,
@@ -28,12 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import Poly, RatFun, one_minus_t, one_plus_t
-from .gaugeseries import bg_levi, bg_orientable, unitary_block_profile
+from .exactalg import RatFun, one_minus_t, one_plus_t, signed_sum
+from .gaugeseries import bg_orientable, concat_profiles, tail_profile, unitary_block_profile
 from .levidata import _compositions, _cut_positions, _pair_sum, enumerate_parabolics, levi_profile
 from .rootsys import (
     SO_EVEN,
     SO_ODD,
+    SPECIAL_UNITARY,
+    SPIN_EVEN,
+    SPIN_ODD,
     SYMPLECTIC,
     UNITARY,
     GroupSpec,
@@ -96,29 +100,28 @@ def _as_int_exponent(x: Fraction) -> int:
     return x.numerator
 
 
-def _u_block(m: int, ell: int) -> RatFun:
-    """Gauge series of a unitary block of size m over genus ell."""
-    return bg_orientable(unitary_block_profile(m), ell)
+def _gauge(ell: int, blocks, *tails) -> RatFun:
+    """Gauge series of unitary blocks of the given sizes times tail factors."""
+    profiles = [unitary_block_profile(m) for m in blocks]
+    return bg_orientable(concat_profiles(profiles + list(tails)), ell)
+
+
+def _doubled_adjacent_sums(comp) -> list:
+    """2 (n_i + n_{i+1}) for each adjacent pair of blocks."""
+    return [2 * (a + b) for a, b in zip(comp, comp[1:])]
 
 
 @lru_cache(maxsize=None)
 def _zagier_cached(n: int, kmod: int, ell: int) -> RatFun:
-    total = RatFun.zero()
-    for comp in _compositions(n):
-        r = len(comp)
-        gauge = RatFun.one()
-        for part in comp:
-            gauge = gauge * _u_block(part, ell)
-        den = Poly.one()
-        for i in range(r - 1):
-            den = den * one_minus_t(2 * (comp[i] + comp[i + 1]))
-        twist = F(0)
-        for i, prefix in enumerate(_cut_positions(comp)):
-            twist += 2 * (comp[i] + comp[i + 1]) * frac_part(F(-kmod * prefix, n))
-        exponent = 2 * (ell - 1) * _pair_sum(comp) + _as_int_exponent(twist)
-        term = gauge * RatFun(Poly.t_power(exponent), den)
-        total = total + term if (r - 1) % 2 == 0 else total - term
-    return total
+    def terms():
+        for comp in _compositions(n):
+            adj = _doubled_adjacent_sums(comp)
+            prefixes = _cut_positions(comp)
+            twist = sum(k * frac_part(F(-kmod * prefix, n)) for k, prefix in zip(adj, prefixes))
+            exponent = 2 * (ell - 1) * _pair_sum(comp) + _as_int_exponent(twist)
+            yield (-1) ** (len(comp) - 1), _gauge(ell, comp), exponent, adj
+
+    return signed_sum(terms())
 
 
 def zagier_un(n: int, k: int, ell: int) -> RatFun:
@@ -138,35 +141,17 @@ def zagier_un(n: int, k: int, ell: int) -> RatFun:
     return _zagier_cached(n, k % n, ell)
 
 
+def _su_torus(ell: int) -> RatFun:
+    """The central torus factor (1+t)^{2 ell} / (1-t^2) of U(n) over SU(n)."""
+    return RatFun(one_plus_t(1) ** (2 * ell), one_minus_t(2))
+
+
 def sun_flat(n: int, ell: int) -> RatFun:
     """Flat series for SU(n): the degree-zero U(n) series with the central
     torus factor (1+t)^{2 ell} / (1-t^2) divided out."""
     if n < 2 or ell < 1:
         raise ValueError("need n >= 2 and ell >= 1")
-    torus = RatFun(one_plus_t(1) ** (2 * ell), one_minus_t(2))
-    return zagier_un(n, 0, ell) / torus
-
-
-def _sp_tail_gauge(m: int, ell: int) -> RatFun:
-    """Gauge series of a rank-m symplectic or odd-orthogonal factor."""
-    num = Poly.one()
-    den = Poly.one()
-    for j in range(1, m + 1):
-        num = num * one_plus_t(4 * j - 1) ** (2 * ell)
-    for j in range(1, 2 * m + 1):
-        den = den * one_minus_t(2 * j)
-    return RatFun(num, den)
-
-
-def _so_even_tail_gauge(m: int, ell: int) -> RatFun:
-    """Gauge series of a rank-m even-orthogonal factor, m >= 2."""
-    num = one_plus_t(2 * m - 1) ** (2 * ell)
-    for j in range(1, m):
-        num = num * one_plus_t(4 * j - 1) ** (2 * ell)
-    den = one_minus_t(2 * m - 2) * one_minus_t(2 * m)
-    for j in range(1, 2 * m - 1):
-        den = den * one_minus_t(2 * j)
-    return RatFun(num, den)
+    return zagier_un(n, 0, ell) / _su_torus(ell)
 
 
 @lru_cache(maxsize=None)
@@ -185,37 +170,25 @@ def sp_flat(n: int, ell: int) -> RatFun:
     """
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
-    total = RatFun.zero()
-    for comp in _compositions(n):
-        r = len(comp)
-        pair2 = 2 * _pair_sum(comp)
-        adj = [comp[i] + comp[i + 1] for i in range(r - 1)]
 
-        gauge1 = RatFun.one()
-        for part in comp:
-            gauge1 = gauge1 * _u_block(part, ell)
-        den1 = one_minus_t(2 * (comp[-1] + 1))
-        for a in adj:
-            den1 = den1 * one_minus_t(2 * a)
-        e1 = (ell - 1) * (pair2 + n * (n + 1)) + 2 * sum(adj) + 2 * (comp[-1] + 1)
-        term1 = gauge1 * RatFun(Poly.t_power(e1), den1)
-        total = total + term1 if r % 2 == 0 else total - term1
+    def terms():
+        for comp in _compositions(n):
+            r, last = len(comp), comp[-1]
+            pair2 = 2 * _pair_sum(comp)
+            adj = _doubled_adjacent_sums(comp)
+            e1 = (ell - 1) * (pair2 + n * (n + 1)) + sum(adj) + 2 * (last + 1)
+            yield (-1) ** r, _gauge(ell, comp), e1, adj + [2 * (last + 1)]
 
-        gauge2 = _sp_tail_gauge(comp[-1], ell)
-        for part in comp[:-1]:
-            gauge2 = gauge2 * _u_block(part, ell)
-        den2 = Poly.one()
-        for a in adj[: r - 2]:
-            den2 = den2 * one_minus_t(2 * a)
-        e2 = (ell - 1) * (pair2 + n * (n + 1) - comp[-1] * (comp[-1] + 1))
-        e2 += 2 * sum(adj[: r - 2])
-        if r > 1:
-            boundary = comp[-2] + 2 * comp[-1] + 1
-            den2 = den2 * one_minus_t(2 * boundary)
-            e2 += 2 * boundary
-        term2 = gauge2 * RatFun(Poly.t_power(e2), den2)
-        total = total + term2 if (r - 1) % 2 == 0 else total - term2
-    return total
+            ks2 = adj[: r - 2]
+            e2 = (ell - 1) * (pair2 + n * (n + 1) - last * (last + 1)) + sum(ks2)
+            if r > 1:
+                boundary = 2 * (comp[-2] + 2 * last + 1)
+                ks2 = ks2 + [boundary]
+                e2 += boundary
+            tail = tail_profile(SYMPLECTIC, last)
+            yield (-1) ** (r - 1), _gauge(ell, comp[:-1], tail), e2, ks2
+
+    return signed_sum(terms())
 
 
 @lru_cache(maxsize=None)
@@ -233,37 +206,25 @@ def so_odd_flat(n: int, ell: int, w2: int) -> RatFun:
     if w2 not in (0, 1):
         raise ValueError("w2 is a bit")
     q = frac_part(F(w2, 2))
-    total = RatFun.zero()
-    for comp in _compositions(n):
-        r = len(comp)
-        pair2 = 2 * _pair_sum(comp)
-        adj = [comp[i] + comp[i + 1] for i in range(r - 1)]
 
-        gauge1 = RatFun.one()
-        for part in comp:
-            gauge1 = gauge1 * _u_block(part, ell)
-        den1 = one_minus_t(4 * comp[-1])
-        for a in adj:
-            den1 = den1 * one_minus_t(2 * a)
-        e1 = (ell - 1) * (pair2 + n * (n + 1)) + 2 * sum(adj)
-        e1 += _as_int_exponent(4 * comp[-1] * q)
-        term1 = gauge1 * RatFun(Poly.t_power(e1), den1)
-        total = total + term1 if r % 2 == 0 else total - term1
+    def terms():
+        for comp in _compositions(n):
+            r, last = len(comp), comp[-1]
+            pair2 = 2 * _pair_sum(comp)
+            adj = _doubled_adjacent_sums(comp)
+            e1 = (ell - 1) * (pair2 + n * (n + 1)) + sum(adj)
+            e1 += _as_int_exponent(4 * last * q)
+            yield (-1) ** r, _gauge(ell, comp), e1, adj + [4 * last]
 
-        gauge2 = _sp_tail_gauge(comp[-1], ell)
-        for part in comp[:-1]:
-            gauge2 = gauge2 * _u_block(part, ell)
-        den2 = Poly.one()
-        for a in adj[: r - 2]:
-            den2 = den2 * one_minus_t(2 * a)
-        e2 = (ell - 1) * (pair2 + n * (n + 1) - comp[-1] * (comp[-1] + 1))
-        e2 += 2 * sum(adj)
-        if r > 1:
-            den2 = den2 * one_minus_t(2 * comp[-2] + 4 * comp[-1])
-            e2 += 2 * comp[-1]
-        term2 = gauge2 * RatFun(Poly.t_power(e2), den2)
-        total = total + term2 if (r - 1) % 2 == 0 else total - term2
-    return total
+            ks2 = adj[: r - 2]
+            e2 = (ell - 1) * (pair2 + n * (n + 1) - last * (last + 1)) + sum(adj)
+            if r > 1:
+                ks2 = ks2 + [2 * comp[-2] + 4 * last]
+                e2 += 2 * last
+            tail = tail_profile(SO_ODD, last)
+            yield (-1) ** (r - 1), _gauge(ell, comp[:-1], tail), e2, ks2
+
+    return signed_sum(terms())
 
 
 @lru_cache(maxsize=None)
@@ -285,51 +246,32 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
     if w2 not in (0, 1):
         raise ValueError("w2 is a bit")
     q = frac_part(F(w2, 2))
-    total = RatFun.zero()
-    for comp in _compositions(n):
-        r = len(comp)
-        pair2 = 2 * _pair_sum(comp)
-        adj = [comp[i] + comp[i + 1] for i in range(r - 1)]
+    two = RatFun.from_int(2)
 
-        if comp[-1] == 1:
-            # size-one last block; needs r >= 2, which n >= 2 guarantees
-            gauge = RatFun.one()
-            for part in comp:
-                gauge = gauge * _u_block(part, ell)
-            den = one_minus_t(2 * (comp[-2] + 1))
-            for a in adj:
-                den = den * one_minus_t(2 * a)
-            e = (ell - 1) * (pair2 + n * (n - 1)) + 2 * sum(adj[: r - 2])
-            e += _as_int_exponent(4 * (comp[-2] + 1) * q)
-            term = gauge * RatFun(Poly.t_power(e), den)
-            total = total + term if r % 2 == 0 else total - term
-        else:
-            gauge = RatFun.one()
-            for part in comp:
-                gauge = gauge * _u_block(part, ell)
-            den = one_minus_t(4 * (comp[-1] - 1))
-            for a in adj:
-                den = den * one_minus_t(2 * a)
-            e = (ell - 1) * (pair2 + n * (n - 1)) + 2 * sum(adj)
-            e += _as_int_exponent(4 * (comp[-1] - 1) * q)
-            term = RatFun.from_int(2) * gauge * RatFun(Poly.t_power(e), den)
-            total = total + term if r % 2 == 0 else total - term
+    def terms():
+        for comp in _compositions(n):
+            r, last = len(comp), comp[-1]
+            pair2 = 2 * _pair_sum(comp)
+            adj = _doubled_adjacent_sums(comp)
+            base = (ell - 1) * (pair2 + n * (n - 1))
+            if last == 1:
+                # size-one last block; needs r >= 2, which n >= 2 guarantees
+                e = base + sum(adj[: r - 2]) + _as_int_exponent(4 * (comp[-2] + 1) * q)
+                yield (-1) ** r, _gauge(ell, comp), e, adj + [2 * (comp[-2] + 1)]
+                continue
+            e = base + sum(adj) + _as_int_exponent(4 * (last - 1) * q)
+            yield (-1) ** r, two * _gauge(ell, comp), e, adj + [4 * (last - 1)]
 
-            gauge3 = _so_even_tail_gauge(comp[-1], ell)
-            for part in comp[:-1]:
-                gauge3 = gauge3 * _u_block(part, ell)
-            den3 = Poly.one()
-            for a in adj[: r - 2]:
-                den3 = den3 * one_minus_t(2 * a)
-            e3 = (ell - 1) * (pair2 + n * (n - 1) - comp[-1] * (comp[-1] - 1))
-            e3 += 2 * sum(adj[: r - 2])
+            ks3 = adj[: r - 2]
+            e3 = (ell - 1) * (pair2 + n * (n - 1) - last * (last - 1)) + sum(ks3)
             if r > 1:
-                boundary = comp[-2] + 2 * comp[-1] - 1
-                den3 = den3 * one_minus_t(2 * boundary)
-                e3 += 2 * boundary
-            term3 = gauge3 * RatFun(Poly.t_power(e3), den3)
-            total = total + term3 if (r - 1) % 2 == 0 else total - term3
-    return total
+                boundary = 2 * (comp[-2] + 2 * last - 1)
+                ks3 = ks3 + [boundary]
+                e3 += boundary
+            tail = tail_profile(SO_EVEN, last)
+            yield (-1) ** (r - 1), _gauge(ell, comp[:-1], tail), e3, ks3
+
+    return signed_sum(terms())
 
 
 def lr_general(req: FlatSeriesRequest) -> RatFun:
@@ -351,22 +293,22 @@ def lr_general(req: FlatSeriesRequest) -> RatFun:
         raise UnsupportedFamily(f"no engine route for {g.family}")
     if ell < 1:
         raise ValueError("need ell >= 1")
-    total = RatFun.zero()
-    for idx in enumerate_parabolics(g):
-        prof = levi_profile(g, idx)
-        gauge = bg_levi(prof, ell)
-        den = Poly.one()
-        twist = F(0)
-        for i, rho_pair in zip(prof.simple_indices, prof.rho_pairings):
-            e4 = _as_int_exponent(4 * rho_pair)
-            if e4 == 0:
+
+    def terms():
+        for idx in enumerate_parabolics(g):
+            prof = levi_profile(g, idx)
+            ks = [_as_int_exponent(4 * rho_pair) for rho_pair in prof.rho_pairings]
+            if 0 in ks:
                 raise NonIntegerExponent("denominator exponent must be positive")
-            den = den * one_minus_t(e4)
-            twist += e4 * frac_part(weight_on_pi1(g, i, c))
-        exponent = 2 * prof.dim_u * (ell - 1) + _as_int_exponent(twist)
-        term = gauge * RatFun(Poly.t_power(exponent), den)
-        total = total + term if prof.center_excess % 2 == 0 else total - term
-    return total
+            weights = (weight_on_pi1(g, i, c) for i in prof.simple_indices)
+            twist = sum(k * frac_part(w) for k, w in zip(ks, weights))
+            exponent = 2 * prof.dim_u * (ell - 1) + _as_int_exponent(twist)
+            yield (-1) ** prof.center_excess, bg_orientable(prof.betti, ell), exponent, ks
+
+    return signed_sum(terms())
+
+
+_SPIN_ALIASES = {SPIN_ODD: SO_ODD, SPIN_EVEN: SO_EVEN}
 
 
 def flat_series(g: GroupSpec, c: int, ell: int, engine: str = "specialized") -> RatFun:
@@ -377,29 +319,19 @@ def flat_series(g: GroupSpec, c: int, ell: int, engine: str = "specialized") -> 
     at trivial Stiefel-Whitney class.
     """
     validate_topclass(g, c)
+    fam, n = g.family, g.n
+    if fam == SPECIAL_UNITARY:
+        return flat_series(GroupSpec(UNITARY, n), 0, ell, engine) / _su_torus(ell)
+    if fam in _SPIN_ALIASES:
+        return flat_series(GroupSpec(_SPIN_ALIASES[fam], n), 0, ell, engine)
     if engine == "general":
-        fam = g.family
-        if fam == "su":
-            torus = RatFun(one_plus_t(1) ** (2 * ell), one_minus_t(2))
-            base = lr_general(FlatSeriesRequest(GroupSpec("u", g.n), 0, SurfaceSpec(ell)))
-            return base / torus
-        if fam in ("spin-odd", "spin-even"):
-            alias = SO_ODD if fam == "spin-odd" else SO_EVEN
-            return lr_general(FlatSeriesRequest(GroupSpec(alias, g.n), 0, SurfaceSpec(ell)))
         return lr_general(FlatSeriesRequest(g, c, SurfaceSpec(ell)))
-    fam = g.family
     if fam == UNITARY:
-        return zagier_un(g.n, c, ell)
-    if fam == "su":
-        return sun_flat(g.n, ell)
+        return zagier_un(n, c, ell)
     if fam == SYMPLECTIC:
-        return sp_flat(g.n, ell)
+        return sp_flat(n, ell)
     if fam == SO_ODD:
-        return so_odd_flat(g.n, ell, c)
+        return so_odd_flat(n, ell, c)
     if fam == SO_EVEN:
-        return so_even_flat(g.n, ell, c)
-    if fam == "spin-odd":
-        return so_odd_flat(g.n, ell, 0)
-    if fam == "spin-even":
-        return so_even_flat(g.n, ell, 0)
+        return so_even_flat(n, ell, c)
     raise UnsupportedFamily(fam)

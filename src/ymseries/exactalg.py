@@ -552,3 +552,21 @@ def one_minus_t(e: int) -> Poly:
 def one_plus_t(e: int) -> Poly:
     """1 + t**e."""
     return Poly.one() + Poly.t_power(e)
+
+
+def signed_sum(terms) -> RatFun:
+    """Sum of sign * factor * t**e / prod_{k in ks} (1 - t**k) over the terms.
+
+    Each term is a tuple (sign, factor, e, ks) with sign an integer (+1 or
+    -1 in every alternating series), factor a RatFun, e a natural number and
+    ks an iterable of positive exponents; a repeated k contributes its
+    factor once per occurrence.  Every alternating series of the package
+    goes through here.
+    """
+    total = RatFun.zero()
+    for sign, factor, e, ks in terms:
+        den = Poly.one()
+        for k in ks:
+            den = den * one_minus_t(k)
+        total += factor * RatFun(Poly.t_power(e, sign), den)
+    return total

@@ -116,7 +116,3 @@ def bg_nonorientable(profile: DegreeProfile, m: int) -> RatFun:
         den = den * one_minus_t(2 * d)
     return RatFun(num, den)
 
-
-def bg_levi(levi, ell: int) -> RatFun:
-    """Orientable gauge series of a Levi factor (anything with .betti)."""
-    return bg_orientable(levi.betti, ell)

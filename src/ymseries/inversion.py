@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import ceil
 
 from .closedforms import NonIntegerExponent
-from .exactalg import CoeffVector, Poly, RatFun, one_minus_t, series_expand
+from .exactalg import CoeffVector, Poly, RatFun, one_minus_t, series_expand, signed_sum
 from .gaugeseries import bg_orientable
 from .levidata import ParabolicIndex, levi_profile
 from .rootsys import (
@@ -303,25 +303,13 @@ def _parabolic_index_for_cutset(g: GroupSpec, cut: frozenset) -> ParabolicIndex:
     """The composition-with-flags description of the parabolic cutting `cut`."""
     n, fam = g.n, g.family
     if fam == "u":
-        positions = sorted(cut)
-        comp = []
-        prev = 0
-        for p in positions:
-            comp.append(p - prev)
-            prev = p
-        comp.append(n - prev)
-        return ParabolicIndex(tuple(comp), ())
-    if fam in ("so-odd", "sp"):
-        last_in = n in cut
-        positions = sorted(c for c in cut if c < n)
-        comp = []
-        prev = 0
-        for p in positions:
-            comp.append(p - prev)
-            prev = p
-        comp.append(n - prev)
-        return ParabolicIndex(tuple(comp), (last_in,))
-    raise UnsupportedFamily("posets are built for u, so-odd and sp families")
+        flags = ()
+    elif fam in ("so-odd", "sp"):
+        flags = (n in cut,)
+    else:
+        raise UnsupportedFamily("posets are built for u, so-odd and sp families")
+    bounds = [0] + sorted(c for c in cut if c < n) + [n]
+    return ParabolicIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])), flags)
 
 
 def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
@@ -424,27 +412,23 @@ def _b0_at_element(poset: ParabolicPoset, a0: dict, rs, q_cut: frozenset, rep) -
     the product over a in p_cut - q_cut with x_a the class of rep under
     the Levi-relative fundamental weight of a.
     """
-    acc = RatFun.zero()
-    for p_cut in poset.elements:
-        if not q_cut <= p_cut:
-            continue
-        shift = poset.n_weights[p_cut] - poset.n_weights[q_cut]
-        if p_cut == q_cut:
-            term = a0[p_cut] * RatFun.t_power(shift)
-        else:
-            data = poset.pair_data[(p_cut, q_cut)]
-            den = Poly.one()
-            twist = F(0)
-            for a, p in zip(data.indices, data.weights):
-                x = frac_part(pairing(_relative_weight(rs, q_cut, a), rep))
-                den = den * one_minus_t(p)
-                twist += p * x
-            # individual p<x> may be fractional; the total twist may not be
-            if twist.denominator != 1:
-                raise NonIntegerExponent(f"total twist {twist} not integral")
-            term = a0[p_cut] * RatFun(Poly.t_power(shift + int(twist)), den)
-        acc = acc + term if len(p_cut - q_cut) % 2 == 0 else acc - term
-    return acc
+    def terms():
+        for p_cut in poset.elements:
+            if not q_cut <= p_cut:
+                continue
+            shift = poset.n_weights[p_cut] - poset.n_weights[q_cut]
+            weights, twist = (), F(0)
+            if p_cut != q_cut:
+                data = poset.pair_data[(p_cut, q_cut)]
+                weights = data.weights
+                for a, p in zip(data.indices, data.weights):
+                    twist += p * frac_part(pairing(_relative_weight(rs, q_cut, a), rep))
+                # individual p<x> may be fractional; the total twist may not be
+                if twist.denominator != 1:
+                    raise NonIntegerExponent(f"total twist {twist} not integral")
+            yield (-1) ** len(p_cut - q_cut), a0[p_cut], shift + int(twist), weights
+
+    return signed_sum(terms())
 
 
 def closed_inverse(poset: ParabolicPoset, a0: dict, topclass: int) -> dict:

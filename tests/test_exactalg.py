@@ -21,6 +21,7 @@ from ymseries.exactalg import (
     render_poly,
     render_ratfun,
     series_expand,
+    signed_sum,
 )
 
 
@@ -165,6 +166,29 @@ class TestRatFunArith:
             assert (f + g) * h == f * h + g * h
             if not g.is_zero:
                 assert (f / g) * g == f
+
+
+class TestSignedSum:
+    def test_empty_sum_is_zero(self):
+        assert signed_sum([]) == RatFun.zero()
+
+    def test_negative_sign_subtracts(self):
+        f = RatFun(P(1, 2), one_minus_t(3))
+        assert signed_sum([(-1, f, 0, ())]) == -f
+        assert signed_sum([(1, f, 0, ()), (-1, f, 0, ())]) == RatFun.zero()
+
+    def test_repeated_k_squares_its_factor(self):
+        got = signed_sum([(1, RatFun.one(), 0, (2, 2))])
+        assert got == RatFun(Poly.one(), one_minus_t(2) ** 2)
+
+    def test_two_terms_match_explicit_arithmetic(self):
+        f = RatFun(P(1, 1), one_minus_t(2))
+        g = RatFun(P(2, 0, 3), one_plus_t(1))
+        got = signed_sum([(1, f, 3, (1, 4)), (-1, g, 2, (6,))])
+        expect = f * RatFun(Poly.t_power(3), one_minus_t(1) * one_minus_t(4)) - g * RatFun(
+            Poly.t_power(2), one_minus_t(6)
+        )
+        assert got == expect
 
 
 class TestRatFunEq:

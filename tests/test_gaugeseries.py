@@ -1,13 +1,13 @@
 import pytest
 
-from ymseries.exactalg import RatFun, one_minus_t, one_plus_t, ratfun_eq, series_expand
+from ymseries.exactalg import Poly, RatFun, one_minus_t, one_plus_t, ratfun_eq, series_expand
 from ymseries.gaugeseries import (
     DegreeProfile,
     betti_degrees,
-    bg_levi,
     bg_nonorientable,
     bg_orientable,
     concat_profiles,
+    tail_profile,
     unitary_block_profile,
 )
 from ymseries.levidata import ParabolicIndex, levi_profile
@@ -96,12 +96,12 @@ class TestBgLevi:
         prof = levi_profile(GroupSpec("u", 2), ParabolicIndex((1, 1), ()))
         ell = 2
         torus = bg_orientable(unitary_block_profile(1), ell)
-        assert bg_levi(prof, ell) == torus * torus
+        assert bg_orientable(prof.betti, ell) == torus * torus
 
     def test_full_group(self):
         g = GroupSpec("sp", 2)
         prof = levi_profile(g, ParabolicIndex((2,), (False,)))
-        assert bg_levi(prof, 3) == bg_orientable(betti_degrees(g), 3)
+        assert bg_orientable(prof.betti, 3) == bg_orientable(betti_degrees(g), 3)
 
     def test_mixed_factor(self):
         g = GroupSpec("sp", 2)
@@ -110,4 +110,37 @@ class TestBgLevi:
         expect = bg_orientable(unitary_block_profile(1), ell) * bg_orientable(
             betti_degrees(GroupSpec("sp", 1)), ell
         )
-        assert bg_levi(prof, ell) == expect
+        assert bg_orientable(prof.betti, ell) == expect
+
+
+def _sp_tail_by_hand(m, ell):
+    """Rank-m symplectic or odd-orthogonal tail as explicit products."""
+    num = den = Poly.one()
+    for j in range(1, m + 1):
+        num = num * one_plus_t(4 * j - 1) ** (2 * ell)
+    for j in range(1, 2 * m + 1):
+        den = den * one_minus_t(2 * j)
+    return RatFun(num, den)
+
+
+def _so_even_tail_by_hand(m, ell):
+    """Rank-m even-orthogonal tail (m >= 2) as explicit products."""
+    num = one_plus_t(2 * m - 1) ** (2 * ell)
+    for j in range(1, m):
+        num = num * one_plus_t(4 * j - 1) ** (2 * ell)
+    den = one_minus_t(2 * m - 2) * one_minus_t(2 * m)
+    for j in range(1, 2 * m - 1):
+        den = den * one_minus_t(2 * j)
+    return RatFun(num, den)
+
+
+HAND_TAILS = {"sp": _sp_tail_by_hand, "so-odd": _sp_tail_by_hand, "so-even": _so_even_tail_by_hand}
+
+
+@pytest.mark.parametrize(
+    "family,m",
+    [(f, m) for f in ("sp", "so-odd") for m in range(1, 6)] + [("so-even", m) for m in range(2, 6)],
+)
+@pytest.mark.parametrize("ell", range(4))
+def test_tail_profile_gauge_matches_hand_product(family, m, ell):
+    assert bg_orientable(tail_profile(family, m), ell) == HAND_TAILS[family](m, ell)
