@@ -97,16 +97,11 @@ def cmd_poincare(args) -> int:
     g = _group(args)
     c = _topclass(args, g)
     meta = {"group": g.describe(), "genus": args.genus, "topclass": c}
-    if args.engine == "specialized":
-        f = flat_series(g, c, args.genus)
-    elif args.engine == "general":
-        f = flat_series(g, c, args.genus, engine="general")
-    else:
-        f = flat_series(g, c, args.genus)
-        general = flat_series(g, c, args.genus, engine="general")
-        if not ratfun_eq(f, general):
-            print("engine disagreement between specialized and general routes", file=sys.stderr)
-            return 1
+    engine = "general" if args.engine == "general" else "specialized"
+    f = flat_series(g, c, args.genus, engine=engine)
+    if args.engine == "both" and not ratfun_eq(f, flat_series(g, c, args.genus, engine="general")):
+        print("engine disagreement between specialized and general routes", file=sys.stderr)
+        return 1
     print(_emit_ratfun(f, args.format, meta))
     return 0
 

@@ -318,6 +318,8 @@ def flat_series(g: GroupSpec, c: int, ell: int, engine: str = "specialized") -> 
     su via the degree-zero unitary series, spin via the orthogonal series
     at trivial Stiefel-Whitney class.
     """
+    if engine not in ("specialized", "general"):
+        raise ValueError(f"engine must be 'specialized' or 'general', not {engine!r}")
     validate_topclass(g, c)
     fam, n = g.family, g.n
     if fam == SPECIAL_UNITARY:

@@ -294,10 +294,6 @@ class ParabolicPoset:
     pair_data: dict  # (small_parabolic, large_parabolic) -> PosetPairData
     levi_indices: dict  # element -> ParabolicIndex
 
-    def order_le(self, p, q) -> bool:
-        """p <= q in the parabolic order (cut sets reverse-ordered)."""
-        return q <= p
-
 
 def _parabolic_index_for_cutset(g: GroupSpec, cut: frozenset) -> ParabolicIndex:
     """The composition-with-flags description of the parabolic cutting `cut`."""
@@ -401,7 +397,15 @@ def _relative_weight(rs, q_cut: frozenset, a: int):
     return tuple(_solve(rows, n))
 
 
-def _b0_at_element(poset: ParabolicPoset, a0: dict, rs, q_cut: frozenset, rep) -> RatFun:
+def _relative_weights(rs, q_cut: frozenset) -> dict:
+    """{a: relative fundamental weight} over the Levi simple indices a of q_cut."""
+    rank = len(rs.simple_roots)
+    return {a: _relative_weight(rs, q_cut, a) for a in range(1, rank + 1) if a not in q_cut}
+
+
+def _b0_at_element(
+    poset: ParabolicPoset, a0: dict, rel_weights: dict, q_cut: frozenset, rep
+) -> RatFun:
     """Closed inversion formula at one element, for the type represented by rep.
 
     b0(Q) = sum over parabolics P <= Q (cut sets p_cut >= q_cut) of
@@ -410,7 +414,8 @@ def _b0_at_element(poset: ParabolicPoset, a0: dict, rs, q_cut: frozenset, rep) -
         prod_a t^{p_a <x_a>} / (1 - t^{p_a}),
 
     the product over a in p_cut - q_cut with x_a the class of rep under
-    the Levi-relative fundamental weight of a.
+    the Levi-relative fundamental weight of a, read from rel_weights
+    (`_relative_weights(rs, q_cut)`).
     """
     def terms():
         for p_cut in poset.elements:
@@ -422,7 +427,7 @@ def _b0_at_element(poset: ParabolicPoset, a0: dict, rs, q_cut: frozenset, rep) -
                 data = poset.pair_data[(p_cut, q_cut)]
                 weights = data.weights
                 for a, p in zip(data.indices, data.weights):
-                    twist += p * frac_part(pairing(_relative_weight(rs, q_cut, a), rep))
+                    twist += p * frac_part(pairing(rel_weights[a], rep))
                 # individual p<x> may be fractional; the total twist may not be
                 if twist.denominator != 1:
                     raise NonIntegerExponent(f"total twist {twist} not integral")
@@ -436,7 +441,9 @@ def closed_inverse(poset: ParabolicPoset, a0: dict, topclass: int) -> dict:
     g = poset.group
     rs = build_root_system(g)
     rep = pi1_representative(g, topclass)
-    return {q: _b0_at_element(poset, a0, rs, q, rep) for q in poset.elements}
+    return {
+        q: _b0_at_element(poset, a0, _relative_weights(rs, q), q, rep) for q in poset.elements
+    }
 
 
 def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: int, order: int):
@@ -470,18 +477,12 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
         idxs = sorted(p_cut)
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
         rho = _relative_rho(rs, p_cut, top)
-        p_weights = []
-        for cv in coroots:
-            w = 4 * pairing(rho, cv)
-            if w.denominator != 1 or w <= 0:
-                raise NonIntegerExponent("forward weights must be positive integers")
-            p_weights.append(int(w))
+        p_weights = poset.pair_data[(p_cut, top)].weights
         base_vals = [pairing(ambient[a - 1], rep) for a in idxs]
         lo = [ceil(-x) for x in base_vals]
         hi = [(F(order - n_p, w) - x).__floor__() for w, x in zip(p_weights, base_vals)]
         levi_span = _levi_coroot_basis(rs, p_cut)
-        levi_weight_idx = [i + 1 for i in range(len(rs.simple_roots)) if (i + 1) not in p_cut]
-        rel_weights = {a: _relative_weight(rs, p_cut, a) for a in levi_weight_idx}
+        rel_weights = _relative_weights(rs, p_cut)
         b0_cache: dict = {}
 
         def lattice_point(m_vec):
@@ -509,9 +510,9 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
                 e = int(exponent)
                 if e > order:
                     return
-                key = tuple(_frac01(pairing(rel_weights[a], x)) for a in levi_weight_idx)
+                key = tuple(_frac01(pairing(w, x)) for w in rel_weights.values())
                 if key not in b0_cache:
-                    b0_cache[key] = _b0_at_element(poset, a0, rs, p_cut, x)
+                    b0_cache[key] = _b0_at_element(poset, a0, rel_weights, p_cut, x)
                 for i, c in enumerate(series_expand(b0_cache[key], order - e).coeffs):
                     rhs[e + i] += c
                 return

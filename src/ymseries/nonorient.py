@@ -9,6 +9,11 @@ point's connected components: how many there are, which bundle (through
 the second Stiefel-Whitney class) each lives on, and the ordered list of
 twisted-variety factors its reduced representation variety splits into.
 
+The point rules (tail shapes, strictly decreasing slopes down to the
+family's floor, and the InvalidPoint error) are shared with `strata`; the
+nonorientable index set only moves the symplectic floor to slope 1/2 and
+forces a zero tail, of any size, on odd-rank even-orthogonal points.
+
 No numeric series are attached to the twisted factors; the reports are
 structural, to be filled by a series provider if one ever exists.
 """
@@ -26,12 +31,19 @@ from .rootsys import (
     GroupSpec,
     UnsupportedFamily,
 )
+from .strata import (
+    TAIL_MINUS,
+    TAIL_NONE,
+    TAIL_ZERO,
+    InvalidPoint,
+    _check_blocks,
+    _check_chamber,
+    _tail_shapes,
+)
 
 F = Fraction
 
-
-class InvalidPoint(ValueError):
-    """Point data outside the family's nonorientable index set."""
+_FLAGS_TO_TAIL = {(False, False): TAIL_NONE, (True, False): TAIL_ZERO, (False, True): TAIL_MINUS}
 
 
 def chamber_involution(g: GroupSpec, mu) -> tuple:
@@ -77,71 +89,21 @@ class NonorientablePoint:
     def __post_init__(self):
         if self.surface_i not in (1, 2):
             raise InvalidPoint("surface_i must be 1 or 2")
-        comp, labels = self.composition, self.labels
-        if len(comp) != len(labels) or not comp or any(p < 1 for p in comp):
-            raise InvalidPoint("composition and labels must align and be nonempty")
+        comp, labels, fam = self.composition, self.labels, self.family
+        _check_blocks(comp, labels)
         if self.zero_tail and labels[-1] != 0:
             raise InvalidPoint("a zero tail stores label 0")
-        body = list(zip(comp, labels))
-        if self.zero_tail:
-            body = body[:-1]
-        slopes = [F(k, p) for p, k in body]
-        fam = self.family
-        if fam == SYMPLECTIC:
-            if self.minus_last:
-                raise InvalidPoint("minus_last is an even-orthogonal shape")
-            if any(s <= F(1, 2) for s in slopes):
-                raise InvalidPoint("symplectic slopes must exceed 1/2")
-            if any(slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1)):
-                raise InvalidPoint("slopes must strictly decrease")
-        elif fam == SO_ODD:
-            if self.minus_last:
-                raise InvalidPoint("minus_last is an even-orthogonal shape")
-            if any(s <= 0 for s in slopes):
-                raise InvalidPoint("slopes before the tail must be positive")
-            if any(slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1)):
-                raise InvalidPoint("slopes must strictly decrease")
-        elif fam == SO_EVEN:
-            self._check_so_even(slopes)
-        else:
+        if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
             raise UnsupportedFamily(fam)
-
-    def _check_so_even(self, slopes):
-        n = sum(self.composition)
-        comp, labels = self.composition, self.labels
-        if n % 2 == 1:
-            # only tau-fixed vectors end in 0: the zero tail is mandatory
-            if not self.zero_tail or self.minus_last:
-                raise InvalidPoint("odd even-orthogonal rank forces a plain zero tail")
-            if any(s <= 0 for s in slopes) or any(
-                slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1)
-            ):
-                raise InvalidPoint("slopes must strictly decrease to the tail")
-            return
-        if self.zero_tail:
-            if self.minus_last or comp[-1] < 2:
-                raise InvalidPoint("zero tail needs a plain block of size >= 2")
-            if any(s <= 0 for s in slopes) or any(
-                slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1)
-            ):
-                raise InvalidPoint("slopes must strictly decrease to the tail")
-        elif comp[-1] == 1 and not self.minus_last:
-            body, last = slopes[:-1], slopes[-1]
-            if any(s <= 0 for s in body) or any(
-                body[i] <= body[i + 1] for i in range(len(body) - 1)
-            ):
-                raise InvalidPoint("slopes must strictly decrease")
-            if body and body[-1] <= abs(last):
-                raise InvalidPoint("the final label must be dominated")
-            if not body and len(comp) == 1:
-                raise InvalidPoint("rank >= 2 has at least two coordinates")
+        tail_kind = _FLAGS_TO_TAIL.get((self.zero_tail, self.minus_last), "zero_tail+minus_last")
+        if fam == SO_EVEN and sum(comp) % 2 == 1:
+            # only tau-fixed vectors end in 0: the zero tail is mandatory, of any size
+            shapes = (TAIL_ZERO,)
         else:
-            if self.minus_last and comp[-1] < 2:
-                raise InvalidPoint("minus_last needs a final block of size >= 2")
-            if any(s <= 0 for s in slopes) or any(
-                slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1)
-            ):
-                raise InvalidPoint("slopes must strictly decrease and stay positive")
+            shapes = _tail_shapes(fam, comp[-1], labels[-1])
+        # symplectic chamber values 2 k_j / n_j - 1 must stay positive
+        floor = F(1, 2) if fam == SYMPLECTIC else F(0)
+        _check_chamber(fam, comp, labels, tail_kind, shapes, floor)
 
     def chamber_vector(self) -> tuple:
         """The tau-fixed chamber vector the point indexes."""
@@ -260,30 +222,18 @@ def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
         raise UnsupportedFamily(fam)
     found = {}
 
-    def try_point(comp, labels, zero_tail, minus_last=False):
+    def try_point(comp, labels, tail_kind):
+        zero_tail, minus_last = tail_kind == TAIL_ZERO, tail_kind == TAIL_MINUS
         try:
             pt = NonorientablePoint(fam, tuple(comp), tuple(labels), zero_tail, i, minus_last)
         except InvalidPoint:
             return
         found[(pt.composition, pt.labels, pt.zero_tail, pt.minus_last)] = pt
 
-    def terminal(comp, labels):
-        if fam == SYMPLECTIC:
-            try_point(comp, labels, labels[-1] == 0)
-        elif fam == SO_ODD:
-            try_point(comp, labels, labels[-1] == 0)
-        else:
-            if labels[-1] == 0 and comp[-1] >= 2:
-                try_point(comp, labels, True)
-            elif comp[-1] >= 2:
-                try_point(comp, labels, False, False)
-                try_point(comp, labels, False, True)
-            else:
-                try_point(comp, labels, False)
-
     def extend(comp, labels, remaining):
         if remaining == 0:
-            terminal(comp, labels)
+            for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
+                try_point(comp, labels, tail_kind)
             return
         for part in range(1, remaining + 1):
             is_final = part == remaining
@@ -293,7 +243,7 @@ def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
                 extend(comp + [part], labels + [k], remaining - part)
         # a zero tail may absorb the whole remainder even mid-sequence
         if fam in (SYMPLECTIC, SO_EVEN):
-            try_point(comp + [remaining], labels + [0], True)
+            try_point(comp + [remaining], labels + [0], TAIL_ZERO)
 
     extend([], [], n)
     return sorted(
@@ -322,46 +272,26 @@ def classify_components(g: GroupSpec, p: NonorientablePoint) -> ComponentReport:
         else:
             factors = [TwistedU(a, k) for a, k in zip(comp, labels)]
         return ComponentReport(p, 1, (Component(None, tuple(factors)),), validity)
-    if fam == SO_ODD:
-        if not p.zero_tail:
-            w2 = (sum(labels) + i * n * (n + 1) // 2) % 2
-            factors = tuple(TwistedU(a, -k) for a, k in zip(comp, labels))
-            return ComponentReport(p, 1, (Component(w2, factors),), validity)
-        m = comp[-1]
-        body = tuple(TwistedU(a, -k) for a, k in zip(comp[:-1], labels[:-1]))
-        det = (-1) ** (n - m)
-        exponent = sum(labels[:-1]) + i * (n - m) * (n - m - 1) // 2
-        comps = []
-        for w2, outer in ((0, 1), (1, -1)):
-            sign = outer * (-1) ** exponent
-            comps.append(Component(w2, body + (TwistedO(2 * m + 1, det, sign),)))
-        return ComponentReport(p, 2, tuple(comps), validity)
-    if fam == SO_EVEN:
-        m_half = n // 2  # the m of SO(4m) / SO(4m+2)
-        if n % 2 == 1:
-            mr = comp[-1]
-            body = tuple(TwistedU(a, -k) for a, k in zip(comp[:-1], labels[:-1]))
-            det = (-1) ** (mr - 1)
-            exponent = sum(labels[:-1]) + i * m_half + i * mr * (mr - 1) // 2
-            comps = []
-            for w2, outer in ((0, 1), (1, -1)):
-                sign = outer * (-1) ** exponent
-                comps.append(Component(w2, body + (TwistedO(2 * mr, det, sign),)))
-            return ComponentReport(p, 2, tuple(comps), validity)
-        if p.zero_tail:
-            mr = comp[-1]
-            body = tuple(TwistedU(a, -k) for a, k in zip(comp[:-1], labels[:-1]))
-            det = (-1) ** mr
-            exponent = sum(labels[:-1]) + i * m_half + i * mr * (mr + 1) // 2
-            comps = []
-            for w2, outer in ((0, 1), (1, -1)):
-                sign = outer * (-1) ** exponent
-                comps.append(Component(w2, body + (TwistedO(2 * mr, det, sign),)))
-            return ComponentReport(p, 2, tuple(comps), validity)
-        w2 = (sum(labels) + i * m_half) % 2
+    # orthogonal: a split point carries the tail's O(size) factor in two signed parts
+    m, head = comp[-1], sum(labels[:-1])
+    if fam == SO_ODD and p.zero_tail:
+        split = (2 * m + 1, (-1) ** (n - m), head + i * (n - m) * (n - m - 1) // 2)
+    elif fam == SO_EVEN and n % 2 == 1:
+        split = (2 * m, (-1) ** (m - 1), head + i * (n // 2) + i * m * (m - 1) // 2)
+    elif fam == SO_EVEN and p.zero_tail:
+        split = (2 * m, (-1) ** m, head + i * (n // 2) + i * m * (m + 1) // 2)
+    else:
+        offset = n * (n + 1) // 2 if fam == SO_ODD else n // 2
+        w2 = (sum(labels) + i * offset) % 2
         factors = tuple(TwistedU(a, -k) for a, k in zip(comp, labels))
         return ComponentReport(p, 1, (Component(w2, factors),), validity)
-    raise UnsupportedFamily(fam)
+    size, det, exponent = split
+    body = tuple(TwistedU(a, -k) for a, k in zip(comp[:-1], labels[:-1]))
+    comps = tuple(
+        Component(w2, body + (TwistedO(size, det, outer * (-1) ** exponent),))
+        for w2, outer in ((0, 1), (1, -1))
+    )
+    return ComponentReport(p, 2, comps, validity)
 
 
 def decomposition_render(report: ComponentReport) -> str:
@@ -401,13 +331,11 @@ def tau_fixed_unrealized(g: GroupSpec, i: int, bound: int):
         # blocks: list of (size, numerator) with value numerator/size
         if blocks:
             allow_tail = not (fam == SO_EVEN and n % 2 == 0 and remaining < 2)
-            if remaining == 0 or (remaining >= 1 and allow_tail):
+            if remaining == 0 or allow_tail:
                 candidate = blocks + ([(remaining, 0)] if remaining else [])
-                if fam == SO_EVEN and n % 2 == 1 and (not candidate or candidate[-1][1] != 0):
-                    pass
-                elif sum(b[0] for b in candidate) == n:
-                    if not all(realized(p, a) for p, a in candidate if a != 0):
-                        out.append(tuple((p, F(a, p)) for p, a in candidate))
+                untailed = fam == SO_EVEN and n % 2 == 1 and candidate[-1][1] != 0
+                if not untailed and not all(realized(p, a) for p, a in candidate if a != 0):
+                    out.append(tuple((p, F(a, p)) for p, a in candidate))
         for part in range(1, remaining + 1):
             prev = F(blocks[-1][1], blocks[-1][0]) if blocks else None
             for a in range(1, bound + 1):

@@ -54,6 +54,56 @@ class AmbiguousComponent(ValueError):
     """A split point needs a component choice to have a series."""
 
 
+def _descending(values) -> bool:
+    """True when the values strictly decrease."""
+    return all(a > b for a, b in zip(values, values[1:]))
+
+
+def _tail_shapes(family: str, size: int, label: int) -> tuple:
+    """The tail kinds a final block of this size and label admits."""
+    if family == UNITARY:
+        return (TAIL_NONE,)
+    if family in (SO_ODD, SYMPLECTIC):
+        return (TAIL_ZERO,) if label == 0 else (TAIL_NONE,)
+    if family == SO_EVEN:
+        if label == 0 and size >= 2:
+            return (TAIL_ZERO,)
+        return (TAIL_NONE,) if size == 1 else (TAIL_NONE, TAIL_MINUS)
+    raise UnsupportedFamily(family)
+
+
+def _check_blocks(comp, labels):
+    if len(comp) != len(labels) or not comp or any(p < 1 for p in comp):
+        raise InvalidPoint("composition and labels must align and be nonempty")
+
+
+def _check_chamber(family, comp, labels, tail_kind, shapes, floor=F(0)):
+    """The chamber rules shared by orientable and nonorientable points.
+
+    tail_kind must be one of the admitted shapes, and the block slopes
+    k_j / n_j must strictly decrease down to the family's floor: a zero
+    block stands in for the floor, a size-one final even-orthogonal block
+    only needs its absolute slope dominated, and unitary slopes have no
+    floor at all.
+    """
+    if tail_kind not in shapes:
+        raise InvalidPoint(
+            f"a final block of size {comp[-1]} and label {labels[-1]} admits tail "
+            f"{' or '.join(shapes)}, not {tail_kind!r}"
+        )
+    slopes = [F(k, p) for k, p in zip(labels, comp)]
+    if family == UNITARY:
+        chain = slopes
+    elif tail_kind == TAIL_ZERO:
+        chain = slopes[:-1] + [floor]
+    elif family == SO_EVEN and comp[-1] == 1:
+        chain = slopes[:-1] + [abs(slopes[-1])]
+    else:
+        chain = slopes + [floor]
+    if not _descending(chain):
+        raise InvalidPoint(f"block slopes must strictly decrease: {', '.join(map(str, chain))}")
+
+
 @dataclass(frozen=True)
 class AtiyahBottPoint:
     """One stratum index: composition with labels and a tail marker.
@@ -70,60 +120,9 @@ class AtiyahBottPoint:
 
     def __post_init__(self):
         comp, labels = self.composition, self.labels
-        if len(comp) != len(labels) or not comp or any(p < 1 for p in comp):
-            raise InvalidPoint("composition and labels must align and be nonempty")
-        slopes = [F(k, p) for k, p in zip(labels, comp)]
-        fam = self.family
-        if fam == UNITARY:
-            if self.tail_kind != TAIL_NONE:
-                raise InvalidPoint("unitary points carry no tail")
-            if any(slopes[i] <= slopes[i + 1] for i in range(len(comp) - 1)):
-                raise InvalidPoint("slopes must strictly decrease")
-        elif fam in (SO_ODD, SYMPLECTIC):
-            if self.tail_kind == TAIL_MINUS:
-                raise InvalidPoint("minus_last is an even-orthogonal shape")
-            if any(slopes[i] <= slopes[i + 1] for i in range(len(comp) - 1)):
-                raise InvalidPoint("slopes must strictly decrease")
-            if slopes[-1] < 0 or any(s <= 0 for s in slopes[:-1]):
-                raise InvalidPoint("slopes must be positive except a zero tail")
-            if (labels[-1] == 0) != (self.tail_kind == TAIL_ZERO):
-                raise InvalidPoint("zero_block exactly when the last label is 0")
-        elif fam == SO_EVEN:
-            self._check_so_even(slopes)
-        else:
-            raise UnsupportedFamily(fam)
-
-    def _check_so_even(self, slopes):
-        comp, labels = self.composition, self.labels
-        if self.tail_kind == TAIL_ZERO:
-            if comp[-1] < 2 or labels[-1] != 0:
-                raise InvalidPoint("zero tail needs a block of size >= 2 with label 0")
-            body = slopes[:-1]
-            if any(s <= 0 for s in body) or any(
-                body[i] <= body[i + 1] for i in range(len(body) - 1)
-            ):
-                raise InvalidPoint("slopes before a zero tail must strictly decrease to 0")
-        elif self.tail_kind == TAIL_MINUS:
-            if comp[-1] < 2:
-                raise InvalidPoint("minus_last needs a final block of size >= 2")
-            if any(s <= 0 for s in slopes) or any(
-                slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1)
-            ):
-                raise InvalidPoint("slopes must strictly decrease and stay positive")
-        else:
-            if comp[-1] == 1:
-                body = slopes[:-1]
-                if any(s <= 0 for s in body) or any(
-                    body[i] <= body[i + 1] for i in range(len(body) - 1)
-                ):
-                    raise InvalidPoint("slopes must strictly decrease")
-                if body and body[-1] <= abs(slopes[-1]):
-                    raise InvalidPoint("the final coordinate must be dominated")
-            else:
-                if any(s <= 0 for s in slopes) or any(
-                    slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1)
-                ):
-                    raise InvalidPoint("slopes must strictly decrease and stay positive")
+        _check_blocks(comp, labels)
+        shapes = _tail_shapes(self.family, comp[-1], labels[-1])
+        _check_chamber(self.family, comp, labels, self.tail_kind, shapes)
 
     @property
     def is_split(self) -> bool:
@@ -236,24 +235,10 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
         if d <= codim_bound:
             found.append((pt, d))
 
-    def finish_block_list(comp, labels):
-        if fam == UNITARY:
-            finish(comp, labels, TAIL_NONE)
-        elif fam in (SO_ODD, SYMPLECTIC):
-            tail = TAIL_ZERO if labels[-1] == 0 else TAIL_NONE
-            finish(comp, labels, tail)
-        else:
-            if labels[-1] == 0 and comp[-1] >= 2:
-                finish(comp, labels, TAIL_ZERO)
-            elif comp[-1] == 1:
-                finish(comp, labels, TAIL_NONE)
-            else:
-                finish(comp, labels, TAIL_NONE)
-                finish(comp, labels, TAIL_MINUS)
-
     def extend(comp, labels, blocks, remaining):
         if remaining == 0:
-            finish_block_list(comp, labels)
+            for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
+                finish(comp, labels, tail_kind)
             return
         prev_slope = blocks[-1][1] if blocks else None
         for part in range(1, remaining + 1):

@@ -117,6 +117,14 @@ class TestComponents:
         )
         assert code == 0 and out.strip() == "M~(l,i;1,2) x M~(l,i;1,1)"
 
+    def test_invalid_point(self, capsys):
+        # symplectic slope 1/2 sits on the floor of the nonorientable index set
+        code, out, err = run(
+            capsys, "components", "--group", "sp", "--rank", "2", "--surface-i", "1",
+            "--composition", "2", "--labels", "1",
+        )
+        assert code == 2 and not out and "1/2" in err
+
 
 class TestVerifiers:
     def test_recursion_ok(self, capsys):

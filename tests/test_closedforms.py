@@ -167,6 +167,11 @@ class TestGeneralEngine:
     def test_spin_aliases_specialized(self):
         assert flat_series(GroupSpec("spin-even", 3), 0, 2) == so_even_flat(3, 2, 0)
 
+    @pytest.mark.parametrize("g", [GroupSpec("sp", 1), GroupSpec("su", 2)])
+    def test_unknown_engine_rejected(self, g):
+        with pytest.raises(ValueError, match="engine"):
+            flat_series(g, 0, 2, engine="bogus")
+
 
 class TestPositivity:
     @pytest.mark.parametrize("ell", [2, 3])

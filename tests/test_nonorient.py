@@ -57,6 +57,19 @@ class TestPointValidation:
         with pytest.raises(InvalidPoint):
             NonorientablePoint("so-even", (3,), (1,), False, 1)
 
+    def test_so_even_odd_rank_tail_of_any_size(self):
+        # a size-one zero tail: odd rank only, as no orientable so-even point carries one
+        NonorientablePoint("so-even", (2, 1), (1, 0), True, 1)
+        with pytest.raises(InvalidPoint):
+            NonorientablePoint("so-even", (3, 1), (1, 0), True, 1)
+
+    def test_one_invalid_point_class(self):
+        from ymseries import strata
+
+        assert InvalidPoint is strata.InvalidPoint
+        with pytest.raises(strata.InvalidPoint):
+            NonorientablePoint("so-odd", (1,), (1,), False, 1, minus_last=True)
+
     def test_chamber_values(self):
         pt = NonorientablePoint("sp", (1, 1), (2, 0), True, 1)
         assert pt.chamber_vector() == (F(3), F(0))

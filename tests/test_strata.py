@@ -39,6 +39,15 @@ class TestPointValidation:
         with pytest.raises(InvalidPoint):
             AtiyahBottPoint("so-even", (2, 1), (2, 1), "minus_last")
 
+    @pytest.mark.parametrize(
+        "fam,comp,labels",
+        [("sp", (1,), (1,)), ("so-odd", (2,), (1,)), ("so-even", (2, 1), (3, 1)), ("u", (1,), (0,))],
+    )
+    def test_misspelled_tail_rejected(self, fam, comp, labels):
+        AtiyahBottPoint(fam, comp, labels)
+        with pytest.raises(InvalidPoint):
+            AtiyahBottPoint(fam, comp, labels, "bogus")
+
     def test_chamber_vector_minus(self):
         pt = AtiyahBottPoint("so-even", (1, 2), (2, 1), "minus_last")
         assert pt.chamber_vector() == (F(2), F(1, 2), F(-1, 2))
