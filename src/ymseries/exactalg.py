@@ -393,9 +393,9 @@ def ratfun_eq(f: RatFun, g: RatFun) -> bool:
 def series_expand(f: RatFun, order: int) -> CoeffVector:
     """Coefficients of the power series of f at t = 0, through t**order.
 
-    The denominator must not vanish at 0.  Coefficients are computed as
-    exact rationals and must all be integers; a fractional one raises
-    NonIntegerCoefficient.
+    The denominator must not vanish at 0.  The recurrence runs on integers:
+    each coefficient is an exact quotient by den(0), and a nonzero remainder
+    (a fractional coefficient) raises NonIntegerCoefficient.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -403,17 +403,18 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
     d0 = den[0]
     if d0 == 0:
         raise PoleAtZero("denominator vanishes at t = 0")
+    num, dc = f.num.coeffs, den.coeffs
     out = []
-    dd = den.degree
     for k in range(order + 1):
-        acc = Fraction(f.num[k])
-        for j in range(1, min(k, dd) + 1):
-            acc -= den[j] * out[k - j]
-        bk = acc / d0
-        if bk.denominator != 1:
-            raise NonIntegerCoefficient(f"coefficient of t^{k} is {bk}")
+        # every earlier coefficient is an integer, so acc is one too
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(dc) - 1) + 1):
+            acc -= dc[j] * out[k - j]
+        bk, rem = divmod(acc, d0)
+        if rem:
+            raise NonIntegerCoefficient(f"coefficient of t^{k} is {Fraction(acc, d0)}")
         out.append(bk)
-    return CoeffVector(order, tuple(int(c) for c in out))
+    return CoeffVector(order, tuple(out))
 
 
 def series_nonnegative(f: RatFun, order: int) -> bool:

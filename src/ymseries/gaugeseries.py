@@ -11,6 +11,7 @@ of the gauge group of any principal bundle over a closed surface, orientable
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactalg import Poly, RatFun, one_minus_t, one_plus_t
 from .rootsys import (
@@ -80,12 +81,14 @@ def concat_profiles(profiles) -> DegreeProfile:
     return DegreeProfile(tuple(sorted(degrees)), centers)
 
 
+@lru_cache(maxsize=None)
 def bg_orientable(profile: DegreeProfile, ell: int) -> RatFun:
     """P_t of B(gauge group) over the genus-ell orientable surface.
 
     Each torus generator contributes (1+t)^{2 ell} / (1-t^2); a generator of
     halved degree d > 1 contributes
-    (1+t^{2d-1})^{2 ell} / ((1-t^{2d-2})(1-t^{2d})).
+    (1+t^{2d-1})^{2 ell} / ((1-t^{2d-2})(1-t^{2d})).  The series depends
+    only on the sorted degree list and ell, so it is computed once per pair.
     """
     if ell < 0:
         raise ValueError("genus must be nonnegative")

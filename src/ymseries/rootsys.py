@@ -117,7 +117,7 @@ def pairing(covector, vector) -> Fraction:
     """Exact dot product between a theta-basis covector and an e-basis vector."""
     if len(covector) != len(vector):
         raise DimensionMismatch(f"{len(covector)} != {len(vector)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(covector, vector)), Fraction(0))
+    return sum((a * b for a, b in zip(covector, vector)), Fraction(0))
 
 
 def _vec(n, entries: dict) -> tuple:

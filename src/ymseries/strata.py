@@ -13,13 +13,21 @@ assembles each stratum's equivariant series as a product of unitary
 central-stratum series and a flat tail, and checks the stratification
 identity: the gauge series of the bundle equals the codimension-weighted
 sum of the stratum series, as a truncated power series.
+
+Codimensions and the enumeration's pruning bound are integer arithmetic:
+mu is scaled by L, the lcm of its block sizes, so L * mu is an integer
+vector, and the pairwise bound n_i n_j (k_i/n_i - k_j/n_j + ell - 1) is
+written as n_j k_i - n_i k_j + n_i n_j (ell - 1).  The identity check
+expands each distinct stratum factor once and multiplies truncated
+coefficient lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from functools import lru_cache
+from math import lcm
 
 from .closedforms import so_even_flat, so_odd_flat, sp_flat, zagier_un
 from .exactalg import CoeffVector, RatFun, series_expand
@@ -154,48 +162,70 @@ class AtiyahBottPoint:
         return (self.composition, self.labels, self.tail_kind)
 
 
+@lru_cache(maxsize=None)
+def _positive_root_terms(g: GroupSpec) -> tuple:
+    """Each positive root of g as its nonzero (coordinate, integer coefficient) pairs."""
+    return tuple(
+        tuple((i, int(a)) for i, a in enumerate(alpha) if a)
+        for alpha in build_root_system(g).positive_roots
+    )
+
+
 def codim(g: GroupSpec, mu: AtiyahBottPoint, ell: int) -> int:
-    """Complex codimension of the stratum of mu."""
+    """Complex codimension of the stratum of mu.
+
+    With L the lcm of the block sizes, L * mu is an integer vector, so
+    d_mu = (sum of the positive values a(L mu)) / L + #{a : a(mu) > 0} (ell - 1).
+    """
     if ell < 1:
         raise ValueError("need ell >= 1")
     if mu.family != g.family or sum(mu.composition) != g.n:
         raise InvalidPoint("point does not belong to this group")
-    rs = build_root_system(g)
-    v = mu.chamber_vector()
-    total = F(0)
-    for alpha in rs.positive_roots:
-        val = sum((F(a) * x for a, x in zip(alpha, v)), F(0))
+    scale = lcm(*mu.composition)
+    v = []
+    for p, k in zip(mu.composition, mu.labels):
+        v.extend([scale // p * k] * p)
+    if mu.tail_kind == TAIL_MINUS:
+        v[-1] = -v[-1]
+    positive_sum = positive_count = 0
+    for terms in _positive_root_terms(g):
+        val = 0
+        for i, a in terms:
+            val += a * v[i]
         if val > 0:
-            total += val + (ell - 1)
-    if total.denominator != 1 or total < 0:
-        raise NonIntegerCodimension(f"codimension {total} for {mu}")
-    return int(total)
+            positive_sum += val
+            positive_count += 1
+    total = positive_sum + positive_count * (ell - 1) * scale
+    d, r = divmod(total, scale)
+    if r or d < 0:
+        raise NonIntegerCodimension(f"codimension {total}/{scale} for {mu}")
+    return d
 
 
-def _pairwise_lower_bound(fam, blocks, ell) -> Fraction:
-    """Codimension from the theta_i - theta_j roots plus family singles.
+def _bound_increment(fam, comp, labels, part, label, ell) -> int:
+    """What appending the block (part, label) adds to the pruning bound.
 
-    A valid lower bound for every family, monotone under appending blocks:
-    used to prune the enumeration.
+    The bound is the codimension from the theta_i - theta_j roots between
+    blocks, n_i n_j (k_i/n_i - k_j/n_j + ell - 1) = n_j k_i - n_i k_j +
+    n_i n_j (ell - 1), plus the family singles of a positive block: k +
+    n (ell - 1) through theta_i (odd orthogonal), 2k + n (ell - 1) through
+    2 theta_i (symplectic).  The enumerator appends only blocks of smaller
+    slope, so no increment is negative: the bound is a lower bound for
+    every family, monotone under appending blocks.
     """
-    total = F(0)
-    for i in range(len(blocks)):
-        ni, si = blocks[i]
-        for j in range(i + 1, len(blocks)):
-            nj, sj = blocks[j]
-            total += ni * nj * (si - sj + ell - 1)
-        if si > 0:
-            if fam == SO_ODD:
-                total += ni * (si + ell - 1)
-            elif fam == SYMPLECTIC:
-                total += ni * (2 * si + ell - 1)
-    return total
+    parts_before = sum(comp)
+    inc = part * sum(labels) - label * parts_before + part * parts_before * (ell - 1)
+    if label > 0:
+        if fam == SO_ODD:
+            inc += label + part * (ell - 1)
+        elif fam == SYMPLECTIC:
+            inc += 2 * label + part * (ell - 1)
+    return inc
 
 
-def _max_label_below(slope_bound: Fraction, part: int) -> int:
-    """Largest k with k/part strictly below the bound."""
-    x = slope_bound * part
-    return ceil(x) - 1
+def _max_label_below(num: int, den: int, part: int) -> int:
+    """Largest k with k/part strictly below the slope num/den (den > 0)."""
+    return (num * part - 1) // den
 
 
 def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
@@ -213,12 +243,13 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
     if ell < 1:
         raise ValueError("need ell >= 1")
     fam, n = g.family, g.n
+    # slope window [lo_num / den, hi_num / den)
     if fam == UNITARY:
-        slope_hi = F(c, n) + codim_bound + 1
-        slope_lo = F(c, n) - codim_bound - 1
+        den = n
+        hi_num = c + n * (codim_bound + 1)
+        lo_num = c - n * (codim_bound + 1)
     else:
-        slope_hi = F(codim_bound + 1)
-        slope_lo = F(0)
+        den, hi_num, lo_num = 1, codim_bound + 1, 0
     found = []
 
     def finish(comp, labels, tail_kind):
@@ -235,36 +266,36 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
         if d <= codim_bound:
             found.append((pt, d))
 
-    def extend(comp, labels, blocks, remaining):
+    def extend(comp, labels, bound, remaining):
         if remaining == 0:
             for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
                 finish(comp, labels, tail_kind)
             return
-        prev_slope = blocks[-1][1] if blocks else None
         for part in range(1, remaining + 1):
             is_last = part == remaining
-            upper = slope_hi if prev_slope is None else min(slope_hi, prev_slope)
-            hi_k = _max_label_below(upper, part)
-            lo_k = ceil(slope_lo * part)
+            hi_k = _max_label_below(hi_num, den, part)
+            if comp:
+                hi_k = min(hi_k, _max_label_below(labels[-1], comp[-1], part))
+            lo_k = -(-lo_num * part // den)
             if fam == UNITARY and is_last:
                 base_candidates = [c - sum(labels)]
             else:
-                base_candidates = list(range(hi_k, lo_k - 1, -1))
+                base_candidates = range(hi_k, lo_k - 1, -1)
             for k in base_candidates:
                 if not lo_k <= k <= hi_k:
                     continue
-                if fam == SO_EVEN and is_last and part == 1 and blocks and k > 0:
+                if fam == SO_EVEN and is_last and part == 1 and comp and k > 0:
                     # a size-one final even-orthogonal block may go negative
                     candidates = [k, -k]
                 else:
                     candidates = [k]
                 for kk in candidates:
-                    new_blocks = blocks + [(part, F(kk, part))]
-                    if _pairwise_lower_bound(fam, new_blocks, ell) > codim_bound:
+                    new_bound = bound + _bound_increment(fam, comp, labels, part, kk, ell)
+                    if new_bound > codim_bound:
                         continue
-                    extend(comp + [part], labels + [kk], new_blocks, remaining - part)
+                    extend(comp + [part], labels + [kk], new_bound, remaining - part)
 
-    extend([], [], [], n)
+    extend([], [], 0, n)
     dedup = {pt.key(): (pt, d) for pt, d in found}
     return sorted(dedup.values(), key=lambda pd: (pd[1],) + pd[0].key())
 
@@ -332,22 +363,35 @@ def stratum_decomposition(
     )
 
 
+def _factor_series(factor: tuple, ell: int) -> RatFun:
+    """The closed-form series of one tagged decomposition factor."""
+    kind = factor[0]
+    if kind == "u_central":
+        return zagier_un(factor[1], factor[2], ell)
+    if kind == "flat_sp":
+        return sp_flat(factor[1], ell)
+    if kind == "flat_so_odd":
+        return so_odd_flat(factor[1], ell, factor[2])
+    return so_even_flat(factor[1], ell, factor[2])
+
+
 def stratum_series(
     g: GroupSpec, mu: AtiyahBottPoint, ell: int, component: str | None = None
 ) -> RatFun:
     """Equivariant series of the stratum of mu: its decomposition, evaluated."""
-    decomposition = stratum_decomposition(g, mu, component)
     out = RatFun.one()
-    for factor in decomposition.factors:
-        kind = factor[0]
-        if kind == "u_central":
-            out = out * zagier_un(factor[1], factor[2], ell)
-        elif kind == "flat_sp":
-            out = out * sp_flat(factor[1], ell)
-        elif kind == "flat_so_odd":
-            out = out * so_odd_flat(factor[1], ell, factor[2])
-        else:
-            out = out * so_even_flat(factor[1], ell, factor[2])
+    for factor in stratum_decomposition(g, mu, component).factors:
+        out = out * _factor_series(factor, ell)
+    return out
+
+
+def _mul_truncated(a: list, b: list, order: int) -> list:
+    """Coefficients of the product of two power series through t**order."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
     return out
 
 
@@ -383,6 +427,33 @@ class RecursionReport:
         }
 
 
+def _truncated_stratum_series(g: GroupSpec, c: int, ell: int, points, degree: int):
+    """Each point's stratum series through t^(degree - 2 d): (point, d, coefficients).
+
+    For a split point the component is the one living on the bundle of
+    class c.  Each distinct factor is expanded once, to the largest order a
+    stratum needs it, and the strata multiply truncated coefficient lists.
+    """
+    component = "plus" if c % 2 == 0 else "minus"
+    used = []
+    orders = {}
+    for pt, d in points:
+        factors = stratum_decomposition(g, pt, component if pt.is_split else None).factors
+        used.append((pt, d, factors))
+        for factor in factors:
+            orders[factor] = max(orders.get(factor, 0), degree - 2 * d)
+    expanded = {
+        factor: list(series_expand(_factor_series(factor, ell), order).coeffs)
+        for factor, order in orders.items()
+    }
+    for pt, d, factors in used:
+        order = degree - 2 * d
+        coeffs = expanded[factors[0]][: order + 1]
+        for factor in factors[1:]:
+            coeffs = _mul_truncated(coeffs, expanded[factor], order)
+        yield pt, d, coeffs
+
+
 def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionReport:
     """Check the stratification identity for the bundle of class c.
 
@@ -400,14 +471,7 @@ def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionRe
     lhs = series_expand(bg_orientable(betti_degrees(g), ell), degree)
     points = enumerate_ab_points(g, c, ell, degree // 2)
     rhs = [0] * (degree + 1)
-    for pt, d in points:
-        if 2 * d > degree:
-            continue
-        comp_arg = None
-        if pt.is_split:
-            comp_arg = "plus" if c % 2 == 0 else "minus"
-        series = stratum_series(g, pt, ell, component=comp_arg)
-        coeffs = series_expand(series, degree - 2 * d).coeffs
+    for _, d, coeffs in _truncated_stratum_series(g, c, ell, points, degree):
         for i, x in enumerate(coeffs):
             rhs[2 * d + i] += x
     residual = CoeffVector(degree, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))

@@ -73,6 +73,12 @@ RECURSION_CONFIGS = [
     ("so-odd", 2, (0, 1)),
     ("so-even", 2, (0, 1)),
     ("so-even", 3, (0, 1)),
+    ("u", 4, (1, 2)),
+    ("u", 5, (1, 2)),
+    ("sp", 3, (0,)),
+    ("sp", 4, (0,)),
+    ("so-odd", 3, (0, 1)),
+    ("so-even", 4, (0, 1)),
 ]
 
 
@@ -144,7 +150,10 @@ def test_criterion_4_recursion_identity():
                 report = verify_recursion(g, c, ell, 40)
                 assert report.holds, (fam, n, c, ell, report.residual.coeffs)
                 count += 1
-    print(f"\ncriterion 4: PASS - stratification identity to degree 40 ({count} bundles)")
+    report = verify_recursion(GroupSpec("u", 4), 1, 2, 80)
+    assert report.holds, report.residual.coeffs
+    print(f"\ncriterion 4: PASS - stratification identity to degree 40 ({count} bundles) "
+          f"and to degree 80 (U(4), degree 1)")
 
 
 def test_criterion_5_positivity():

@@ -240,6 +240,26 @@ class TestSeriesExpand:
         with pytest.raises(NonIntegerCoefficient):
             series_expand(RatFun(P(1, 1), P(2)), 3)
 
+    @pytest.mark.parametrize(
+        "num,den,message",
+        [
+            (P(1, 1), P(2), "coefficient of t^0 is 1/2"),
+            (P(2, 1), P(2), "coefficient of t^1 is 1/2"),
+            (P(-1), P(3, 1), "coefficient of t^0 is -1/3"),
+            (P(3, 0, 1), P(3, 3), "coefficient of t^2 is 4/3"),
+        ],
+    )
+    def test_non_integer_message(self, num, den, message):
+        # the first fractional coefficient is reported as a reduced fraction
+        with pytest.raises(NonIntegerCoefficient) as err:
+            series_expand(RatFun(num, den), 5)
+        assert str(err.value) == message
+
+    def test_negative_coefficients(self):
+        # (1 - 2t) / (1 - t) = 1 - t - t^2 - ...
+        f = RatFun(P(1, -2), P(1, -1))
+        assert series_expand(f, 4).coeffs == (1, -1, -1, -1, -1)
+
     def test_cauchy_product(self):
         rng = random.Random(55)
         for _ in range(40):

@@ -144,3 +144,16 @@ HAND_TAILS = {"sp": _sp_tail_by_hand, "so-odd": _sp_tail_by_hand, "so-even": _so
 @pytest.mark.parametrize("ell", range(4))
 def test_tail_profile_gauge_matches_hand_product(family, m, ell):
     assert bg_orientable(tail_profile(family, m), ell) == HAND_TAILS[family](m, ell)
+
+
+def test_gauge_series_cached_per_profile():
+    """Each (profile, ell) pair is computed once; the shared value is the full product."""
+    prof = concat_profiles([unitary_block_profile(2), tail_profile("sp", 2)])
+    first = bg_orientable(prof, 2)
+    assert bg_orientable(prof, 2) is first
+    # concat_profiles sorts the degrees, so the block order does not matter
+    assert bg_orientable(concat_profiles([tail_profile("sp", 2), unitary_block_profile(2)]), 2) is first
+    # torus generator, then halved degrees 2, 2 and 4
+    num = one_plus_t(1) ** 4 * one_plus_t(3) ** 8 * one_plus_t(7) ** 4
+    den = one_minus_t(2) * (one_minus_t(2) * one_minus_t(4)) ** 2 * one_minus_t(6) * one_minus_t(8)
+    assert first == RatFun(num, den)

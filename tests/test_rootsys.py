@@ -128,6 +128,22 @@ class TestPairing:
         with pytest.raises(DimensionMismatch):
             pairing(V(1, 0), V(1, 0, 0))
 
+    @pytest.mark.parametrize(
+        "covector,vector",
+        [
+            ((1, -1, 0), (2, 3, 5)),
+            ((F(1, 2), F(-3, 4)), (F(2, 3), F(5, 7))),
+            ((1, 2, -2), (F(1, 3), F(1, 6), 4)),
+            ((F(3, 2), 0), (2, 7)),
+            ((), ()),
+        ],
+    )
+    def test_fraction_result_for_int_fraction_and_mixed_entries(self, covector, vector):
+        # the former body cast every entry to Fraction before multiplying
+        old = sum((F(a) * F(b) for a, b in zip(covector, vector)), F(0))
+        got = pairing(covector, vector)
+        assert type(got) is Fraction and got == old
+
 
 class TestWeightOnPi1:
     def test_so5_last(self):

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from ymseries import strata
 from ymseries.closedforms import so_odd_flat, sp_flat, zagier_un
-from ymseries.exactalg import ratfun_eq
-from ymseries.rootsys import GroupSpec
+from ymseries.exactalg import ratfun_eq, series_expand
+from ymseries.rootsys import GroupSpec, build_root_system, pairing
 from ymseries.strata import (
     AmbiguousComponent,
     AtiyahBottPoint,
     InvalidPoint,
+    NonIntegerCodimension,
     codim,
     enumerate_ab_points,
     stratum_series,
@@ -17,6 +19,14 @@ from ymseries.strata import (
 )
 
 F = Fraction
+
+# the four families at ranks up to 4, with every bundle class
+GRID = [
+    (fam, n, c)
+    for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1))
+    for n in range(lo, 5)
+    for c in (range(n) if fam == "u" else (0, 1) if fam.startswith("so") else (0,))
+]
 
 
 class TestPointValidation:
@@ -184,3 +194,91 @@ class TestRecursion:
     def test_low_genus_warns(self):
         with pytest.warns(UserWarning):
             verify_recursion(GroupSpec("u", 1), 0, 1, 10)
+
+
+class TestIntegerChamberArithmetic:
+    """The integer bound, codimension and truncated sums against the Fraction
+    formulas they replaced, kept inline as references."""
+
+    @staticmethod
+    def fraction_bound(fam, blocks, ell):
+        """The former pruning bound, on (size, Fraction slope) blocks."""
+        total = F(0)
+        for i in range(len(blocks)):
+            ni, si = blocks[i]
+            for j in range(i + 1, len(blocks)):
+                nj, sj = blocks[j]
+                total += ni * nj * (si - sj + ell - 1)
+            if si > 0:
+                if fam == "so-odd":
+                    total += ni * (si + ell - 1)
+                elif fam == "sp":
+                    total += ni * (2 * si + ell - 1)
+        return total
+
+    @pytest.mark.parametrize("fam,n,c", GRID)
+    def test_bound_matches_fraction_formula(self, fam, n, c, monkeypatch):
+        visited = []
+        increment = strata._bound_increment
+
+        def recording(fam_, comp, labels, part, label, ell):
+            inc = increment(fam_, comp, labels, part, label, ell)
+            visited.append((tuple(zip(comp, labels)), (part, label), ell, inc))
+            return inc
+
+        monkeypatch.setattr(strata, "_bound_increment", recording)
+        for ell in (1, 2, 3):
+            enumerate_ab_points(GroupSpec(fam, n), c, ell, 8)
+        assert visited
+        bound = {}
+        for prefix, block, ell, inc in visited:
+            # a prefix is visited before any block list that extends it
+            blocks = prefix + (block,)
+            bound[blocks, ell] = (bound[prefix, ell] if prefix else 0) + inc
+            slopes = [(p, F(k, p)) for p, k in blocks]
+            assert bound[blocks, ell] == self.fraction_bound(fam, slopes, ell), (blocks, ell)
+
+    @pytest.mark.parametrize("fam,n,c", GRID)
+    def test_codim_matches_root_pairings(self, fam, n, c, monkeypatch):
+        g = GroupSpec(fam, n)
+        evaluated = []
+        real_codim = strata.codim
+
+        def recording(g_, pt, ell):
+            evaluated.append((pt, ell))
+            return real_codim(g_, pt, ell)
+
+        monkeypatch.setattr(strata, "codim", recording)
+        for ell in (1, 2, 3):
+            enumerate_ab_points(g, c, ell, 8)
+        assert evaluated
+        roots = build_root_system(g).positive_roots
+        for pt, ell in evaluated:
+            expect = F(0)
+            for alpha in roots:
+                val = pairing(alpha, pt.chamber_vector())
+                if val > 0:
+                    expect += val + ell - 1
+            assert real_codim(g, pt, ell) == expect, (pt, ell)
+
+    def test_non_integral_codimension_raises(self):
+        # bypass the chamber rules: mu = (1/2, -1/2) in SO(5) is positive on
+        # theta_1 - theta_2 and theta_1, so d_mu = 3/2 + 2 (ell - 1)
+        pt = object.__new__(AtiyahBottPoint)
+        for name, value in (
+            ("family", "so-odd"), ("composition", (2,)), ("labels", (1,)), ("tail_kind", "minus_last")
+        ):
+            object.__setattr__(pt, name, value)
+        with pytest.raises(NonIntegerCodimension, match="codimension 7/2 for"):
+            codim(GroupSpec("so-odd", 2), pt, 2)
+
+    @pytest.mark.parametrize("fam,n,c", [("u", 4, 1), ("so-even", 4, 1), ("sp", 3, 0)])
+    def test_truncated_stratum_coefficients(self, fam, n, c):
+        g, ell, degree = GroupSpec(fam, n), 2, 40
+        points = enumerate_ab_points(g, c, ell, degree // 2)
+        rows = list(strata._truncated_stratum_series(g, c, ell, points, degree))
+        assert [(pt, d) for pt, d, _ in rows] == points
+        for pt, d, coeffs in rows:
+            component = ("plus" if c % 2 == 0 else "minus") if pt.is_split else None
+            f = stratum_series(g, pt, ell, component=component)
+            assert tuple(coeffs) == series_expand(f, degree - 2 * d).coeffs, pt
