@@ -43,23 +43,16 @@ from .rootsys import GroupSpec, validate_topclass
 from .strata import AtiyahBottPoint, enumerate_ab_points, stratum_series, verify_recursion
 
 
-class UsageError(Exception):
-    pass
-
-
 def _default_truncation() -> int:
     raw = os.environ.get("YM_TRUNCATION_DEFAULT", "40")
     try:
         return int(raw)
     except ValueError as exc:
-        raise UsageError(f"YM_TRUNCATION_DEFAULT must be an integer, got {raw!r}") from exc
+        raise ValueError(f"YM_TRUNCATION_DEFAULT must be an integer, got {raw!r}") from exc
 
 
 def _group(args) -> GroupSpec:
-    try:
-        return GroupSpec(args.group, args.rank)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return GroupSpec(args.group, args.rank)
 
 
 def _topclass(args, g: GroupSpec) -> int:
@@ -69,10 +62,7 @@ def _topclass(args, g: GroupSpec) -> int:
         c = args.w2
     else:
         c = 0
-    try:
-        validate_topclass(g, c)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    validate_topclass(g, c)
     return c
 
 
@@ -80,7 +70,7 @@ def _parse_int_list(text: str, what: str):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"{what} must be a comma-separated integer list") from exc
+        raise ValueError(f"{what} must be a comma-separated integer list") from exc
 
 
 def _emit_ratfun(f, fmt: str, meta: dict) -> str:
@@ -134,11 +124,8 @@ def cmd_stratum(args) -> int:
     comp = _parse_int_list(args.composition, "--composition")
     labels = _parse_int_list(args.labels, "--labels")
     tail = {"none": "none", "zero": "zero_block", "minus": "minus_last"}[args.tail]
-    try:
-        pt = AtiyahBottPoint(g.family, comp, labels, tail)
-        f = stratum_series(g, pt, args.genus, component=args.component)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pt = AtiyahBottPoint(g.family, comp, labels, tail)
+    f = stratum_series(g, pt, args.genus, component=args.component)
     meta = {
         "group": g.describe(),
         "genus": args.genus,
@@ -177,13 +164,8 @@ def cmd_components(args) -> int:
     g = _group(args)
     comp = _parse_int_list(args.composition, "--composition")
     labels = _parse_int_list(args.labels, "--labels")
-    try:
-        pt = NonorientablePoint(
-            g.family, comp, labels, args.zero_tail, args.surface_i, args.minus_last
-        )
-        report = classify_components(g, pt)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pt = NonorientablePoint(g.family, comp, labels, args.zero_tail, args.surface_i, args.minus_last)
+    report = classify_components(g, pt)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -334,9 +316,6 @@ def main(argv=None) -> int:
         if hasattr(args, "order") and args.order is None:
             args.order = _default_truncation()
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,10 @@ of standard parabolics is recovered from the signed combination b0 (the
 semistable series) by a cone-weighted lattice sum over topological types.
 invert_abstract computes b0 from its closed formula and re-sums the
 defining relation by explicit lattice enumeration as the forward check.
+The poset comes from levidata: its elements are the cut sets of the
+parabolics in enumerate_parabolics, each with its LeviProfile, and every
+relative half-sum rho_P^Q is levidata.relative_rho.  The type-A poset of
+the Langlands check takes its simple roots from build_root_system.
 verify_langlands tests the two alternating-sum identities on which the
 inversion rests, at off-wall rational sample points.
 """
@@ -30,11 +34,11 @@ from math import ceil
 from .closedforms import NonIntegerExponent
 from .exactalg import CoeffVector, Poly, RatFun, one_minus_t, series_expand, signed_sum
 from .gaugeseries import bg_orientable
-from .levidata import ParabolicIndex, levi_profile
+from .levidata import enumerate_parabolics, levi_profile, relative_rho
 from .rootsys import (
+    UNITARY,
     GroupSpec,
     UnsupportedFamily,
-    _frac01,
     _nullspace,
     _solve,
     build_root_system,
@@ -92,11 +96,9 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
             coeffs[exponent] += 1
             return
         p = spec.weights[idx]
-        x = _frac01(Fraction(spec.classes[idx]))
-        # integers m with x + m > 0: the smallest admissible value of
-        # p*(x+m) is p*<x>
-        first = int(p * frac_part(x))
-        e = exponent + first
+        # integers m with x + m > 0, x the factor's class: the smallest
+        # admissible value of p*(x+m) is p*<x>
+        e = exponent + int(p * frac_part(spec.classes[idx]))
         while e <= order:
             rec(idx + 1, e)
             e += p
@@ -134,10 +136,7 @@ class _TypeAPoset:
 
     def __init__(self, rank: int):
         self.rank = rank
-        dim = rank + 1
-        self.simple = [
-            tuple(F(int(j == i)) - F(int(j == i + 1)) for j in range(dim)) for i in range(rank)
-        ]
+        self.simple = build_root_system(GroupSpec(UNITARY, rank + 1)).simple_roots
         self.coroots = self.simple  # simply laced, standard coordinates
         self.subsets = [
             frozenset(s)
@@ -292,20 +291,7 @@ class ParabolicPoset:
     elements: tuple  # frozensets of 1-based indices
     n_weights: dict  # element -> n_P
     pair_data: dict  # (small_parabolic, large_parabolic) -> PosetPairData
-    levi_indices: dict  # element -> ParabolicIndex
-
-
-def _parabolic_index_for_cutset(g: GroupSpec, cut: frozenset) -> ParabolicIndex:
-    """The composition-with-flags description of the parabolic cutting `cut`."""
-    n, fam = g.n, g.family
-    if fam == "u":
-        flags = ()
-    elif fam in ("so-odd", "sp"):
-        flags = (n in cut,)
-    else:
-        raise UnsupportedFamily("posets are built for u, so-odd and sp families")
-    bounds = [0] + sorted(c for c in cut if c < n) + [n]
-    return ParabolicIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])), flags)
+    profiles: dict  # element -> LeviProfile
 
 
 def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
@@ -315,24 +301,18 @@ def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
     if g.n > 3:
         raise ValueError("poset construction is scoped to rank <= 3")
     rs = build_root_system(g)
-    rank = len(rs.simple_roots)
-    elements = [
-        frozenset(i + 1 for i in range(rank) if mask >> i & 1) for mask in range(2**rank)
-    ]
-    n_weights = {}
-    levi_indices = {}
-    for cut in elements:
-        idx = _parabolic_index_for_cutset(g, cut)
+    profiles = {}
+    for idx in enumerate_parabolics(g):
         prof = levi_profile(g, idx)
-        n_weights[cut] = 2 * prof.dim_u * (ell - 1)
-        levi_indices[cut] = idx
+        profiles[frozenset(prof.simple_indices)] = prof
+    n_weights = {cut: 2 * prof.dim_u * (ell - 1) for cut, prof in profiles.items()}
     pair_data = {}
-    for small in elements:  # small parabolic = larger cut set
-        for large in elements:
-            if not large <= small or large == small:
+    for small in profiles:  # small parabolic = larger cut set
+        for large in profiles:
+            if not large < small:
                 continue
             rel = sorted(small - large)
-            rho = _relative_rho(rs, small, large)
+            rho = relative_rho(rs, small, large)
             weights = []
             for a in rel:
                 val = 4 * pairing(rho, rs.simple_coroots[a - 1])
@@ -343,40 +323,16 @@ def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
     return ParabolicPoset(
         group=g,
         ell=ell,
-        elements=tuple(elements),
+        elements=tuple(profiles),
         n_weights=n_weights,
         pair_data=pair_data,
-        levi_indices=levi_indices,
+        profiles=profiles,
     )
-
-
-def _relative_rho(rs, small_cut: frozenset, large_cut: frozenset):
-    """Half sum of positive roots in the large Levi outside the small one.
-
-    Roots are classified by support: inside the Levi of a parabolic exactly
-    when their support avoids the parabolic's cut set.
-    """
-    n = len(rs.positive_roots[0]) if rs.positive_roots else 0
-    total = [F(0)] * n
-    for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
-        support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
-        if support & large_cut:
-            continue  # outside the large Levi
-        if support & small_cut:
-            for i, x in enumerate(beta):
-                total[i] += F(x)
-    return tuple(x / 2 for x in total)
 
 
 def default_gauge_assignment(poset: ParabolicPoset) -> dict:
     """a0: each parabolic's Levi gauge series over the genus-ell surface."""
-    out = {}
-    for cut in poset.elements:
-        prof = levi_profile(poset.group, poset.levi_indices[cut])
-        out[cut] = bg_orientable(prof.betti, poset.ell)
-    return out
-
-
+    return {cut: bg_orientable(prof.betti, poset.ell) for cut, prof in poset.profiles.items()}
 
 
 def _relative_weight(rs, q_cut: frozenset, a: int):
@@ -476,7 +432,7 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
             continue
         idxs = sorted(p_cut)
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
-        rho = _relative_rho(rs, p_cut, top)
+        rho = relative_rho(rs, p_cut, top)
         p_weights = poset.pair_data[(p_cut, top)].weights
         base_vals = [pairing(ambient[a - 1], rep) for a in idxs]
         lo = [ceil(-x) for x in base_vals]
@@ -510,7 +466,7 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
                 e = int(exponent)
                 if e > order:
                     return
-                key = tuple(_frac01(pairing(w, x)) for w in rel_weights.values())
+                key = tuple(pairing(w, x) % 1 for w in rel_weights.values())
                 if key not in b0_cache:
                     b0_cache[key] = _b0_at_element(poset, a0, rel_weights, p_cut, x)
                 for i, c in enumerate(series_expand(b0_cache[key], order - e).coeffs):

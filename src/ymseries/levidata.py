@@ -229,27 +229,36 @@ def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
 # -- recomputation from root data ---------------------------------------
 #
 # Used by the consistency tests: the table values above must agree exactly
-# with what the root system says.  Root supports are read off
+# with what the root system says.  The same root-support rule gives
+# inversion its relative half-sums rho_P^Q.  Root supports are read off
 # RootSystem.positive_coefficients, which is computed from the simple roots
 # and stays independent of the case tables.
 
 
-def _unipotent_positive_roots(g: GroupSpec, idx: ParabolicIndex):
-    """Positive roots outside the Levi: support meets I."""
-    rs = build_root_system(g)
-    in_i = set(levi_profile(g, idx).simple_indices)
-    outside = []
+def _roots_between(rs, small_cut: frozenset, large_cut: frozenset) -> list:
+    """Positive roots in the Levi cut by large_cut, outside the one cut by small_cut.
+
+    A positive root lies in the Levi of a standard parabolic exactly when
+    its support avoids the parabolic's cut set of simple-root indices.
+    """
+    out = []
     for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
         support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
-        if support & in_i:
-            outside.append(beta)
-    return rs, outside
+        if support & small_cut and not support & large_cut:
+            out.append(beta)
+    return out
+
+
+def relative_rho(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
+    """Half the sum of the positive roots in the large Levi outside the small one."""
+    roots = _roots_between(rs, small_cut, large_cut)
+    return tuple(sum((beta[j] for beta in roots), F(0)) / 2 for j in range(rs.n))
 
 
 def dim_u_from_roots(g: GroupSpec, idx: ParabolicIndex) -> int:
     """|R+ of g| minus |R+ of the Levi|, straight from the root system."""
-    rs, outside = _unipotent_positive_roots(g, idx)
-    return len(outside)
+    cut = frozenset(levi_profile(g, idx).simple_indices)
+    return len(_roots_between(build_root_system(g), cut, frozenset()))
 
 
 def rho_pairings_from_roots(g: GroupSpec, idx: ParabolicIndex) -> dict:
@@ -260,12 +269,10 @@ def rho_pairings_from_roots(g: GroupSpec, idx: ParabolicIndex) -> dict:
     characterize it: a radical root can pair nonpositively with all of them,
     e.g. 2*theta_2 for Sp(3) with I = {alpha_1, alpha_3}.)
     """
-    rs, outside = _unipotent_positive_roots(g, idx)
-    prof = levi_profile(g, idx)
-    coroots = {i: rs.simple_coroots[i - 1] for i in prof.simple_indices}
-    n = g.n
-    rho = [sum((beta[j] for beta in outside), F(0)) / 2 for j in range(n)]
-    return {i: pairing(rho, cv) for i, cv in coroots.items()}
+    rs = build_root_system(g)
+    cut = levi_profile(g, idx).simple_indices
+    rho = relative_rho(rs, frozenset(cut), frozenset())
+    return {i: pairing(rho, rs.simple_coroots[i - 1]) for i in cut}
 
 
 def levi_profile_to_json(prof: LeviProfile) -> dict:

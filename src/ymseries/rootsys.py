@@ -281,15 +281,9 @@ def build_root_system(g: GroupSpec) -> RootSystem:
     )
 
 
-def _frac01(x: Fraction) -> Fraction:
-    """Representative of x mod Z in [0, 1)."""
-    return x - (x.numerator // x.denominator)
-
-
 def frac_part(x) -> Fraction:
     """The bracket <x>: the representative of x mod Z in (0, 1], so <0> = 1."""
-    r = _frac01(Fraction(x))
-    return r if r != 0 else Fraction(1)
+    return Fraction(x) % 1 or Fraction(1)
 
 
 def pi1_representative(g: GroupSpec, c: int) -> tuple:
@@ -322,14 +316,14 @@ def weight_on_pi1(g: GroupSpec, i: int, c: int) -> Fraction:
     validate_topclass(g, c)
     n = g.n
     if g.family == UNITARY:
-        return _frac01(Fraction(-i * c, n))
+        return Fraction(-i * c, n) % 1
     if g.family == SO_ODD:
-        return _frac01(Fraction(c, 2)) if i == n else Fraction(0)
+        return Fraction(c, 2) % 1 if i == n else Fraction(0)
     if g.family == SO_EVEN:
         if i == n - 1:
-            return _frac01(Fraction(-c, 2))
+            return Fraction(-c, 2) % 1
         if i == n:
-            return _frac01(Fraction(c, 2))
+            return Fraction(c, 2) % 1
         return Fraction(0)
     return Fraction(0)
 

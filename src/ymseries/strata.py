@@ -296,8 +296,7 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
                     extend(comp + [part], labels + [kk], new_bound, remaining - part)
 
     extend([], [], 0, n)
-    dedup = {pt.key(): (pt, d) for pt, d in found}
-    return sorted(dedup.values(), key=lambda pd: (pd[1],) + pd[0].key())
+    return sorted(found, key=lambda pd: (pd[1],) + pd[0].key())
 
 
 @dataclass(frozen=True)

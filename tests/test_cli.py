@@ -40,6 +40,12 @@ class TestPoincare:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_group_out_of_range(self, capsys):
+        code, out, err = run(
+            capsys, "poincare", "--group", "so-even", "--rank", "1", "--genus", "2",
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestSeries:
     def test_su2(self, capsys):
@@ -81,6 +87,13 @@ class TestStratum:
             "--composition", "1,1", "--labels", "1,1",
         )
         assert code == 2 and err
+
+    def test_non_integer_composition(self, capsys):
+        code, out, err = run(
+            capsys, "stratum", "--group", "u", "--rank", "2", "--genus", "2",
+            "--composition", "1,x", "--labels", "1,0",
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestStrataList:

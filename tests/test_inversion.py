@@ -19,6 +19,7 @@ from ymseries.inversion import (
     random_relative_point,
     verify_langlands,
 )
+from ymseries.levidata import ParabolicIndex, levi_profile
 from ymseries.rootsys import GroupSpec
 
 F = Fraction
@@ -148,6 +149,28 @@ class TestInvertAbstract:
     def test_poset_scope(self):
         with pytest.raises(Exception):
             build_parabolic_poset(GroupSpec("u", 4), 2)
+
+    @pytest.mark.parametrize("fam", ["u", "so-odd", "sp"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_poset_profiles_match_former_cutset_map(self, fam, n):
+        def former_index_for_cutset(g, cut):
+            # the cut-set to composition map the poset used before it read
+            # enumerate_parabolics
+            flags = () if g.family == "u" else (g.n in cut,)
+            bounds = [0] + sorted(c for c in cut if c < g.n) + [g.n]
+            return ParabolicIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])), flags)
+
+        g = GroupSpec(fam, n)
+        poset = build_parabolic_poset(g, 2)
+        rank = n - 1 if fam == "u" else n
+        subsets = {
+            frozenset(i + 1 for i in range(rank) if mask >> i & 1) for mask in range(2**rank)
+        }
+        assert len(poset.elements) == len(subsets)
+        assert set(poset.elements) == subsets
+        assert set(poset.profiles) == subsets
+        for cut in poset.elements:
+            assert poset.profiles[cut] == levi_profile(g, former_index_for_cutset(g, cut)), cut
 
 
 def test_random_relative_point_off_walls():

@@ -9,9 +9,10 @@ from ymseries.levidata import (
     enumerate_parabolics,
     levi_profile,
     levi_profile_to_json,
+    relative_rho,
     rho_pairings_from_roots,
 )
-from ymseries.rootsys import GroupSpec
+from ymseries.rootsys import GroupSpec, build_root_system
 
 F = Fraction
 
@@ -106,3 +107,36 @@ class TestRootDataConsistency:
             assert prof.dim_u == dim_u_from_roots(g, idx), (fam, n, idx)
             recomputed = rho_pairings_from_roots(g, idx)
             assert recomputed == dict(zip(prof.simple_indices, prof.rho_pairings)), (fam, n, idx)
+
+    @pytest.mark.parametrize(
+        "fam,n",
+        [(f, n) for f in ("u", "so-odd", "sp") for n in (1, 2, 3)]
+        + [("so-even", n) for n in (2, 3, 4)],
+    )
+    def test_relative_rho_matches_former_inversion_sum(self, fam, n):
+        def former_relative_rho(rs, small_cut, large_cut):
+            # the half-sum inversion computed before it moved here
+            dim = len(rs.positive_roots[0]) if rs.positive_roots else 0
+            total = [F(0)] * dim
+            for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
+                support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
+                if support & large_cut:
+                    continue
+                if support & small_cut:
+                    for i, x in enumerate(beta):
+                        total[i] += F(x)
+            return tuple(x / 2 for x in total)
+
+        rs = build_root_system(GroupSpec(fam, n))
+        rank = len(rs.simple_roots)
+        cuts = [
+            frozenset(i + 1 for i in range(rank) if mask >> i & 1) for mask in range(2**rank)
+        ]
+        pairs = [(small, large) for small in cuts for large in cuts if large <= small]
+        for small, large in pairs:
+            expect = former_relative_rho(rs, small, large)
+            if rs.positive_roots:
+                assert relative_rho(rs, small, large) == expect, (small, large)
+            else:
+                # rank 0: no roots, so the former sum had no coordinates
+                assert relative_rho(rs, small, large) == (F(0),) * rs.n

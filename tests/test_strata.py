@@ -250,7 +250,9 @@ class TestIntegerChamberArithmetic:
 
         monkeypatch.setattr(strata, "codim", recording)
         for ell in (1, 2, 3):
-            enumerate_ab_points(g, c, ell, 8)
+            points = enumerate_ab_points(g, c, ell, 8)
+            # each (composition, labels, tail) leaf is reached once
+            assert len({pt.key() for pt, _ in points}) == len(points), ell
         assert evaluated
         roots = build_root_system(g).positive_roots
         for pt, ell in evaluated:
