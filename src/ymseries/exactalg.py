@@ -10,12 +10,18 @@ numerator and denominator, so this module provides exactly three value types:
 All values are immutable and all arithmetic is exact.  Polynomial gcds are
 computed with a fraction-free subresultant remainder sequence, so intermediate
 coefficient growth stays bounded without ever leaving the integers.
+
+signed_sum, the accumulator of every alternating series, avoids a gcd per
+term: every denominator it meets is (up to a leftover factor) a product of
+cyclotomic polynomials Phi_d, so it sums over one common denominator, kept
+as Phi_d multiplicities, and cancels once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -555,6 +561,57 @@ def one_plus_t(e: int) -> Poly:
     return Poly.one() + Poly.t_power(e)
 
 
+@lru_cache(maxsize=None)
+def _divisors(k: int) -> tuple:
+    """The positive divisors of k, ascending."""
+    return tuple(d for d in range(1, k + 1) if k % d == 0)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> Poly:
+    """Phi_d normalised to constant term 1, so Phi_1 = 1 - t.
+
+    Built by exact division of 1 - t**d by Phi_e over the proper divisors e
+    of d; hence the product of Phi_e over all divisors e of n is 1 - t**n.
+    """
+    phi = one_minus_t(d)
+    for e in _divisors(d)[:-1]:
+        phi = phi.divexact(_cyclotomic(e))
+    return phi
+
+
+@lru_cache(maxsize=None)
+def _den_factors(den: Poly) -> tuple:
+    """den as (key, multiplicity) pairs, found by trial division.
+
+    An int key d stands for Phi_d (d <= deg den).  Whatever the cyclotomic
+    factors leave over other than 1 is one opaque Poly key, so the product
+    of the pairs is den whatever den is.
+    """
+    mult = {}
+    rest = den
+    for d in range(1, den.degree + 1):
+        phi = _cyclotomic(d)
+        while phi.degree <= rest.degree:
+            try:
+                rest = rest.divexact(phi)
+            except ValueError:
+                break
+            mult[d] = mult.get(d, 0) + 1
+    if rest != Poly.one():
+        mult[rest] = 1
+    return tuple(mult.items())
+
+
+def _expand(mult: dict) -> Poly:
+    """The product of a {key: multiplicity} map of _den_factors keys."""
+    out = Poly.one()
+    for key, m in mult.items():
+        if m:
+            out = out * (_cyclotomic(key) if isinstance(key, int) else key) ** m
+    return out
+
+
 def signed_sum(terms) -> RatFun:
     """Sum of sign * factor * t**e / prod_{k in ks} (1 - t**k) over the terms.
 
@@ -563,11 +620,40 @@ def signed_sum(terms) -> RatFun:
     ks an iterable of positive exponents; a repeated k contributes its
     factor once per occurrence.  Every alternating series of the package
     goes through here.
+
+    The sum is taken over one common denominator.  Each term's denominator
+    is kept as a map {d: multiplicity} of the cyclotomic factors Phi_d: those
+    of factor.den, found by trial division (any non-cyclotomic remainder is
+    one opaque factor), and Phi_d for every divisor d of each k, since
+    1 - t**k is the product of those.  The common denominator takes the
+    largest multiplicity of each factor; every numerator is multiplied by
+    its cofactor and added into one integer coefficient list, and the
+    RatFun constructor cancels the result once.
     """
-    total = RatFun.zero()
+    parts = []
     for sign, factor, e, ks in terms:
-        den = Poly.one()
+        if e < 0:
+            raise ValueError("negative exponent")
+        mult = dict(_den_factors(factor.den))
         for k in ks:
-            den = den * one_minus_t(k)
-        total += factor * RatFun(Poly.t_power(e, sign), den)
-    return total
+            if k < 1:
+                raise ValueError(f"denominator exponent {k} is not positive")
+            for d in _divisors(k):
+                mult[d] = mult.get(d, 0) + 1
+        if not factor.is_zero:
+            parts.append((sign, factor.num, e, mult))
+    common = {}
+    for _, _, _, mult in parts:
+        for key, m in mult.items():
+            common[key] = max(common.get(key, 0), m)
+    cofactors = {}
+    acc = []
+    for sign, num, e, mult in parts:
+        sig = frozenset(mult.items())
+        if sig not in cofactors:
+            cofactors[sig] = _expand({key: m - mult.get(key, 0) for key, m in common.items()})
+        coeffs = (num * cofactors[sig]).coeffs
+        acc.extend([0] * (e + len(coeffs) - len(acc)))
+        for i, c in enumerate(coeffs, e):
+            acc[i] += sign * c
+    return RatFun(Poly(acc), _expand(common))

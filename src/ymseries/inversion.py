@@ -90,15 +90,16 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
     if order < 0:
         raise ValueError("order must be nonnegative")
     coeffs = [0] * (order + 1)
+    # integers m with x + m > 0, x the factor's class: the smallest
+    # admissible value of p*(x+m) is p*<x>
+    firsts = [int(p * frac_part(x)) for p, x in zip(spec.weights, spec.classes)]
 
     def rec(idx, exponent):
         if idx == len(spec.weights):
             coeffs[exponent] += 1
             return
         p = spec.weights[idx]
-        # integers m with x + m > 0, x the factor's class: the smallest
-        # admissible value of p*(x+m) is p*<x>
-        e = exponent + int(p * frac_part(spec.classes[idx]))
+        e = exponent + firsts[idx]
         while e <= order:
             rec(idx + 1, e)
             e += p

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .gaugeseries import DegreeProfile, concat_profiles, tail_profile, unitary_block_profile
 from .rootsys import (
@@ -152,8 +153,13 @@ def _adjacent_pairings(comp, upto):
     return [F(comp[i] + comp[i + 1], 2) for i in range(upto)]
 
 
+@lru_cache(maxsize=None)
 def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
-    """Case table for the parabolic determined by idx inside g."""
+    """Case table for the parabolic determined by idx inside g.
+
+    Both arguments and the result are frozen, so each profile is built once;
+    an inadmissible idx raises on every call.
+    """
     _check_admissible(g, idx)
     n, fam = g.n, g.family
     comp = idx.composition

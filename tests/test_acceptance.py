@@ -8,6 +8,7 @@ integer coefficient vectors; nothing is checked approximately.
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -79,6 +80,8 @@ RECURSION_CONFIGS = [
     ("sp", 4, (0,)),
     ("so-odd", 3, (0, 1)),
     ("so-even", 4, (0, 1)),
+    ("so-even", 5, (0, 1)),
+    ("sp", 5, (0,)),
 ]
 
 
@@ -88,6 +91,12 @@ def topclasses(fam, n):
     if fam in ("so-odd", "so-even"):
         return (0, 1)
     return (0,)
+
+
+@lru_cache(maxsize=None)
+def engine_series(fam, n, c, ell):
+    """The general engine's flat series; criteria 3 and 5 share each value."""
+    return lr_general(FlatSeriesRequest(GroupSpec(fam, n), c, SurfaceSpec(ell)))
 
 
 def load_golden(name):
@@ -122,12 +131,12 @@ def test_criterion_2_exceptional_isomorphisms():
 
 def test_criterion_3_engine_cross_check():
     count = 0
-    for ell in (1, 2, 3):
+    # n <= 5 at every genus, and n = 6 at genus 2
+    for ell, top in ((1, 5), (2, 6), (3, 5)):
         for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
-            for n in range(lo, 5):
-                g = GroupSpec(fam, n)
+            for n in range(lo, top + 1):
                 for c in topclasses(fam, n):
-                    engine = lr_general(FlatSeriesRequest(g, c, SurfaceSpec(ell)))
+                    engine = engine_series(fam, n, c, ell)
                     if fam == "u":
                         special = zagier_un(n, c, ell)
                     elif fam == "so-odd":
@@ -165,10 +174,9 @@ def test_criterion_5_positivity():
             checked += 1
     for ell in (1, 2, 3):
         for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
-            for n in range(lo, 5):
-                g = GroupSpec(fam, n)
+            for n in range(lo, 6):
                 for c in topclasses(fam, n):
-                    f = lr_general(FlatSeriesRequest(g, c, SurfaceSpec(ell)))
+                    f = engine_series(fam, n, c, ell)
                     assert series_nonnegative(f, 60), (fam, n, c, ell)
                     checked += 1
     # stratum series appearing in the recursion configurations

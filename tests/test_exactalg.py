@@ -23,6 +23,7 @@ from ymseries.exactalg import (
     series_expand,
     signed_sum,
 )
+from ymseries.exactalg import _cyclotomic, _den_factors, _divisors, _expand
 
 
 def P(*coeffs):
@@ -168,6 +169,42 @@ class TestRatFunArith:
                 assert (f / g) * g == f
 
 
+def den_of(ks):
+    den = Poly.one()
+    for k in ks:
+        den = den * one_minus_t(k)
+    return den
+
+
+def per_term_signed_sum(terms):
+    """The former body of signed_sum: one RatFun multiply and add per term."""
+    total = RatFun.zero()
+    for sign, factor, e, ks in terms:
+        total += factor * RatFun(Poly.t_power(e, sign), den_of(ks))
+    return total
+
+
+def rand_den(rng):
+    """A denominator mixing 1 - t^k factors with non-cyclotomic, non-monic or
+    integer-content ones."""
+    den = Poly.one()
+    for _ in range(rng.randint(0, 3)):
+        den = den * one_minus_t(rng.randint(1, 8))
+    extra = rng.choice(
+        [P(1), P(3), P(2, 0, 4), P(1, 1, 1, 1), P(5, -2), P(1, 3, 1), P(0, 1), P(-2)]
+    )
+    return den * extra * one_plus_t(rng.randint(1, 4)) ** rng.randint(0, 2)
+
+
+def rand_terms(rng, count):
+    terms = []
+    for _ in range(count):
+        factor = RatFun(rand_poly(rng, 5), rand_den(rng))
+        ks = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 4)))
+        terms.append((rng.choice([1, -1, 2, -3]), factor, rng.randint(0, 6), ks))
+    return terms
+
+
 class TestSignedSum:
     def test_empty_sum_is_zero(self):
         assert signed_sum([]) == RatFun.zero()
@@ -189,6 +226,66 @@ class TestSignedSum:
             Poly.t_power(2), one_minus_t(6)
         )
         assert got == expect
+
+    def test_random_terms_match_per_term_loop(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            terms = rand_terms(rng, rng.randint(1, 6))
+            assert signed_sum(terms) == per_term_signed_sum(terms)
+
+    def test_generator_input(self):
+        terms = rand_terms(random.Random(7), 5)
+        assert signed_sum(iter(terms)) == per_term_signed_sum(terms)
+
+    def test_terms_cancelling_to_zero(self):
+        rng = random.Random(99)
+        for _ in range(20):
+            terms = rand_terms(rng, rng.randint(1, 4))
+            # the same terms written with the k's moved into the factor
+            moved = [(-sign, f * RatFun(Poly.one(), den_of(ks)), e, ()) for sign, f, e, ks in terms]
+            got = signed_sum(terms + moved)
+            assert got == RatFun.zero()
+            assert got.den == Poly.one()
+
+    def test_repeated_k(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            k = rng.randint(1, 7)
+            f = RatFun(rand_poly(rng, 4) + Poly.one(), rand_den(rng))
+            terms = [(1, f, 2, (k,) * rng.randint(2, 4))]
+            terms.append((-1, RatFun.one(), 0, (k, k, rng.randint(1, 7))))
+            assert signed_sum(terms) == per_term_signed_sum(terms)
+
+    def test_zero_factor(self):
+        f = RatFun(P(1, 2), one_minus_t(3))
+        assert signed_sum([(1, RatFun.zero(), 4, (2, 3))]) == RatFun.zero()
+        assert signed_sum([(1, RatFun.zero(), 0, (5,)), (1, f, 1, (2,))]) == per_term_signed_sum(
+            [(1, f, 1, (2,))]
+        )
+
+    def test_invalid_exponents_raise(self):
+        with pytest.raises(ValueError):
+            signed_sum([(1, RatFun.one(), -1, ())])
+        with pytest.raises(ValueError):
+            signed_sum([(1, RatFun.one(), 0, (2, 0))])
+
+    def test_cyclotomic_products(self):
+        for n in range(1, 31):
+            prod = Poly.one()
+            for d in _divisors(n):
+                prod = prod * _cyclotomic(d)
+            assert prod == one_minus_t(n), n
+        assert _cyclotomic(1) == P(1, -1)
+        assert _cyclotomic(6) == P(1, -1, 1)
+        assert _cyclotomic(12) == P(1, 0, -1, 0, 1)
+
+    def test_den_factors_multiply_back(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            den = RatFun(Poly.one(), rand_den(rng)).den
+            assert _expand(dict(_den_factors(den))) == den
+        m = dict(_den_factors(one_minus_t(6) * one_minus_t(4) * P(2, 0, 4)))
+        assert m == {1: 2, 2: 2, 3: 1, 4: 1, 6: 1, P(2, 0, 4): 1}
 
 
 class TestRatFunEq:

@@ -90,6 +90,15 @@ class TestLeviProfile:
         with pytest.raises(InadmissibleCase):
             levi_profile(GroupSpec("u", 2), ParabolicIndex((3,), ()))
 
+    def test_profile_built_once_and_inadmissible_raises_every_call(self):
+        g = GroupSpec("so-even", 4)
+        for idx in enumerate_parabolics(g):
+            assert levi_profile(g, idx) is levi_profile(GroupSpec("so-even", 4), idx)
+        bad = ParabolicIndex((3, 1), (False, False))
+        for _ in range(3):
+            with pytest.raises(InadmissibleCase):
+                levi_profile(g, bad)
+
     def test_json(self):
         prof = levi_profile(GroupSpec("sp", 3), ParabolicIndex((1, 2), (True,)))
         data = levi_profile_to_json(prof)
