@@ -18,10 +18,12 @@ invert_abstract computes b0 from its closed formula and re-sums the
 defining relation by explicit lattice enumeration as the forward check.
 The poset comes from levidata: its elements are the cut sets of the
 parabolics in enumerate_parabolics, each with its LeviProfile, and every
-relative half-sum rho_P^Q is levidata.relative_rho.  The type-A poset of
-the Langlands check takes its simple roots from build_root_system.
+relative half-sum rho_P^Q is levidata.relative_rho.
 verify_langlands tests the two alternating-sum identities on which the
-inversion rests, at off-wall rational sample points.
+inversion rests, at off-wall rational sample points of the type-A poset
+of any rank.  In standard coordinates that check needs no linear algebra:
+its projections are differences of block averages, its root functionals
+are coordinate differences and its relative coweights are partial sums.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
 
 from .closedforms import NonIntegerExponent
@@ -36,9 +39,7 @@ from .exactalg import CoeffVector, Poly, RatFun, one_minus_t, series_expand, sig
 from .gaugeseries import bg_orientable
 from .levidata import enumerate_parabolics, levi_profile, relative_rho
 from .rootsys import (
-    UNITARY,
     GroupSpec,
-    UnsupportedFamily,
     _nullspace,
     _solve,
     build_root_system,
@@ -110,101 +111,92 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
 # -- exact linear algebra helpers ---------------------------------------
 
 
-def _gram_inverse_apply(basis, vector):
-    """Coordinates of the projection of vector onto span(basis) in that basis."""
-    rows = [[pairing(b, c) for c in basis] + [pairing(b, vector)] for b in basis]
-    return _solve(rows, len(basis))
+def _difference(u, v) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def _project_onto(basis, vector):
-    """Orthogonal projection of vector onto span(basis)."""
+    """Orthogonal projection of vector onto span(basis), by a Gram solve."""
     if not basis:
         return tuple(F(0) for _ in vector)
-    coords = _gram_inverse_apply(basis, vector)
-    out = [F(0)] * len(vector)
-    for c, b in zip(coords, basis):
-        for i, x in enumerate(b):
-            out[i] += c * x
-    return tuple(out)
+    rows = [[pairing(b, c) for c in basis] + [pairing(b, vector)] for b in basis]
+    coords = _solve(rows, len(basis))
+    return tuple(
+        sum((c * b[i] for c, b in zip(coords, basis)), F(0)) for i in range(len(vector))
+    )
 
 
 # -- Langlands combinatorial identity ------------------------------------
 
 
+def _block_average(h, levi: frozenset) -> list:
+    """h with each coordinate replaced by the mean of its levi-block.
+
+    The blocks are the runs of coordinates joined by the simple roots
+    e_i - e_{i+1}, i in levi; this is the orthogonal projection onto the
+    vectors constant on those blocks.
+    """
+    out, start = [], 0
+    for i in range(len(h)):
+        if i not in levi:
+            block = h[start : i + 1]
+            out += [sum(block, F(0)) / len(block)] * len(block)
+            start = i + 1
+    return out
+
+
+def _positive(values, what: str) -> bool:
+    """All values positive; a zero value means the sample sits on a wall."""
+    if any(v == 0 for v in values):
+        raise WallPoint(f"{what} functional vanishes at the sample")
+    return all(v > 0 for v in values)
+
+
 class _TypeAPoset:
     """Standard parabolics of a rank-r type-A group, with the subspaces
-    and indicator functions the Langlands identity quantifies over."""
+    and indicator functions the Langlands identity quantifies over.
+
+    A Levi is named by its set of 0-based simple roots e_i - e_{i+1}; its
+    blocks are the runs of coordinates those roots join.  Everything has a
+    closed form in standard coordinates:
+    - the projection onto a_small^large is avg_small - avg_large, the
+      difference of two nested block averages (the global means cancel);
+    - the root functional of i is h_i - h_{i+1};
+    - a point h of a_small^large is constant on small-blocks and sums to
+      zero on each large-block, so h is the sum over i in large - small of
+      (h_0 + ... + h_i) times the projected coroot of i.  The relative
+      fundamental coweights, the dual basis, read off those partial sums.
+    """
 
     def __init__(self, rank: int):
-        self.rank = rank
-        self.simple = build_root_system(GroupSpec(UNITARY, rank + 1)).simple_roots
-        self.coroots = self.simple  # simply laced, standard coordinates
         self.subsets = [
             frozenset(s)
             for mask in range(2**rank)
             for s in [[i for i in range(rank) if mask >> i & 1]]
         ]
-        self._rel_cache: dict = {}
-
-    def a_space_basis(self, levi: frozenset):
-        """Basis of the central subspace of the Levi with simple roots levi."""
-        dim = self.rank + 1
-        # vectors orthogonal to the levi roots and to (1,...,1)
-        constraints = [self.simple[i] for i in sorted(levi)] + [tuple(F(1) for _ in range(dim))]
-        return _nullspace(constraints, dim)
-
-    def relative_basis(self, small: frozenset, large: frozenset):
-        """Basis of a_small^large = a_small intersect (a_large)^perp."""
-        key = (small, large)
-        if key in self._rel_cache:
-            return self._rel_cache[key]
-        a_small = self.a_space_basis(small)
-        a_large = self.a_space_basis(large)
-        out = []
-        for v in a_small:
-            w = tuple(a - b for a, b in zip(v, _project_onto(a_large, v)))
-            out.append(w)
-        # remove linear dependence: project away previously accepted vectors
-        basis = []
-        for v in out:
-            w = tuple(a - b for a, b in zip(v, _project_onto(basis, v)))
-            if any(x != 0 for x in w):
-                basis.append(w)
-        self._rel_cache[key] = basis
-        return basis
 
     def project_relative(self, vector, small: frozenset, large: frozenset):
-        return _project_onto(self.relative_basis(small, large), vector)
+        return _difference(_block_average(vector, small), _block_average(vector, large))
 
     def tau(self, small: frozenset, large: frozenset, h) -> bool:
         """Chamber indicator: alpha(h) > 0 for alpha in large minus small."""
-        vals = [pairing(self.simple[i], h) for i in sorted(large - small)]
-        if any(v == 0 for v in vals):
-            raise WallPoint("root functional vanishes at the sample")
-        return all(v > 0 for v in vals)
+        return _positive([h[i] - h[i + 1] for i in sorted(large - small)], "root")
 
     def tau_hat(self, small: frozenset, large: frozenset, h) -> bool:
         """Dual-cone indicator: relative fundamental coweights positive."""
-        idxs = sorted(large - small)
-        if not idxs:
-            return True
-        basis = self.relative_basis(small, large)
-        proj = [_project_onto(basis, self.coroots[i]) for i in idxs]
-        coords = _gram_inverse_apply(proj, h) if proj else []
-        # <pi_a, h> for the dual basis pi of the projected coroots is the
-        # coefficient vector of h in that projected-coroot basis
-        if any(c == 0 for c in coords):
-            raise WallPoint("coweight functional vanishes at the sample")
-        return all(c > 0 for c in coords)
+        partial = list(accumulate(h))
+        return _positive([partial[i] for i in sorted(large - small)], "coweight")
 
 
 def _langlands_identities_at(poset: _TypeAPoset, small, large, h) -> bool:
     between = [q for q in poset.subsets if small <= q <= large]
+    # project_relative, with each block average computed once per sample
+    avg = {q: _block_average(h, q) for q in between}
     total_qr = 0
     total_pq = 0
     for q in between:
-        hq = poset.project_relative(h, small, q)
-        h_q = poset.project_relative(h, q, large)
+        hq = _difference(avg[small], avg[q])
+        h_q = _difference(avg[q], avg[large])
         sign_qr = (-1) ** (len(large) - len(q))
         sign_pq = (-1) ** (len(q) - len(small))
         if poset.tau(small, q, hq) and poset.tau_hat(q, large, h_q):
@@ -218,33 +210,36 @@ def _langlands_identities_at(poset: _TypeAPoset, small, large, h) -> bool:
 def random_relative_point(rank: int, small, large, rng, poset=None) -> tuple:
     """A random rational point of a_small^large (zero when it is trivial)."""
     poset = poset or _TypeAPoset(rank)
-    basis = poset.relative_basis(frozenset(small), frozenset(large))
-    dim = rank + 1
-    if not basis:
-        return tuple(F(0) for _ in range(dim))
+    small, large = frozenset(small), frozenset(large)
     while True:
-        v = [F(0)] * dim
-        for b in basis:
-            c = F(rng.randint(-9, 9), rng.randint(1, 4))
-            for i, x in enumerate(b):
-                v[i] += c * x
-        if any(x != 0 for x in v):
-            return tuple(v)
+        v = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank + 1)]
+        h = poset.project_relative(v, small, large)
+        if small == large or any(h):
+            return h
 
 
 def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int = 7) -> bool:
     """Check both alternating-sum identities on the type-A parabolic poset.
 
     sample_points, when given, must be a list of (small, large, h) triples
-    with h in the relative subspace; otherwise random off-wall points are
-    drawn for every nested pair.  Samples on a wall raise WallPoint.
+    with h in the relative subspace a_small^large, or ValueError is raised;
+    otherwise random off-wall points are drawn for every nested pair.
+    Samples on a wall raise WallPoint.
     """
-    if rank not in (1, 2, 3):
-        raise ValueError("rank must be 1, 2 or 3")
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
     poset = _TypeAPoset(rank)
     if sample_points is not None:
         for small, large, h in sample_points:
-            if not _langlands_identities_at(poset, frozenset(small), frozenset(large), h):
+            small, large = frozenset(small), frozenset(large)
+            # the closed-form indicators hold only on a_small^large
+            if not (
+                len(h) == rank + 1
+                and small <= large
+                and poset.project_relative(h, small, large) == tuple(h)
+            ):
+                raise ValueError(f"sample {h} is not a point of a_{sorted(small)}^{sorted(large)}")
+            if not _langlands_identities_at(poset, small, large, h):
                 return False
         return True
     rng = random.Random(seed)
@@ -297,8 +292,7 @@ class ParabolicPoset:
 
 def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
     """All standard parabolics of g with the pair data the inversion needs."""
-    if g.family not in ("u", "so-odd", "sp"):
-        raise UnsupportedFamily("posets are built for u, so-odd and sp families")
+    # the pair data grows as 3^n and nothing yet budgets the terms
     if g.n > 3:
         raise ValueError("poset construction is scoped to rank <= 3")
     rs = build_root_system(g)
@@ -438,28 +432,19 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
         base_vals = [pairing(ambient[a - 1], rep) for a in idxs]
         lo = [ceil(-x) for x in base_vals]
         hi = [(F(order - n_p, w) - x).__floor__() for w, x in zip(p_weights, base_vals)]
+        # projection is linear, so center(x) = center(rep) + sum m_b center(coroot_b)
         levi_span = _levi_coroot_basis(rs, p_cut)
+        center_rep, *center_coroots = [
+            _difference(v, _project_onto(levi_span, v)) for v in [rep] + coroots
+        ]
         rel_weights = _relative_weights(rs, p_cut)
         b0_cache: dict = {}
 
-        def lattice_point(m_vec):
-            x = [F(a) for a in rep]
-            for m, cv in zip(m_vec, coroots):
-                for i, c in enumerate(cv):
-                    x[i] += m * c
-            return tuple(x)
-
         def visit(pos, m_vec):
             if pos == len(idxs):
-                x = lattice_point(m_vec)
-                center_part = tuple(
-                    a - b for a, b in zip(x, _project_onto(levi_span, x))
-                )
-                if any(
-                    sum((F(c) * s for c, s in zip(rs.simple_roots[a - 1], center_part)), F(0))
-                    <= 0
-                    for a in idxs
-                ):
+                x = _shifted(rep, coroots, m_vec)
+                center_part = _shifted(center_rep, center_coroots, m_vec)
+                if any(pairing(rs.simple_roots[a - 1], center_part) <= 0 for a in idxs):
                     return
                 exponent = F(n_p) + 4 * pairing(rho, x)
                 if exponent.denominator != 1 or exponent < 0:
@@ -480,6 +465,15 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
 
     lhs = series_expand(a0[top], order)
     return CoeffVector(order, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
+
+
+def _shifted(base, vectors, coeffs) -> tuple:
+    """base + sum of c * v over the aligned coeffs and vectors."""
+    out = list(base)
+    for c, v in zip(coeffs, vectors):
+        for i, x in enumerate(v):
+            out[i] += c * x
+    return tuple(out)
 
 
 def _levi_coroot_basis(rs, cut: frozenset):

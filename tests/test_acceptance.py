@@ -16,6 +16,7 @@ from reference_series import REFERENCE_CASES
 from ymseries.closedforms import (
     FlatSeriesRequest,
     SurfaceSpec,
+    flat_series,
     lr_general,
     so_even_flat,
     so_odd_flat,
@@ -206,22 +207,29 @@ def test_criterion_6_appendix_properties():
         spec = ConeSumSpec(tuple(weights), tuple(classes))
         assert cone_sum_truncated(spec, 60) == series_expand(cone_sum_closed(spec), 60)
         produced += 1
-    # >= 1000 off-wall samples per rank: 1 / 5 / 19 proper nested pairs
-    for rank, per_pair in ((1, 1000), (2, 200), (3, 53)):
+    # >= 1000 off-wall samples per rank: 1 / 5 / 19 / 65 proper nested pairs
+    for rank, per_pair in ((1, 1000), (2, 200), (3, 53), (4, 16)):
         assert verify_langlands(rank, samples=per_pair, seed=97), rank
-    for fam, n, classes, oracle in (
-        ("u", 2, (0, 1), lambda c: zagier_un(2, c, 2)),
-        ("sp", 1, (0,), lambda c: sp_flat(1, 2)),
+    trips = 0
+    for fam, ns, classes in (  # classes None: every unitary degree class mod n
+        ("u", (1, 2, 3), None),
+        ("sp", (1, 2, 3), (0,)),
+        ("so-odd", (1, 2, 3), (0, 1)),
+        ("so-even", (2, 3), (0, 1)),
     ):
-        g = GroupSpec(fam, n)
-        poset = build_parabolic_poset(g, 2)
-        a0 = default_gauge_assignment(poset)
-        for c in classes:
-            b0, residual = invert_abstract(poset, a0, c, 40)
-            assert ratfun_eq(b0[frozenset()], oracle(c)), (fam, c)
-            assert residual.is_zero, (fam, c)
+        for n in ns:
+            g = GroupSpec(fam, n)
+            poset = build_parabolic_poset(g, 2)
+            a0 = default_gauge_assignment(poset)
+            for c in classes or range(n):
+                b0, residual = invert_abstract(poset, a0, c, 40)
+                for engine in ("specialized", "general"):
+                    assert ratfun_eq(b0[frozenset()], flat_series(g, c, 2, engine)), (fam, n, c)
+                assert residual.is_zero, (fam, n, c)
+                trips += 1
     print("\ncriterion 6: PASS - cone sums (200 specs), alternating identities "
-          "(>= 1000 samples per rank), inversion round trips")
+          "(ranks 1-4, >= 1000 samples per rank), inversion round trips against both "
+          f"engines ({trips} bundles: u, sp, so-odd, so-even at n <= 3)")
 
 
 def test_criterion_7_levi_tables():

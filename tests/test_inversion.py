@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from ymseries.closedforms import sp_flat, zagier_un
+from ymseries.closedforms import flat_series, sp_flat, zagier_un
 from ymseries.exactalg import RatFun, one_minus_t, ratfun_eq, series_expand
 from ymseries.inversion import (
     ConeSumSpec,
@@ -20,9 +21,98 @@ from ymseries.inversion import (
     verify_langlands,
 )
 from ymseries.levidata import ParabolicIndex, levi_profile
-from ymseries.rootsys import GroupSpec
+from ymseries.rootsys import (
+    UNITARY,
+    GroupSpec,
+    UnsupportedFamily,
+    _nullspace,
+    _solve,
+    build_root_system,
+    pairing,
+)
 
 F = Fraction
+
+
+class GramTypeAPoset:
+    """Reference: the type-A poset built by exact Gram solves, as the
+    Langlands check computed it before the closed forms replaced it."""
+
+    def __init__(self, rank):
+        self.rank = rank
+        self.simple = build_root_system(GroupSpec(UNITARY, rank + 1)).simple_roots
+        self._rel_cache = {}
+
+    @staticmethod
+    def coords(basis, vector):
+        rows = [[pairing(b, c) for c in basis] + [pairing(b, vector)] for b in basis]
+        return _solve(rows, len(basis))
+
+    @classmethod
+    def project(cls, basis, vector):
+        out = [F(0)] * len(vector)
+        for c, b in zip(cls.coords(basis, vector) if basis else [], basis):
+            for i, x in enumerate(b):
+                out[i] += c * x
+        return tuple(out)
+
+    def a_space_basis(self, levi):
+        dim = self.rank + 1
+        constraints = [self.simple[i] for i in sorted(levi)] + [tuple(F(1) for _ in range(dim))]
+        return _nullspace(constraints, dim)
+
+    def relative_basis(self, small, large):
+        key = (small, large)
+        if key not in self._rel_cache:
+            a_large = self.a_space_basis(large)
+            basis = []
+            for v in self.a_space_basis(small):
+                w = tuple(a - b for a, b in zip(v, self.project(a_large, v)))
+                w = tuple(a - b for a, b in zip(w, self.project(basis, w)))
+                if any(x != 0 for x in w):
+                    basis.append(w)
+            self._rel_cache[key] = basis
+        return self._rel_cache[key]
+
+    def project_relative(self, vector, small, large):
+        return self.project(self.relative_basis(small, large), vector)
+
+    def tau(self, small, large, h):
+        vals = [pairing(self.simple[i], h) for i in sorted(large - small)]
+        if any(v == 0 for v in vals):
+            raise WallPoint("root")
+        return all(v > 0 for v in vals)
+
+    def tau_hat(self, small, large, h):
+        idxs = sorted(large - small)
+        if not idxs:
+            return True
+        basis = self.relative_basis(small, large)
+        proj = [self.project(basis, self.simple[i]) for i in idxs]
+        coords = self.coords(proj, h)
+        if any(c == 0 for c in coords):
+            raise WallPoint("coweight")
+        return all(c > 0 for c in coords)
+
+
+def nested_pairs(rank):
+    """(small, large) over every nested pair of subsets of range(rank)."""
+    for flags in product((0, 1, 2), repeat=rank):
+        small = frozenset(i for i, f in enumerate(flags) if f == 2)
+        large = frozenset(i for i, f in enumerate(flags) if f >= 1)
+        yield small, large
+
+
+def block_ids(levi, dim):
+    """Coordinate j's block: how many block ends (roots outside levi) precede it."""
+    return [sum(1 for i in range(j) if i not in levi) for j in range(dim)]
+
+
+def indicator_or_wall(fn, *args):
+    try:
+        return fn(*args)
+    except WallPoint:
+        return "wall"
 
 
 class TestConeSum:
@@ -71,9 +161,45 @@ class TestConeSum:
 
 
 class TestLanglands:
-    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_random_samples(self, rank):
-        assert verify_langlands(rank, samples=12, seed=3)
+        # rank 5 has 211 proper nested pairs, so it draws fewer per pair
+        assert verify_langlands(rank, samples=12 if rank < 5 else 4, seed=3)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_closed_forms_match_gram_reference(self, rank):
+        # the origin and small integer entries put samples on walls, so
+        # the wall raises are compared too
+        rng = random.Random(40 + rank)
+        poset, ref = _TypeAPoset(rank), GramTypeAPoset(rank)
+        walls = 0
+        for small, large in nested_pairs(rank):
+            points = [(0,) * (rank + 1)] + [
+                tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rank + 1))
+                for _ in range(4)
+            ]
+            for v in points:
+                h = ref.project_relative(v, small, large)
+                assert poset.project_relative(v, small, large) == h
+                for fn in ("tau", "tau_hat"):
+                    got = indicator_or_wall(getattr(poset, fn), small, large, h)
+                    assert got == indicator_or_wall(getattr(ref, fn), small, large, h), fn
+                    walls += got == "wall"
+        assert walls > 0
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_random_relative_point_in_relative_space(self, rank):
+        rng = random.Random(rank)
+        poset = _TypeAPoset(rank)
+        for small, large in nested_pairs(rank):
+            for _ in range(3):
+                h = random_relative_point(rank, small, large, rng, poset)
+                small_ids, large_ids = block_ids(small, rank + 1), block_ids(large, rank + 1)
+                for b in set(small_ids):
+                    assert len({x for x, i in zip(h, small_ids) if i == b}) == 1
+                for b in set(large_ids):
+                    assert sum(x for x, i in zip(h, large_ids) if i == b) == 0
+                assert any(h) == (small != large)
 
     def test_rank_one_both_chambers(self):
         poset = _TypeAPoset(1)
@@ -83,6 +209,18 @@ class TestLanglands:
         ]
         assert verify_langlands(1, sample_points=pts)
 
+    @pytest.mark.parametrize(
+        "small, large, h",
+        [
+            ((), (0,), (F(2), F(1))),  # not sum zero
+            ((0,), (), (F(1), F(-1))),  # not nested
+            ((), (0,), (F(1), F(-1), F(0))),  # rank 2 coordinates
+        ],
+    )
+    def test_sample_outside_relative_space_rejected(self, small, large, h):
+        with pytest.raises(ValueError, match="is not a point of"):
+            verify_langlands(1, sample_points=[(small, large, h)])
+
     def test_wall_point_raises(self):
         poset = _TypeAPoset(2)
         h = (F(0), F(0), F(0))
@@ -90,8 +228,9 @@ class TestLanglands:
             poset.tau(frozenset(), frozenset({0, 1}), h)
 
     def test_bad_rank(self):
-        with pytest.raises(ValueError):
-            verify_langlands(4)
+        for rank in (0, -1):
+            with pytest.raises(ValueError):
+                verify_langlands(rank)
 
 
 class TestInvertAbstract:
@@ -146,9 +285,25 @@ class TestInvertAbstract:
         borel = frozenset({1})
         assert b0[borel] == a0[borel]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("w2", [0, 1])
+    def test_so_even_round_trip(self, n, w2):
+        g = GroupSpec("so-even", n)
+        poset = build_parabolic_poset(g, 2)
+        a0 = default_gauge_assignment(poset)
+        b0, residual = invert_abstract(poset, a0, w2, 24)
+        for engine in ("specialized", "general"):
+            assert ratfun_eq(b0[frozenset()], flat_series(g, w2, 2, engine)), engine
+        assert residual.is_zero
+
     def test_poset_scope(self):
         with pytest.raises(Exception):
             build_parabolic_poset(GroupSpec("u", 4), 2)
+
+    @pytest.mark.parametrize("fam", ["su", "spin-odd", "spin-even"])
+    def test_poset_unsupported_families(self, fam):
+        with pytest.raises(UnsupportedFamily):
+            build_parabolic_poset(GroupSpec(fam, 2), 2)
 
     @pytest.mark.parametrize("fam", ["u", "so-odd", "sp"])
     @pytest.mark.parametrize("n", [1, 2, 3])
