@@ -59,6 +59,15 @@ class TruncationTooSmall(ValueError):
     """The truncation order cannot support the requested residual check."""
 
 
+class SamplingExhausted(RuntimeError):
+    """Every random draw in a row was unusable: an internal fault, not a usage error."""
+
+
+# consecutive unusable draws allowed per sample; on working code about one
+# draw in twenty lands on a wall
+MAX_DRAWS = 100
+
+
 @dataclass(frozen=True)
 class ConeSumSpec:
     """Exponent weights p_a > 0 and twist classes x_a mod Z, one per factor."""
@@ -211,11 +220,14 @@ def random_relative_point(rank: int, small, large, rng, poset=None) -> tuple:
     """A random rational point of a_small^large (zero when it is trivial)."""
     poset = poset or _TypeAPoset(rank)
     small, large = frozenset(small), frozenset(large)
-    while True:
+    for _ in range(MAX_DRAWS):
         v = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank + 1)]
         h = poset.project_relative(v, small, large)
         if small == large or any(h):
             return h
+    raise SamplingExhausted(
+        f"rank {rank}: {MAX_DRAWS} draws projected to zero in a_{sorted(small)}^{sorted(large)}"
+    )
 
 
 def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int = 7) -> bool:
@@ -224,7 +236,8 @@ def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int
     sample_points, when given, must be a list of (small, large, h) triples
     with h in the relative subspace a_small^large, or ValueError is raised;
     otherwise random off-wall points are drawn for every nested pair.
-    Samples on a wall raise WallPoint.
+    Given samples on a wall raise WallPoint; MAX_DRAWS drawn samples in a
+    row on a wall raise SamplingExhausted.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -249,13 +262,18 @@ def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int
                 continue
             count = 1 if small == large else samples
             for _ in range(count):
-                while True:
+                for _ in range(MAX_DRAWS):
                     h = random_relative_point(rank, small, large, rng, poset)
                     try:
                         ok = _langlands_identities_at(poset, small, large, h)
                         break
                     except WallPoint:
                         continue
+                else:
+                    raise SamplingExhausted(
+                        f"rank {rank}: {MAX_DRAWS} draws in a row lay on a wall of "
+                        f"a_{sorted(small)}^{sorted(large)}"
+                    )
                 if not ok:
                     return False
     return True

@@ -38,6 +38,7 @@ from .strata import (
     InvalidPoint,
     _check_blocks,
     _check_chamber,
+    _max_label_below,
     _tail_shapes,
 )
 
@@ -211,9 +212,9 @@ class ComponentReport:
 def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
     """All index-set points of g over the surface type i with |k_j| <= bound.
 
-    Candidate block data is generated by brute force within the label bound
-    and filtered through the point constructor, which owns the family's
-    chamber constraints.
+    Candidate block data is generated within the label bound, each label
+    below the previous block's slope, and filtered through the point
+    constructor, which owns the family's chamber constraints.
     """
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
@@ -239,7 +240,8 @@ def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
             is_final = part == remaining
             negatives_ok = fam == SO_EVEN and n % 2 == 0 and is_final and part == 1
             lo = -bound if negatives_ok else 0
-            for k in range(bound, lo - 1, -1):
+            hi = min(bound, _max_label_below(labels[-1], comp[-1], part)) if comp else bound
+            for k in range(hi, lo - 1, -1):
                 extend(comp + [part], labels + [k], remaining - part)
         # a zero tail may absorb the whole remainder even mid-sequence
         if fam in (SYMPLECTIC, SO_EVEN):

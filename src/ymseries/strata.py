@@ -14,11 +14,14 @@ central-stratum series and a flat tail, and checks the stratification
 identity: the gauge series of the bundle equals the codimension-weighted
 sum of the stratum series, as a truncated power series.
 
-Codimensions and the enumeration's pruning bound are integer arithmetic:
-mu is scaled by L, the lcm of its block sizes, so L * mu is an integer
-vector, and the pairwise bound n_i n_j (k_i/n_i - k_j/n_j + ell - 1) is
-written as n_j k_i - n_i k_j + n_i n_j (ell - 1).  The identity check
-expands each distinct stratum factor once and multiplies truncated
+Codimensions are integer arithmetic: mu is scaled by L, the lcm of its
+block sizes, so L * mu is an integer vector.  The enumeration places
+blocks by decreasing slope and carries the exact codimension of the placed
+prefix in integers (a root between blocks i and j contributes
+n_i n_j (k_i/n_i - k_j/n_j + ell - 1) = n_j k_i - n_i k_j + n_i n_j (ell - 1)
+in total); it prunes on that plus the exact cross terms to the coordinates
+not yet placed, and checks every kept point against `codim`.  The identity
+check expands each distinct stratum factor once and multiplies truncated
 coefficient lists.
 """
 
@@ -56,6 +59,10 @@ class InvalidPoint(ValueError):
 
 class NonIntegerCodimension(ValueError):
     """The codimension sum came out non-integral."""
+
+
+class CodimensionMismatch(RuntimeError):
+    """The enumerator's carried codimension disagrees with `codim`: an internal fault."""
 
 
 class AmbiguousComponent(ValueError):
@@ -202,27 +209,6 @@ def codim(g: GroupSpec, mu: AtiyahBottPoint, ell: int) -> int:
     return d
 
 
-def _bound_increment(fam, comp, labels, part, label, ell) -> int:
-    """What appending the block (part, label) adds to the pruning bound.
-
-    The bound is the codimension from the theta_i - theta_j roots between
-    blocks, n_i n_j (k_i/n_i - k_j/n_j + ell - 1) = n_j k_i - n_i k_j +
-    n_i n_j (ell - 1), plus the family singles of a positive block: k +
-    n (ell - 1) through theta_i (odd orthogonal), 2k + n (ell - 1) through
-    2 theta_i (symplectic).  The enumerator appends only blocks of smaller
-    slope, so no increment is negative: the bound is a lower bound for
-    every family, monotone under appending blocks.
-    """
-    parts_before = sum(comp)
-    inc = part * sum(labels) - label * parts_before + part * parts_before * (ell - 1)
-    if label > 0:
-        if fam == SO_ODD:
-            inc += label + part * (ell - 1)
-        elif fam == SYMPLECTIC:
-            inc += 2 * label + part * (ell - 1)
-    return inc
-
-
 def _max_label_below(num: int, den: int, part: int) -> int:
     """Largest k with k/part strictly below the slope num/den (den > 0)."""
     return (num * part - 1) // den
@@ -238,13 +224,35 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
     and doubled roots.  Split (zero-tail) orthogonal points meet every
     bundle class and are always included.  Returns (point, codim) pairs
     sorted by codimension and then by the point data.
+
+    Blocks are placed by decreasing slope, and the enumeration carries d,
+    the exact codimension of the roots among the P placed coordinates
+    (label sum S).  Appending the block (p, k) adds
+    - unitary: p S - k P + p P (ell - 1), the theta_i - theta_j roots to
+      the placed blocks, which is all of it;
+    - otherwise: 2 p S + 2 p P (ell - 1) through theta_i +- theta_j to the
+      placed blocks and, when k != 0, (p - 1)|k| + p (p - 1)/2 (ell - 1)
+      through theta_i + theta_j inside the block, plus the singles
+      k + p (ell - 1) (theta_i, odd orthogonal) or 2k + p (ell - 1)
+      (2 theta_i, symplectic).
+    Only the last block may have label 0 (other families) or go negative
+    (a size-one even-orthogonal block), and a "minus_last" tail has the same
+    codimension as "none", so one d serves every tail shape.  With P, S now
+    counting the new block and r coordinates left, the roots between the
+    two sides sum exactly to r S - P K + P r (ell - 1) for unitary groups,
+    whose remaining labels sum to K = c - S and must sit below slope k/p
+    (p K < r k), and to 2 r (S + P (ell - 1)) otherwise.  The roots among
+    the remaining coordinates add >= 0, so a node is dropped once d plus
+    the cross term exceeds the bound; both grow with k, which ends the
+    label loop there.  Each kept point is checked against `codim`.
     """
     validate_topclass(g, c)
     if ell < 1:
         raise ValueError("need ell >= 1")
     fam, n = g.family, g.n
+    unitary = fam == UNITARY
     # slope window [lo_num / den, hi_num / den)
-    if fam == UNITARY:
+    if unitary:
         den = n
         hi_num = c + n * (codim_bound + 1)
         lo_num = c - n * (codim_bound + 1)
@@ -252,50 +260,60 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
         den, hi_num, lo_num = 1, codim_bound + 1, 0
     found = []
 
-    def finish(comp, labels, tail_kind):
-        try:
+    def finish(comp, labels, d):
+        for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
             pt = AtiyahBottPoint(fam, tuple(comp), tuple(labels), tail_kind)
-        except InvalidPoint:
-            return
-        if pt.bundle_class() is not None:
-            if fam == UNITARY and pt.bundle_class() != c:
-                return
-            if fam in (SO_ODD, SO_EVEN) and pt.bundle_class() != c % 2:
-                return
-        d = codim(g, pt, ell)
-        if d <= codim_bound:
+            if pt.bundle_class() not in (None, c if unitary else c % 2):
+                continue
+            if codim(g, pt, ell) != d:
+                raise CodimensionMismatch(f"codim({pt}) disagrees with the enumerated {d}")
             found.append((pt, d))
 
-    def extend(comp, labels, bound, remaining):
-        if remaining == 0:
-            for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
-                finish(comp, labels, tail_kind)
+    def extend(comp, labels, size, total, d):
+        # size, total: the P and S of the placed prefix; d: its codimension
+        if size == n:
+            finish(comp, labels, d)
             return
-        for part in range(1, remaining + 1):
-            is_last = part == remaining
-            hi_k = _max_label_below(hi_num, den, part)
+        for p in range(1, n - size + 1):
+            r = n - size - p
+            hi = _max_label_below(hi_num, den, p)
             if comp:
-                hi_k = min(hi_k, _max_label_below(labels[-1], comp[-1], part))
-            lo_k = -(-lo_num * part // den)
-            if fam == UNITARY and is_last:
-                base_candidates = [c - sum(labels)]
-            else:
-                base_candidates = range(hi_k, lo_k - 1, -1)
-            for k in base_candidates:
-                if not lo_k <= k <= hi_k:
-                    continue
-                if fam == SO_EVEN and is_last and part == 1 and comp and k > 0:
-                    # a size-one final even-orthogonal block may go negative
-                    candidates = [k, -k]
+                hi = min(hi, _max_label_below(labels[-1], comp[-1], p))
+            lo = -(-lo_num * p // den)
+            if unitary and r:
+                # the remaining labels c - total - k sit below slope k/p
+                lo = max(lo, p * (c - total) // (r + p) + 1)
+            elif unitary:
+                # the last block takes the remaining label
+                lo, hi = max(lo, c - total), min(hi, c - total)
+            elif r:
+                # only the last block may carry label 0
+                lo = max(lo, 1)
+            for k in range(lo, hi + 1):
+                if unitary:
+                    inc = p * total - k * size + p * size * (ell - 1)
+                    cross = r * (total + k) - (size + p) * (c - total - k)
+                    cross += (size + p) * r * (ell - 1)
                 else:
-                    candidates = [k]
-                for kk in candidates:
-                    new_bound = bound + _bound_increment(fam, comp, labels, part, kk, ell)
-                    if new_bound > codim_bound:
-                        continue
-                    extend(comp + [part], labels + [kk], new_bound, remaining - part)
+                    inc = 2 * p * (total + size * (ell - 1))
+                    if k:
+                        inc += (p - 1) * k + p * (p - 1) // 2 * (ell - 1)
+                        if fam == SO_ODD:
+                            inc += k + p * (ell - 1)
+                        elif fam == SYMPLECTIC:
+                            inc += 2 * k + p * (ell - 1)
+                    cross = 2 * r * (total + k + (size + p) * (ell - 1))
+                if d + inc + cross > codim_bound:
+                    break
+                if fam == SO_EVEN and not r and p == 1 and comp and k > 0:
+                    # a size-one final even-orthogonal block may go negative
+                    signs = (k, -k)
+                else:
+                    signs = (k,)
+                for kk in signs:
+                    extend(comp + [p], labels + [kk], size + p, total + kk, d + inc)
 
-    extend([], [], 0, n)
+    extend([], [], 0, 0, 0)
     return sorted(found, key=lambda pd: (pd[1],) + pd[0].key())
 
 

@@ -160,10 +160,22 @@ def test_criterion_4_recursion_identity():
                 report = verify_recursion(g, c, ell, 40)
                 assert report.holds, (fam, n, c, ell, report.residual.coeffs)
                 count += 1
-    report = verify_recursion(GroupSpec("u", 4), 1, 2, 80)
-    assert report.holds, report.residual.coeffs
+    # deep enough that the unstable strata contribute: degree 80 at genus 2
+    # and 120 at genus 3 for every rank-4 and rank-5 bundle (U(4) degree 1
+    # at degree 80 among them), plus U(6) and SO(12) at genus 2
+    deep = [
+        (fam, n, c, ell, degree)
+        for fam, n, classes in RECURSION_CONFIGS
+        if n in (4, 5)
+        for ell, degree in ((2, 80), (3, 120))
+        for c in classes
+    ]
+    deep += [("u", 6, 1, 2, 80), ("so-even", 6, 1, 2, 80)]
+    for fam, n, c, ell, degree in deep:
+        report = verify_recursion(GroupSpec(fam, n), c, ell, degree)
+        assert report.holds, (fam, n, c, ell, degree, report.residual.coeffs)
     print(f"\ncriterion 4: PASS - stratification identity to degree 40 ({count} bundles) "
-          f"and to degree 80 (U(4), degree 1)")
+          f"and to degree 80 or 120 ({len(deep)} bundles of rank 4 to 6)")
 
 
 def test_criterion_5_positivity():

@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 
 from ymseries.closedforms import flat_series, sp_flat, zagier_un
+from ymseries import inversion
 from ymseries.exactalg import RatFun, one_minus_t, ratfun_eq, series_expand
 from ymseries.inversion import (
     ConeSumSpec,
     NonIntegerExponent,
+    SamplingExhausted,
     WallPoint,
     _TypeAPoset,
     build_parabolic_poset,
@@ -231,6 +233,23 @@ class TestLanglands:
         for rank in (0, -1):
             with pytest.raises(ValueError):
                 verify_langlands(rank)
+
+    def test_samples_always_on_a_wall_exhaust(self, monkeypatch):
+        def on_wall(*args):
+            raise WallPoint("stub")
+
+        monkeypatch.setattr(inversion, "_langlands_identities_at", on_wall)
+        match = r"rank 2: 100 draws in a row lay on a wall of a_\[\]\^\[\]"
+        with pytest.raises(SamplingExhausted, match=match):
+            verify_langlands(2)
+
+    def test_zero_projections_exhaust(self, monkeypatch):
+        monkeypatch.setattr(_TypeAPoset, "project_relative", lambda self, v, small, large: [F(0)] * len(v))
+        match = r"rank 2: 100 draws projected to zero in a_\[\]\^\[0\]"
+        with pytest.raises(SamplingExhausted, match=match):
+            random_relative_point(2, (), (0,), random.Random(1))
+        with pytest.raises(SamplingExhausted, match="projected to zero"):
+            verify_langlands(2)
 
 
 class TestInvertAbstract:

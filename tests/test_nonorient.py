@@ -16,6 +16,7 @@ from ymseries.nonorient import (
     tau_fixed_unrealized,
 )
 from ymseries.rootsys import GroupSpec
+from ymseries.strata import _tail_shapes
 
 F = Fraction
 
@@ -109,6 +110,48 @@ class TestEnumerate:
     def test_deterministic(self):
         g = GroupSpec("sp", 2)
         assert enumerate_nonorientable_points(g, 1, 3) == enumerate_nonorientable_points(g, 1, 3)
+
+    @staticmethod
+    def brute_force_points(g, i, bound):
+        """The former enumerator: every label in [0, bound] (or [-bound, bound]
+        for a final size-one even-orthogonal block), each candidate filtered
+        through the point constructor."""
+        fam, n = g.family, g.n
+        found = set()
+
+        def try_point(comp, labels, zero_tail, minus_last):
+            try:
+                pt = NonorientablePoint(fam, tuple(comp), tuple(labels), zero_tail, i, minus_last)
+            except InvalidPoint:
+                return
+            found.add(pt)
+
+        def extend(comp, labels, remaining):
+            if remaining == 0:
+                for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
+                    try_point(comp, labels, tail_kind == "zero_block", tail_kind == "minus_last")
+                return
+            for part in range(1, remaining + 1):
+                final = part == remaining
+                lo = -bound if fam == "so-even" and n % 2 == 0 and final and part == 1 else 0
+                for k in range(lo, bound + 1):
+                    extend(comp + [part], labels + [k], remaining - part)
+            if fam in ("sp", "so-even"):
+                try_point(comp + [remaining], labels + [0], True, False)
+
+        extend([], [], n)
+        return found
+
+    @pytest.mark.parametrize(
+        "fam,n", [(fam, n) for fam, lo in (("sp", 1), ("so-odd", 1), ("so-even", 2)) for n in range(lo, 6)]
+    )
+    def test_matches_brute_force(self, fam, n):
+        g = GroupSpec(fam, n)
+        for i in (1, 2):
+            for bound in (3, 5) if n <= 3 else (2,):
+                pts = enumerate_nonorientable_points(g, i, bound)
+                assert len(set(pts)) == len(pts)
+                assert set(pts) == self.brute_force_points(g, i, bound), (i, bound)
 
 
 class TestClassify:

@@ -197,46 +197,106 @@ class TestRecursion:
 
 
 class TestIntegerChamberArithmetic:
-    """The integer bound, codimension and truncated sums against the Fraction
-    formulas they replaced, kept inline as references."""
+    """The enumeration, codimension and truncated sums against the formulas
+    they replaced, kept inline as references."""
 
     @staticmethod
-    def fraction_bound(fam, blocks, ell):
-        """The former pruning bound, on (size, Fraction slope) blocks."""
-        total = F(0)
-        for i in range(len(blocks)):
-            ni, si = blocks[i]
-            for j in range(i + 1, len(blocks)):
-                nj, sj = blocks[j]
-                total += ni * nj * (si - sj + ell - 1)
-            if si > 0:
-                if fam == "so-odd":
-                    total += ni * (si + ell - 1)
-                elif fam == "sp":
-                    total += ni * (2 * si + ell - 1)
-        return total
+    def former_increment(fam, comp, labels, part, label, ell):
+        """What appending the block (part, label) added to the former pruning
+        bound: the theta_i - theta_j pair terms n_i n_j (k_i/n_i - k_j/n_j +
+        ell - 1), cleared of fractions, and the family singles."""
+        before = sum(comp)
+        inc = part * sum(labels) - label * before + part * before * (ell - 1)
+        if label > 0 and fam == "so-odd":
+            inc += label + part * (ell - 1)
+        elif label > 0 and fam == "sp":
+            inc += 2 * label + part * (ell - 1)
+        return inc
+
+    @classmethod
+    def reference_points(cls, g, c, ell, codim_bound):
+        """The former enumerator: no lookahead, pruned by the bound above
+        summed over the placed blocks, with `codim` deciding every leaf.
+        Returns (key, codim) pairs."""
+        fam, n = g.family, g.n
+        if fam == "u":
+            den, hi_num, lo_num = n, c + n * (codim_bound + 1), c - n * (codim_bound + 1)
+        else:
+            den, hi_num, lo_num = 1, codim_bound + 1, 0
+        found = []
+
+        def finish(comp, labels, tail_kind):
+            try:
+                pt = AtiyahBottPoint(fam, tuple(comp), tuple(labels), tail_kind)
+            except InvalidPoint:
+                return
+            if pt.bundle_class() not in (None, c if fam == "u" else c % 2):
+                return
+            d = codim(g, pt, ell)
+            if d <= codim_bound:
+                found.append((pt.key(), d))
+
+        def extend(comp, labels, bound, remaining):
+            if remaining == 0:
+                for tail_kind in strata._tail_shapes(fam, comp[-1], labels[-1]):
+                    finish(comp, labels, tail_kind)
+                return
+            for part in range(1, remaining + 1):
+                is_last = part == remaining
+                hi_k = (hi_num * part - 1) // den
+                if comp:
+                    hi_k = min(hi_k, (labels[-1] * part - 1) // comp[-1])
+                lo_k = -(-lo_num * part // den)
+                ks = [c - sum(labels)] if fam == "u" and is_last else range(lo_k, hi_k + 1)
+                for k in ks:
+                    if not lo_k <= k <= hi_k:
+                        continue
+                    neg = fam == "so-even" and is_last and part == 1 and comp and k > 0
+                    for kk in (k, -k) if neg else (k,):
+                        new_bound = bound + cls.former_increment(fam, comp, labels, part, kk, ell)
+                        if new_bound <= codim_bound:
+                            extend(comp + [part], labels + [kk], new_bound, remaining - part)
+
+        extend([], [], 0, n)
+        return sorted(found, key=lambda kd: (kd[1],) + kd[0])
 
     @pytest.mark.parametrize("fam,n,c", GRID)
-    def test_bound_matches_fraction_formula(self, fam, n, c, monkeypatch):
-        visited = []
-        increment = strata._bound_increment
-
-        def recording(fam_, comp, labels, part, label, ell):
-            inc = increment(fam_, comp, labels, part, label, ell)
-            visited.append((tuple(zip(comp, labels)), (part, label), ell, inc))
-            return inc
-
-        monkeypatch.setattr(strata, "_bound_increment", recording)
+    def test_bound_matches_fraction_formula(self, fam, n, c):
+        # the exact prefix codimension prunes more, never a kept point
+        g = GroupSpec(fam, n)
         for ell in (1, 2, 3):
-            enumerate_ab_points(GroupSpec(fam, n), c, ell, 8)
-        assert visited
-        bound = {}
-        for prefix, block, ell, inc in visited:
-            # a prefix is visited before any block list that extends it
-            blocks = prefix + (block,)
-            bound[blocks, ell] = (bound[prefix, ell] if prefix else 0) + inc
-            slopes = [(p, F(k, p)) for p, k in blocks]
-            assert bound[blocks, ell] == self.fraction_bound(fam, slopes, ell), (blocks, ell)
+            for bound in (8, 16) if n <= 3 else (8,):
+                got = [(pt.key(), d) for pt, d in enumerate_ab_points(g, c, ell, bound)]
+                assert got == self.reference_points(g, c, ell, bound), (ell, bound)
+
+    @pytest.mark.parametrize("fam,n,c", [("u", 4, 1), ("so-even", 4, 1), ("so-odd", 3, 1), ("sp", 3, 0)])
+    def test_codim_called_once_per_kept_point(self, fam, n, c, monkeypatch):
+        calls = []
+        real_codim = strata.codim
+        monkeypatch.setattr(strata, "codim", lambda *args: calls.append(args) or real_codim(*args))
+        points = enumerate_ab_points(GroupSpec(fam, n), c, 2, 20)
+        assert len(calls) == len(points) > 0
+
+    @pytest.mark.parametrize(
+        "fam,n,c,ranges", [("u", 4, 1, 88), ("so-even", 5, 1, 21), ("so-odd", 4, 1, 16), ("sp", 4, 0, 16)]
+    )
+    def test_label_ranges_computed_pinned(self, fam, n, c, ranges, monkeypatch):
+        # a looser prune (an infeasible unitary remainder, a zero block before
+        # another block, S for S + k in the cross term) keeps the same points
+        # but computes more label ranges; the counts pin the pruning's reach
+        calls = []
+        real_max_label_below = strata._max_label_below
+        monkeypatch.setattr(
+            strata, "_max_label_below", lambda *args: calls.append(args) or real_max_label_below(*args)
+        )
+        enumerate_ab_points(GroupSpec(fam, n), c, 2, 20)
+        assert len(calls) == ranges
+
+    def test_carried_codimension_checked_at_each_leaf(self, monkeypatch):
+        real_codim = strata.codim
+        monkeypatch.setattr(strata, "codim", lambda *args: real_codim(*args) + 1)
+        with pytest.raises(strata.CodimensionMismatch, match="disagrees with the enumerated"):
+            enumerate_ab_points(GroupSpec("so-even", 3), 1, 2, 8)
 
     @pytest.mark.parametrize("fam,n,c", GRID)
     def test_codim_matches_root_pairings(self, fam, n, c, monkeypatch):
