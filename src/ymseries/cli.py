@@ -10,10 +10,17 @@ Verbs:
   verify-isomorphisms the four exceptional-isomorphism series identities
   verify-appendix     cone-sum and alternating-identity property suites
 
-Exit status: 0 on success, 1 when a verification fails, 2 on usage errors.
-Diagnostics go to stderr; results to stdout.  The default truncation degree
-for verification verbs is 40, overridable by --order or the environment
-variable YM_TRUNCATION_DEFAULT.
+Exit status, decided in main from the two bases in ymseries.errors:
+  0  success
+  1  a verification failed
+  2  an InputError: the input is outside what the verb accepts ("error: ...")
+  3  an ExactnessError: an exact invariant did not hold, a fault in the
+     program ("internal error: ...")
+Any other exception is a bug and keeps its traceback.  Diagnostics go to
+stderr; results to stdout.  A verb run with --genus below 2 adds one
+"note:" line on stderr, since the stratification presumes genus >= 2.  The
+default truncation degree for verification verbs is 40, overridable by
+--order or the environment variable YM_TRUNCATION_DEFAULT.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .closedforms import (
     sp_flat,
     sun_flat,
 )
+from .errors import ExactnessError, InputError
 from .exactalg import latex_ratfun, ratfun_eq, ratfun_to_json, render_ratfun, series_expand
 from .inversion import ConeSumSpec, cone_sum_closed, cone_sum_truncated, verify_langlands
 from .nonorient import (
@@ -48,7 +56,7 @@ def _default_truncation() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ValueError(f"YM_TRUNCATION_DEFAULT must be an integer, got {raw!r}") from exc
+        raise InputError(f"YM_TRUNCATION_DEFAULT must be an integer, got {raw!r}") from exc
 
 
 def _group(args) -> GroupSpec:
@@ -70,7 +78,7 @@ def _parse_int_list(text: str, what: str):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"{what} must be a comma-separated integer list") from exc
+        raise InputError(f"{what} must be a comma-separated integer list") from exc
 
 
 def _emit_ratfun(f, fmt: str, meta: dict) -> str:
@@ -315,10 +323,16 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "order") and args.order is None:
             args.order = _default_truncation()
-        return args.func(args)
-    except ValueError as exc:
+        code = args.func(args)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExactnessError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    if getattr(args, "genus", 2) < 2:
+        print(f"note: the stratification presumes genus >= 2, got {args.genus}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

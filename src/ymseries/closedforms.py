@@ -24,11 +24,11 @@ literally 0.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ExactnessError, InputError
 from .exactalg import RatFun, one_minus_t, one_plus_t, signed_sum
 from .gaugeseries import bg_orientable, concat_profiles, tail_profile, unitary_block_profile
 from .levidata import _compositions, _cut_positions, _pair_sum, enumerate_parabolics, levi_profile
@@ -50,53 +50,22 @@ from .rootsys import (
 F = Fraction
 
 
-class NonIntegerExponent(ValueError):
-    """A t-exponent came out non-integral; signals a case-table bug."""
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """Closed surface: genus ell with i in {0,1,2} extra crosscap data.
-
-    i = 0 is the orientable surface of genus ell; i = 1 adds a projective
-    plane and i = 2 a Klein bottle (so the nonorientable surface has
-    m = 2*ell + i crosscaps).
-    """
-
-    ell: int
-    i: int = 0
-
-    def __post_init__(self):
-        if self.ell < 0 or self.i not in (0, 1, 2):
-            raise ValueError("need ell >= 0 and i in {0,1,2}")
-
-    @property
-    def crosscaps(self) -> int:
-        if self.i == 0:
-            raise ValueError("orientable surface has no crosscaps")
-        return 2 * self.ell + self.i
-
-
 @dataclass(frozen=True)
 class FlatSeriesRequest:
+    """A bundle of class topclass over the orientable surface of genus ell."""
+
     group: GroupSpec
     topclass: int
-    surface: SurfaceSpec
+    ell: int
 
     def __post_init__(self):
-        if self.surface.i != 0:
-            raise ValueError("closed-form series exist for orientable surfaces only")
-        if self.surface.ell < 2:
-            # the stratification semantics presume genus >= 2; the formulas
-            # themselves are rational functions for any genus >= 1
-            warnings.warn("flat series requested below genus 2", stacklevel=3)
         validate_topclass(self.group, self.topclass)
 
 
 def _as_int_exponent(x: Fraction) -> int:
     x = Fraction(x)
     if x.denominator != 1 or x < 0:
-        raise NonIntegerExponent(f"exponent {x} is not a natural number")
+        raise ExactnessError(f"exponent {x} is not a natural number")
     return x.numerator
 
 
@@ -137,7 +106,7 @@ def zagier_un(n: int, k: int, ell: int) -> RatFun:
     with sign (-1)^(r-1).  Only k mod n enters.
     """
     if n < 1 or ell < 1:
-        raise ValueError("need n >= 1 and ell >= 1")
+        raise InputError("need n >= 1 and ell >= 1")
     return _zagier_cached(n, k % n, ell)
 
 
@@ -150,7 +119,7 @@ def sun_flat(n: int, ell: int) -> RatFun:
     """Flat series for SU(n): the degree-zero U(n) series with the central
     torus factor (1+t)^{2 ell} / (1-t^2) divided out."""
     if n < 2 or ell < 1:
-        raise ValueError("need n >= 2 and ell >= 1")
+        raise InputError("need n >= 2 and ell >= 1")
     return zagier_un(n, 0, ell) / _su_torus(ell)
 
 
@@ -169,7 +138,7 @@ def sp_flat(n: int, ell: int) -> RatFun:
       / [prod_{i<r-1}(1 - t^{2(n_i+n_{i+1})})] (1 - eps(r) t^{2(n_{r-1}+2n_r+1)})
     """
     if n < 1 or ell < 1:
-        raise ValueError("need n >= 1 and ell >= 1")
+        raise InputError("need n >= 1 and ell >= 1")
 
     def terms():
         for comp in _compositions(n):
@@ -202,9 +171,9 @@ def so_odd_flat(n: int, ell: int, w2: int) -> RatFun:
     2 sum_{i<r}(n_i+n_{i+1}) + 2 eps(r) n_r.
     """
     if n < 1 or ell < 1:
-        raise ValueError("need n >= 1 and ell >= 1")
+        raise InputError("need n >= 1 and ell >= 1")
     if w2 not in (0, 1):
-        raise ValueError("w2 is a bit")
+        raise InputError("w2 is a bit")
     q = frac_part(F(w2, 2))
 
     def terms():
@@ -242,9 +211,9 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
         2(n_{r-1}+2n_r-1) gated by eps(r).
     """
     if n < 2 or ell < 1:
-        raise ValueError("need n >= 2 and ell >= 1")
+        raise InputError("need n >= 2 and ell >= 1")
     if w2 not in (0, 1):
-        raise ValueError("w2 is a bit")
+        raise InputError("w2 is a bit")
     q = frac_part(F(w2, 2))
     two = RatFun.from_int(2)
 
@@ -285,21 +254,21 @@ def lr_general(req: FlatSeriesRequest) -> RatFun:
 
     over a in I, where w_a(c) is the fundamental-weight class of the bundle
     class c.  Denominator exponents must be positive integers and the total
-    twist a natural number; violations raise NonIntegerExponent.
+    twist a natural number; violations raise ExactnessError.
     """
     g, c = req.group, req.topclass
-    ell = req.surface.ell
+    ell = req.ell
     if g.family not in (UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC):
         raise UnsupportedFamily(f"no engine route for {g.family}")
     if ell < 1:
-        raise ValueError("need ell >= 1")
+        raise InputError("need ell >= 1")
 
     def terms():
         for idx in enumerate_parabolics(g):
             prof = levi_profile(g, idx)
             ks = [_as_int_exponent(4 * rho_pair) for rho_pair in prof.rho_pairings]
             if 0 in ks:
-                raise NonIntegerExponent("denominator exponent must be positive")
+                raise ExactnessError("denominator exponent must be positive")
             weights = (weight_on_pi1(g, i, c) for i in prof.simple_indices)
             twist = sum(k * frac_part(w) for k, w in zip(ks, weights))
             exponent = 2 * prof.dim_u * (ell - 1) + _as_int_exponent(twist)
@@ -319,7 +288,7 @@ def flat_series(g: GroupSpec, c: int, ell: int, engine: str = "specialized") -> 
     at trivial Stiefel-Whitney class.
     """
     if engine not in ("specialized", "general"):
-        raise ValueError(f"engine must be 'specialized' or 'general', not {engine!r}")
+        raise InputError(f"engine must be 'specialized' or 'general', not {engine!r}")
     validate_topclass(g, c)
     fam, n = g.family, g.n
     if fam == SPECIAL_UNITARY:
@@ -327,7 +296,7 @@ def flat_series(g: GroupSpec, c: int, ell: int, engine: str = "specialized") -> 
     if fam in _SPIN_ALIASES:
         return flat_series(GroupSpec(_SPIN_ALIASES[fam], n), 0, ell, engine)
     if engine == "general":
-        return lr_general(FlatSeriesRequest(g, c, SurfaceSpec(ell)))
+        return lr_general(FlatSeriesRequest(g, c, ell))
     if fam == UNITARY:
         return zagier_un(n, c, ell)
     if fam == SYMPLECTIC:

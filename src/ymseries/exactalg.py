@@ -24,29 +24,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-
-class ZeroDenominator(ZeroDivisionError):
-    """Attempt to build a rational function with denominator zero."""
+from .errors import ExactnessError, InputError
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Division of rational functions by the zero function."""
+class ZeroDenominator(InputError, ZeroDivisionError):
+    """A rational function with denominator zero, built directly or by dividing by zero."""
 
 
-class PoleAtZero(ValueError):
+class PoleAtZero(InputError):
     """Series expansion requested for a function with a pole at t = 0."""
 
 
-class NonIntegerCoefficient(ValueError):
-    """A power-series coefficient came out non-integral.
-
-    Every series this package produces is a Poincare series, so a fractional
-    coefficient always indicates a transcription bug upstream; we abort
-    instead of rounding.
-    """
-
-
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed plain-text polynomial or rational function."""
 
 
@@ -159,12 +148,6 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         return Poly(tuple(c * x for x in self.coeffs))
-
-    def shift(self, e: int) -> "Poly":
-        """Multiply by t**e."""
-        if self.is_zero:
-            return self
-        return Poly((0,) * e + self.coeffs)
 
     def divexact(self, other: "Poly") -> "Poly":
         """Exact polynomial division; other must divide self exactly."""
@@ -344,7 +327,7 @@ class RatFun:
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero:
-            raise DivisionByZero("division by the zero function")
+            raise ZeroDenominator("division by the zero function")
         return self * RatFun(other.den, other.num)
 
     def __eq__(self, other) -> bool:
@@ -400,11 +383,13 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
     """Coefficients of the power series of f at t = 0, through t**order.
 
     The denominator must not vanish at 0.  The recurrence runs on integers:
-    each coefficient is an exact quotient by den(0), and a nonzero remainder
-    (a fractional coefficient) raises NonIntegerCoefficient.
+    each coefficient is an exact quotient by den(0).  Every series of the
+    package is a Poincare series, so a nonzero remainder (a fractional
+    coefficient) is a transcription fault upstream and raises ExactnessError
+    instead of being rounded.
     """
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise InputError("order must be nonnegative")
     den = f.den
     d0 = den[0]
     if d0 == 0:
@@ -418,7 +403,7 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
             acc -= dc[j] * out[k - j]
         bk, rem = divmod(acc, d0)
         if rem:
-            raise NonIntegerCoefficient(f"coefficient of t^{k} is {Fraction(acc, d0)}")
+            raise ExactnessError(f"coefficient of t^{k} is {Fraction(acc, d0)}")
         out.append(bk)
     return CoeffVector(order, tuple(out))
 

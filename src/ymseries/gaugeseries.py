@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InputError
 from .exactalg import Poly, RatFun, one_minus_t, one_plus_t
 from .rootsys import (
     SO_EVEN,
@@ -91,7 +92,7 @@ def bg_orientable(profile: DegreeProfile, ell: int) -> RatFun:
     only on the sorted degree list and ell, so it is computed once per pair.
     """
     if ell < 0:
-        raise ValueError("genus must be nonnegative")
+        raise InputError("genus must be nonnegative")
     num = Poly.one()
     den = Poly.one()
     for d in profile.degrees:
@@ -111,7 +112,7 @@ def bg_nonorientable(profile: DegreeProfile, m: int) -> RatFun:
     (1+t^{2d-1})^{m-1} / (1-t^{2d}).
     """
     if m < 1:
-        raise ValueError("need at least one crosscap")
+        raise InputError("need at least one crosscap")
     num = Poly.one()
     den = Poly.one()
     for d in profile.degrees:

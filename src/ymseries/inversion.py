@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil
 
-from .closedforms import NonIntegerExponent
+from .errors import ExactnessError, InputError
 from .exactalg import CoeffVector, Poly, RatFun, one_minus_t, series_expand, signed_sum
 from .gaugeseries import bg_orientable
 from .levidata import enumerate_parabolics, levi_profile, relative_rho
@@ -51,16 +51,8 @@ from .rootsys import (
 F = Fraction
 
 
-class WallPoint(ValueError):
+class WallPoint(InputError):
     """A sample point lies on a wall, making an indicator ill-defined."""
-
-
-class TruncationTooSmall(ValueError):
-    """The truncation order cannot support the requested residual check."""
-
-
-class SamplingExhausted(RuntimeError):
-    """Every random draw in a row was unusable: an internal fault, not a usage error."""
 
 
 # consecutive unusable draws allowed per sample; on working code about one
@@ -77,12 +69,12 @@ class ConeSumSpec:
 
     def __post_init__(self):
         if len(self.weights) != len(self.classes):
-            raise ValueError("weights and classes must align")
+            raise InputError("weights and classes must align")
         if any(p < 1 for p in self.weights):
-            raise ValueError("weights must be positive integers")
+            raise InputError("weights must be positive integers")
         for p, x in zip(self.weights, self.classes):
             if (p * frac_part(x)).denominator != 1:
-                raise NonIntegerExponent(f"p*<x> = {p * frac_part(x)} not integral")
+                raise InputError(f"p*<x> = {p * frac_part(x)} not integral")
 
 
 def cone_sum_closed(spec: ConeSumSpec) -> RatFun:
@@ -98,7 +90,7 @@ def cone_sum_closed(spec: ConeSumSpec) -> RatFun:
 def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
     """The same product summed by direct lattice enumeration up to t^order."""
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise InputError("order must be nonnegative")
     coeffs = [0] * (order + 1)
     # integers m with x + m > 0, x the factor's class: the smallest
     # admissible value of p*(x+m) is p*<x>
@@ -122,17 +114,6 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
 
 def _difference(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def _project_onto(basis, vector):
-    """Orthogonal projection of vector onto span(basis), by a Gram solve."""
-    if not basis:
-        return tuple(F(0) for _ in vector)
-    rows = [[pairing(b, c) for c in basis] + [pairing(b, vector)] for b in basis]
-    coords = _solve(rows, len(basis))
-    return tuple(
-        sum((c * b[i] for c, b in zip(coords, basis)), F(0)) for i in range(len(vector))
-    )
 
 
 # -- Langlands combinatorial identity ------------------------------------
@@ -225,7 +206,7 @@ def random_relative_point(rank: int, small, large, rng, poset=None) -> tuple:
         h = poset.project_relative(v, small, large)
         if small == large or any(h):
             return h
-    raise SamplingExhausted(
+    raise ExactnessError(
         f"rank {rank}: {MAX_DRAWS} draws projected to zero in a_{sorted(small)}^{sorted(large)}"
     )
 
@@ -234,13 +215,13 @@ def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int
     """Check both alternating-sum identities on the type-A parabolic poset.
 
     sample_points, when given, must be a list of (small, large, h) triples
-    with h in the relative subspace a_small^large, or ValueError is raised;
+    with h in the relative subspace a_small^large, or InputError is raised;
     otherwise random off-wall points are drawn for every nested pair.
     Given samples on a wall raise WallPoint; MAX_DRAWS drawn samples in a
-    row on a wall raise SamplingExhausted.
+    row on a wall raise ExactnessError.
     """
     if rank < 1:
-        raise ValueError("rank must be at least 1")
+        raise InputError("rank must be at least 1")
     poset = _TypeAPoset(rank)
     if sample_points is not None:
         for small, large, h in sample_points:
@@ -251,7 +232,7 @@ def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int
                 and small <= large
                 and poset.project_relative(h, small, large) == tuple(h)
             ):
-                raise ValueError(f"sample {h} is not a point of a_{sorted(small)}^{sorted(large)}")
+                raise InputError(f"sample {h} is not a point of a_{sorted(small)}^{sorted(large)}")
             if not _langlands_identities_at(poset, small, large, h):
                 return False
         return True
@@ -270,7 +251,7 @@ def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int
                     except WallPoint:
                         continue
                 else:
-                    raise SamplingExhausted(
+                    raise ExactnessError(
                         f"rank {rank}: {MAX_DRAWS} draws in a row lay on a wall of "
                         f"a_{sorted(small)}^{sorted(large)}"
                     )
@@ -312,7 +293,7 @@ def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
     """All standard parabolics of g with the pair data the inversion needs."""
     # the pair data grows as 3^n and nothing yet budgets the terms
     if g.n > 3:
-        raise ValueError("poset construction is scoped to rank <= 3")
+        raise InputError("poset construction is scoped to rank <= 3")
     rs = build_root_system(g)
     profiles = {}
     for idx in enumerate_parabolics(g):
@@ -330,7 +311,7 @@ def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
             for a in rel:
                 val = 4 * pairing(rho, rs.simple_coroots[a - 1])
                 if val.denominator != 1 or val <= 0:
-                    raise NonIntegerExponent(f"pair weight {val} not a positive integer")
+                    raise ExactnessError(f"pair weight {val} not a positive integer")
                 weights.append(int(val))
             pair_data[(small, large)] = PosetPairData(tuple(rel), tuple(weights))
     return ParabolicPoset(
@@ -399,7 +380,7 @@ def _b0_at_element(
                     twist += p * frac_part(pairing(rel_weights[a], rep))
                 # individual p<x> may be fractional; the total twist may not be
                 if twist.denominator != 1:
-                    raise NonIntegerExponent(f"total twist {twist} not integral")
+                    raise ExactnessError(f"total twist {twist} not integral")
             yield (-1) ** len(p_cut - q_cut), a0[p_cut], shift + int(twist), weights
 
     return signed_sum(terms())
@@ -427,7 +408,7 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
     x_a + m_a is nonnegative and the exponent is n_P + sum p_a (x_a + m_a).
     """
     if order < 0:
-        raise TruncationTooSmall("order must be nonnegative")
+        raise InputError("order must be nonnegative")
     g = poset.group
     rs = build_root_system(g)
     rep = pi1_representative(g, topclass)
@@ -450,12 +431,15 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
         base_vals = [pairing(ambient[a - 1], rep) for a in idxs]
         lo = [ceil(-x) for x in base_vals]
         hi = [(F(order - n_p, w) - x).__floor__() for w, x in zip(p_weights, base_vals)]
-        # projection is linear, so center(x) = center(rep) + sum m_b center(coroot_b)
-        levi_span = _levi_coroot_basis(rs, p_cut)
-        center_rep, *center_coroots = [
-            _difference(v, _project_onto(levi_span, v)) for v in [rep] + coroots
-        ]
         rel_weights = _relative_weights(rs, p_cut)
+        # each relative weight is delta on the Levi coroots and zero on the
+        # Levi centre, so v - sum_a <w_a, v> a^v is v's centre part; it is
+        # linear in v, so center(x) = center(rep) + sum m_b center(coroot_b)
+        levi_coroots = [rs.simple_coroots[a - 1] for a in rel_weights]
+        center_rep, *center_coroots = [
+            _shifted(v, levi_coroots, [-pairing(w, v) for w in rel_weights.values()])
+            for v in [rep] + coroots
+        ]
         b0_cache: dict = {}
 
         def visit(pos, m_vec):
@@ -466,7 +450,7 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
                     return
                 exponent = F(n_p) + 4 * pairing(rho, x)
                 if exponent.denominator != 1 or exponent < 0:
-                    raise NonIntegerExponent(f"lattice exponent {exponent}")
+                    raise ExactnessError(f"lattice exponent {exponent}")
                 e = int(exponent)
                 if e > order:
                     return
@@ -492,12 +476,6 @@ def _shifted(base, vectors, coeffs) -> tuple:
         for i, x in enumerate(v):
             out[i] += c * x
     return tuple(out)
-
-
-def _levi_coroot_basis(rs, cut: frozenset):
-    """Simple coroots of the Levi: those not in the cut set."""
-    rank = len(rs.simple_roots)
-    return [rs.simple_coroots[i] for i in range(rank) if (i + 1) not in cut]
 
 
 def invert_abstract(poset: ParabolicPoset, a0: dict, topclass: int, truncation: int):

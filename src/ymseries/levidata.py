@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, combinations
 
+from .errors import InputError
 from .gaugeseries import DegreeProfile, concat_profiles, tail_profile, unitary_block_profile
 from .rootsys import (
     SO_EVEN,
@@ -39,7 +41,7 @@ from .rootsys import (
 F = Fraction
 
 
-class InadmissibleCase(ValueError):
+class InadmissibleCase(InputError):
     """Composition and tail flags violate the family's case constraints."""
 
 
@@ -69,25 +71,23 @@ class LeviProfile:
 
 
 def _compositions(n: int):
-    """All compositions of n, ordered by (length, parts)."""
-    out = [[]]
+    """All compositions of n, ordered by (length, parts).
 
-    def rec(rest, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(1, rest + 1):
-            rec(rest - part, acc + [part])
-
-    rec(n, [])
-    comps = [c for c in out if c]
-    comps.sort(key=lambda c: (len(c), c))
-    return comps
+    Combinations of cut positions come in lexicographic order for each
+    length, and so do the parts, since they are differences of the cuts.
+    """
+    return [
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+        for r in range(n)
+        for cuts in combinations(range(1, n), r)
+    ]
 
 
 def enumerate_parabolics(g: GroupSpec):
-    """All admissible ParabolicIndex values for g, in a reproducible order.
+    """All admissible ParabolicIndex values for g.
 
+    They come ordered by (composition length, composition, flags), since
+    the compositions and each one's flags are generated in that order.
     The count is always 2**|Delta|: one subset of the simple roots each.
     """
     n, fam = g.n, g.family
@@ -109,7 +109,6 @@ def enumerate_parabolics(g: GroupSpec):
                     out.append(ParabolicIndex(c, flags))
     else:
         raise UnsupportedFamily(fam)
-    out.sort(key=lambda idx: (len(idx.composition), idx.composition, idx.flags))
     return out
 
 
@@ -142,11 +141,7 @@ def _pair_sum(comp) -> int:
 
 
 def _cut_positions(comp):
-    pos, acc = [], 0
-    for part in comp[:-1]:
-        acc += part
-        pos.append(acc)
-    return pos
+    return list(accumulate(comp[:-1]))
 
 
 def _adjacent_pairings(comp, upto):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
 from .rootsys import (
     SO_EVEN,
     SO_ODD,
@@ -56,7 +57,7 @@ def chamber_involution(g: GroupSpec, mu) -> tuple:
     """
     v = tuple(F(x) for x in mu)
     if len(v) != g.n:
-        raise ValueError(f"chamber vector must have length {g.n}")
+        raise InputError(f"chamber vector must have length {g.n}")
     fam = g.family
     if fam == UNITARY:
         return tuple(-x for x in reversed(v))
@@ -217,7 +218,7 @@ def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
     constructor, which owns the family's chamber constraints.
     """
     if i not in (1, 2):
-        raise ValueError("i must be 1 or 2")
+        raise InputError("i must be 1 or 2")
     fam, n = g.family, g.n
     if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
         raise UnsupportedFamily(fam)

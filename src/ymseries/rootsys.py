@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InputError
+
 
 UNITARY = "u"
 SPECIAL_UNITARY = "su"
@@ -34,15 +36,15 @@ SO_LIKE = (SO_ODD, SO_EVEN)
 SIMPLY_CONNECTED = (SYMPLECTIC, SPIN_ODD, SPIN_EVEN)
 
 
-class UnsupportedRank(ValueError):
+class UnsupportedRank(InputError):
     """Rank outside the family's validity range."""
 
 
-class UnsupportedFamily(ValueError):
+class UnsupportedFamily(InputError):
     """Operation not defined for this group family."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InputError):
     """Covector and vector of different coordinate dimensions."""
 
 
@@ -94,10 +96,10 @@ def validate_topclass(g: GroupSpec, c) -> int:
         c = c.value
     if g.family in SO_LIKE:
         if c not in (0, 1):
-            raise ValueError(f"{g.describe()} carries a w2 bit, got {c}")
+            raise InputError(f"{g.describe()} carries a w2 bit, got {c}")
     elif g.family in SIMPLY_CONNECTED:
         if c != 0:
-            raise ValueError(f"{g.describe()} is simply connected, got class {c}")
+            raise InputError(f"{g.describe()} is simply connected, got class {c}")
     return c
 
 

@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import lcm
 
 from .closedforms import so_even_flat, so_odd_flat, sp_flat, zagier_un
+from .errors import ExactnessError, InputError
 from .exactalg import CoeffVector, RatFun, series_expand
 from .gaugeseries import betti_degrees, bg_orientable
 from .rootsys import (
@@ -53,19 +54,11 @@ TAIL_ZERO = "zero_block"
 TAIL_MINUS = "minus_last"
 
 
-class InvalidPoint(ValueError):
+class InvalidPoint(InputError):
     """Composition/label data violates the family's chamber constraints."""
 
 
-class NonIntegerCodimension(ValueError):
-    """The codimension sum came out non-integral."""
-
-
-class CodimensionMismatch(RuntimeError):
-    """The enumerator's carried codimension disagrees with `codim`: an internal fault."""
-
-
-class AmbiguousComponent(ValueError):
+class AmbiguousComponent(InputError):
     """A split point needs a component choice to have a series."""
 
 
@@ -185,7 +178,7 @@ def codim(g: GroupSpec, mu: AtiyahBottPoint, ell: int) -> int:
     d_mu = (sum of the positive values a(L mu)) / L + #{a : a(mu) > 0} (ell - 1).
     """
     if ell < 1:
-        raise ValueError("need ell >= 1")
+        raise InputError("need ell >= 1")
     if mu.family != g.family or sum(mu.composition) != g.n:
         raise InvalidPoint("point does not belong to this group")
     scale = lcm(*mu.composition)
@@ -205,7 +198,7 @@ def codim(g: GroupSpec, mu: AtiyahBottPoint, ell: int) -> int:
     total = positive_sum + positive_count * (ell - 1) * scale
     d, r = divmod(total, scale)
     if r or d < 0:
-        raise NonIntegerCodimension(f"codimension {total}/{scale} for {mu}")
+        raise ExactnessError(f"codimension {total}/{scale} for {mu}")
     return d
 
 
@@ -248,7 +241,7 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
     """
     validate_topclass(g, c)
     if ell < 1:
-        raise ValueError("need ell >= 1")
+        raise InputError("need ell >= 1")
     fam, n = g.family, g.n
     unitary = fam == UNITARY
     # slope window [lo_num / den, hi_num / den)
@@ -266,7 +259,7 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
             if pt.bundle_class() not in (None, c if unitary else c % 2):
                 continue
             if codim(g, pt, ell) != d:
-                raise CodimensionMismatch(f"codim({pt}) disagrees with the enumerated {d}")
+                raise ExactnessError(f"codim({pt}) disagrees with the enumerated {d}")
             found.append((pt, d))
 
     def extend(comp, labels, size, total, d):
@@ -478,13 +471,10 @@ def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionRe
     t^{2 d_mu} times each stratum's series over all points of class c with
     2 d_mu <= degree (for a split point, the single component living on
     this bundle).  Both sides are expanded to the requested order; the
-    report carries the residual.
+    report carries the residual.  The stratification presumes ell >= 2;
+    a lower genus is computed all the same.
     """
-    import warnings
-
     validate_topclass(g, c)
-    if ell < 2:
-        warnings.warn("the stratification identity presumes genus >= 2", stacklevel=2)
     lhs = series_expand(bg_orientable(betti_degrees(g), ell), degree)
     points = enumerate_ab_points(g, c, ell, degree // 2)
     rhs = [0] * (degree + 1)

@@ -15,7 +15,6 @@ import pytest
 from reference_series import REFERENCE_CASES
 from ymseries.closedforms import (
     FlatSeriesRequest,
-    SurfaceSpec,
     flat_series,
     lr_general,
     so_even_flat,
@@ -97,7 +96,7 @@ def topclasses(fam, n):
 @lru_cache(maxsize=None)
 def engine_series(fam, n, c, ell):
     """The general engine's flat series; criteria 3 and 5 share each value."""
-    return lr_general(FlatSeriesRequest(GroupSpec(fam, n), c, SurfaceSpec(ell)))
+    return lr_general(FlatSeriesRequest(GroupSpec(fam, n), c, ell))
 
 
 def load_golden(name):

@@ -1,8 +1,15 @@
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import ymseries
+from ymseries import cli, strata
 from ymseries.cli import main
+from ymseries.errors import ExactnessError, InputError
+from ymseries.exactalg import Poly, RatFun
 
 
 def run(capsys, *argv):
@@ -170,3 +177,101 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["poincare", "--group", "nope", "--rank", "1", "--genus", "2"])
     assert exc.value.code == 2
+
+
+# each exits 2 with "error: " on stderr and nothing on stdout
+BAD_INPUTS = {
+    "rank 0": ["poincare", "--group", "sp", "--rank", "0", "--genus", "2"],
+    "genus 0": ["poincare", "--group", "sp", "--rank", "1", "--genus", "0"],
+    "su rank 1": ["poincare", "--group", "su", "--rank", "1", "--genus", "2"],
+    "series order -1": ["series", "--group", "u", "--rank", "2", "--genus", "2", "--order", "-1"],
+    "recursion genus 0": ["verify-recursion", "--group", "sp", "--rank", "1", "--genus", "0"],
+    "recursion order -2": [
+        "verify-recursion", "--group", "sp", "--rank", "1", "--genus", "2", "--order", "-2",
+    ],
+    "composition 1,x": [
+        "stratum", "--group", "u", "--rank", "2", "--genus", "2",
+        "--composition", "1,x", "--labels", "1,0",
+    ],
+    "strata-list genus 0": [
+        "strata-list", "--group", "sp", "--rank", "1", "--genus", "0", "--codim-bound", "6",
+    ],
+    "appendix order -1": ["verify-appendix", "--order", "-1"],
+    "components of u": [
+        "components", "--group", "u", "--rank", "2", "--surface-i", "1",
+        "--composition", "1,1", "--labels", "1,0",
+    ],
+    "split point, no component": [
+        "stratum", "--group", "so-odd", "--rank", "2", "--genus", "2",
+        "--composition", "2", "--labels", "0", "--tail", "zero",
+    ],
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_input_error_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_codimension_fault_exits_3(self, capsys, monkeypatch):
+        real_codim = strata.codim
+        monkeypatch.setattr(strata, "codim", lambda *args: real_codim(*args) + 1)
+        code, out, err = run(
+            capsys, "verify-recursion", "--group", "sp", "--rank", "2", "--genus", "2",
+            "--order", "20",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: codim(") and "disagrees with the enumerated" in err
+
+    def test_fractional_coefficient_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "flat_series", lambda *args, **kwargs: RatFun(Poly.one(), Poly((2, 1))))
+        code, out, err = run(
+            capsys, "series", "--group", "u", "--rank", "1", "--genus", "2", "--order", "4",
+        )
+        assert (code, out, err) == (3, "", "internal error: coefficient of t^0 is 1/2\n")
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        # a ValueError outside InputError is a bug: it keeps its traceback
+        def buggy(*args, **kwargs):
+            raise ValueError("not an exact division")
+
+        monkeypatch.setattr(cli, "flat_series", buggy)
+        with pytest.raises(ValueError, match="not an exact division"):
+            main(["series", "--group", "u", "--rank", "1", "--genus", "2", "--order", "4"])
+
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (
+                ["poincare", "--group", "sp", "--rank", "2", "--engine", "both"],
+                "(1 - 2*t + 4*t^2 - 4*t^3 + 5*t^4 - 4*t^5 + 5*t^6 - 4*t^7 + 3*t^8)/"
+                "(1 - 2*t + 3*t^2 - 4*t^3 + 4*t^4 - 4*t^5 + 4*t^6 - 4*t^7 + 3*t^8 - 2*t^9 + t^10)\n",
+            ),
+            (
+                ["verify-recursion", "--group", "sp", "--rank", "1", "--order", "10"],
+                "Sp(1) class 0 genus 1: identity holds to degree 10 using 3 strata\n",
+            ),
+            (
+                ["series", "--group", "u", "--rank", "2", "--degree", "1", "--order", "8"],
+                "1 2 2 2 2 2 2 2 2\n",
+            ),
+        ],
+    )
+    def test_low_genus_notes_once(self, capsys, argv, stdout):
+        code, out, err = run(capsys, *argv, "--genus", "1")
+        assert code == 0 and out == stdout
+        assert err == "note: the stratification presumes genus >= 2, got 1\n"
+
+    def test_every_exception_has_one_base(self):
+        classes = set()
+        for info in pkgutil.iter_modules(ymseries.__path__):
+            module = importlib.import_module(f"ymseries.{info.name}")
+            for obj in vars(module).values():
+                if inspect.isclass(obj) and issubclass(obj, BaseException):
+                    if obj.__module__.startswith("ymseries."):
+                        classes.add(obj)
+        # the two bases and the ten classes under InputError at the time of writing
+        assert len(classes) >= 12
+        for cls in classes:
+            assert issubclass(cls, InputError) != issubclass(cls, ExactnessError), cls

@@ -6,7 +6,6 @@ import pytest
 from reference_series import REFERENCE_CASES
 from ymseries.closedforms import (
     FlatSeriesRequest,
-    SurfaceSpec,
     flat_series,
     frac_part,
     lr_general,
@@ -135,15 +134,15 @@ class TestExceptionalIsomorphisms:
 
 class TestGeneralEngine:
     def test_sp1(self):
-        req = FlatSeriesRequest(GroupSpec("sp", 1), 0, SurfaceSpec(2))
+        req = FlatSeriesRequest(GroupSpec("sp", 1), 0, 2)
         assert ratfun_eq(lr_general(req), sp_flat(1, 2))
 
     def test_so3_trivial_bundle(self):
-        req = FlatSeriesRequest(GroupSpec("so-odd", 1), 0, SurfaceSpec(2))
+        req = FlatSeriesRequest(GroupSpec("so-odd", 1), 0, 2)
         assert ratfun_eq(lr_general(req), REFERENCE_CASES["so3_plus"](2))
 
     def test_u2_k1(self):
-        req = FlatSeriesRequest(GroupSpec("u", 2), 1, SurfaceSpec(2))
+        req = FlatSeriesRequest(GroupSpec("u", 2), 1, 2)
         assert ratfun_eq(lr_general(req), zagier_un(2, 1, 2))
 
     # the full n <= 4, ell in {1,2,3} sweep runs in the acceptance suite
@@ -151,12 +150,12 @@ class TestGeneralEngine:
                                           ("so-odd", 2, (0, 1)), ("so-even", 2, (0, 1))])
     def test_engine_agrees_spot(self, fam, n, cs):
         for c in cs:
-            req = FlatSeriesRequest(GroupSpec(fam, n), c, SurfaceSpec(2))
+            req = FlatSeriesRequest(GroupSpec(fam, n), c, 2)
             assert ratfun_eq(lr_general(req), flat_series(GroupSpec(fam, n), c, 2))
 
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamily):
-            lr_general(FlatSeriesRequest(GroupSpec("su", 2), 0, SurfaceSpec(2)))
+            lr_general(FlatSeriesRequest(GroupSpec("su", 2), 0, 2))
 
     def test_flat_series_general_aliases(self):
         assert ratfun_eq(flat_series(GroupSpec("su", 2), 0, 2, engine="general"), sun_flat(2, 2))
@@ -180,11 +179,3 @@ class TestPositivity:
                  so_even_flat(2, ell, 1), sun_flat(3, ell)]
         for f in cases:
             assert all(c >= 0 for c in series_expand(f, 60).coeffs)
-
-
-def test_surface_spec_validation():
-    with pytest.raises(ValueError):
-        SurfaceSpec(2, 3)
-    with pytest.raises(ValueError):
-        FlatSeriesRequest(GroupSpec("sp", 1), 0, SurfaceSpec(2, 1))
-    assert SurfaceSpec(2, 1).crosscaps == 5

@@ -4,8 +4,6 @@ import pytest
 
 from ymseries.exactalg import (
     CoeffVector,
-    DivisionByZero,
-    NonIntegerCoefficient,
     ParseError,
     PoleAtZero,
     Poly,
@@ -23,6 +21,7 @@ from ymseries.exactalg import (
     series_expand,
     signed_sum,
 )
+from ymseries.errors import ExactnessError
 from ymseries.exactalg import _cyclotomic, _den_factors, _divisors, _expand
 
 
@@ -152,7 +151,7 @@ class TestRatFunArith:
         assert f + g == RatFun(P(1, 0, 1), one_minus_t(2))
 
     def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDenominator, match="division by the zero function"):
             RatFun.one() / RatFun.zero()
 
     def test_field_axioms_randomized(self):
@@ -311,7 +310,7 @@ class TestRatFunEq:
             n = diff.num.degree + diff.den.degree + 1
             try:
                 zero_series = series_expand(diff, max(n, 1)).is_zero
-            except NonIntegerCoefficient:
+            except ExactnessError:
                 continue
             assert ratfun_eq(f, g) == zero_series
 
@@ -334,7 +333,7 @@ class TestSeriesExpand:
             series_expand(RatFun(Poly.one(), Poly.t_power(1)), 3)
 
     def test_non_integer(self):
-        with pytest.raises(NonIntegerCoefficient):
+        with pytest.raises(ExactnessError, match="coefficient of t"):
             series_expand(RatFun(P(1, 1), P(2)), 3)
 
     @pytest.mark.parametrize(
@@ -348,7 +347,7 @@ class TestSeriesExpand:
     )
     def test_non_integer_message(self, num, den, message):
         # the first fractional coefficient is reported as a reduced fraction
-        with pytest.raises(NonIntegerCoefficient) as err:
+        with pytest.raises(ExactnessError) as err:
             series_expand(RatFun(num, den), 5)
         assert str(err.value) == message
 
@@ -367,7 +366,7 @@ class TestSeriesExpand:
                 sf = series_expand(f, n).coeffs
                 sg = series_expand(g, n).coeffs
                 sfg = series_expand(f * g, n).coeffs
-            except NonIntegerCoefficient:
+            except ExactnessError:
                 continue
             cauchy = tuple(
                 sum(sf[j] * sg[k - j] for j in range(k + 1)) for k in range(n + 1)

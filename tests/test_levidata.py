@@ -5,6 +5,7 @@ import pytest
 from ymseries.levidata import (
     InadmissibleCase,
     ParabolicIndex,
+    _compositions,
     dim_u_from_roots,
     enumerate_parabolics,
     levi_profile,
@@ -54,6 +55,31 @@ class TestEnumerate:
     def test_order_deterministic(self):
         g = GroupSpec("so-odd", 3)
         assert enumerate_parabolics(g) == enumerate_parabolics(g)
+
+    def test_generated_in_sorted_order(self):
+        # the former construction: recurse over parts, then sort
+        def sorted_compositions(n):
+            out = []
+
+            def rec(rest, acc):
+                if rest == 0:
+                    out.append(tuple(acc))
+                    return
+                for part in range(1, rest + 1):
+                    rec(rest - part, acc + [part])
+
+            rec(n, [])
+            return sorted((c for c in out if c), key=lambda c: (len(c), c))
+
+        for n in range(12):
+            assert _compositions(n) == sorted_compositions(n), n
+        def former_key(idx):
+            return (len(idx.composition), idx.composition, idx.flags)
+
+        for fam, lo in ALL_FAMILIES:
+            for n in range(lo, 9):
+                idxs = enumerate_parabolics(GroupSpec(fam, n))
+                assert idxs == sorted(idxs, key=former_key), (fam, n)
 
 
 class TestLeviProfile:

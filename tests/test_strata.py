@@ -5,13 +5,13 @@ import pytest
 
 from ymseries import strata
 from ymseries.closedforms import so_odd_flat, sp_flat, zagier_un
+from ymseries.errors import ExactnessError
 from ymseries.exactalg import ratfun_eq, series_expand
 from ymseries.rootsys import GroupSpec, build_root_system, pairing
 from ymseries.strata import (
     AmbiguousComponent,
     AtiyahBottPoint,
     InvalidPoint,
-    NonIntegerCodimension,
     codim,
     enumerate_ab_points,
     stratum_series,
@@ -191,10 +191,6 @@ class TestRecursion:
         assert data["group"] == "Sp(1)"
         assert all("codim" in s for s in data["strata"])
 
-    def test_low_genus_warns(self):
-        with pytest.warns(UserWarning):
-            verify_recursion(GroupSpec("u", 1), 0, 1, 10)
-
 
 class TestIntegerChamberArithmetic:
     """The enumeration, codimension and truncated sums against the formulas
@@ -295,7 +291,7 @@ class TestIntegerChamberArithmetic:
     def test_carried_codimension_checked_at_each_leaf(self, monkeypatch):
         real_codim = strata.codim
         monkeypatch.setattr(strata, "codim", lambda *args: real_codim(*args) + 1)
-        with pytest.raises(strata.CodimensionMismatch, match="disagrees with the enumerated"):
+        with pytest.raises(ExactnessError, match="disagrees with the enumerated"):
             enumerate_ab_points(GroupSpec("so-even", 3), 1, 2, 8)
 
     @pytest.mark.parametrize("fam,n,c", GRID)
@@ -331,7 +327,7 @@ class TestIntegerChamberArithmetic:
             ("family", "so-odd"), ("composition", (2,)), ("labels", (1,)), ("tail_kind", "minus_last")
         ):
             object.__setattr__(pt, name, value)
-        with pytest.raises(NonIntegerCodimension, match="codimension 7/2 for"):
+        with pytest.raises(ExactnessError, match="codimension 7/2 for"):
             codim(GroupSpec("so-odd", 2), pt, 2)
 
     @pytest.mark.parametrize("fam,n,c", [("u", 4, 1), ("so-even", 4, 1), ("sp", 3, 0)])
