@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExactnessError, InputError
-from .exactalg import RatFun, one_minus_t, one_plus_t, signed_sum
+from .exactalg import RatFun, cyclotomic_quotient, signed_sum
 from .gaugeseries import bg_orientable, concat_profiles, tail_profile, unitary_block_profile
 from .levidata import _compositions, _cut_positions, _pair_sum, enumerate_parabolics, levi_profile
 from .rootsys import (
@@ -60,6 +60,14 @@ class FlatSeriesRequest:
 
     def __post_init__(self):
         validate_topclass(self.group, self.topclass)
+
+
+def _check_rank_and_genus(n: int, least_n: int, ell: int):
+    """Reject a rank parameter below least_n or a genus below 1, naming which."""
+    if n < least_n:
+        raise InputError(f"need rank n >= {least_n}, got n = {n}")
+    if ell < 1:
+        raise InputError(f"need genus ell >= 1, got ell = {ell}")
 
 
 def _as_int_exponent(x: Fraction) -> int:
@@ -105,21 +113,19 @@ def zagier_un(n: int, k: int, ell: int) -> RatFun:
 
     with sign (-1)^(r-1).  Only k mod n enters.
     """
-    if n < 1 or ell < 1:
-        raise InputError("need n >= 1 and ell >= 1")
+    _check_rank_and_genus(n, 1, ell)
     return _zagier_cached(n, k % n, ell)
 
 
 def _su_torus(ell: int) -> RatFun:
     """The central torus factor (1+t)^{2 ell} / (1-t^2) of U(n) over SU(n)."""
-    return RatFun(one_plus_t(1) ** (2 * ell), one_minus_t(2))
+    return cyclotomic_quotient([(1, 2 * ell)], [(2, 1)])
 
 
 def sun_flat(n: int, ell: int) -> RatFun:
     """Flat series for SU(n): the degree-zero U(n) series with the central
     torus factor (1+t)^{2 ell} / (1-t^2) divided out."""
-    if n < 2 or ell < 1:
-        raise InputError("need n >= 2 and ell >= 1")
+    _check_rank_and_genus(n, 2, ell)
     return zagier_un(n, 0, ell) / _su_torus(ell)
 
 
@@ -137,8 +143,7 @@ def sp_flat(n: int, ell: int) -> RatFun:
       * t^{2 sum_{i<r-1}(n_i+n_{i+1}) + 2 eps(r)(n_{r-1}+2n_r+1)}
       / [prod_{i<r-1}(1 - t^{2(n_i+n_{i+1})})] (1 - eps(r) t^{2(n_{r-1}+2n_r+1)})
     """
-    if n < 1 or ell < 1:
-        raise InputError("need n >= 1 and ell >= 1")
+    _check_rank_and_genus(n, 1, ell)
 
     def terms():
         for comp in _compositions(n):
@@ -170,8 +175,7 @@ def so_odd_flat(n: int, ell: int, w2: int) -> RatFun:
     exponent is 2 n_{r-1} + 4 n_r and its twist telescopes to
     2 sum_{i<r}(n_i+n_{i+1}) + 2 eps(r) n_r.
     """
-    if n < 1 or ell < 1:
-        raise InputError("need n >= 1 and ell >= 1")
+    _check_rank_and_genus(n, 1, ell)
     if w2 not in (0, 1):
         raise InputError("w2 is a bit")
     q = frac_part(F(w2, 2))
@@ -210,12 +214,10 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
       even-orthogonal tail, sign (-1)^(r-1), boundary exponent
         2(n_{r-1}+2n_r-1) gated by eps(r).
     """
-    if n < 2 or ell < 1:
-        raise InputError("need n >= 2 and ell >= 1")
+    _check_rank_and_genus(n, 2, ell)
     if w2 not in (0, 1):
         raise InputError("w2 is a bit")
     q = frac_part(F(w2, 2))
-    two = RatFun.from_int(2)
 
     def terms():
         for comp in _compositions(n):
@@ -229,7 +231,7 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
                 yield (-1) ** r, _gauge(ell, comp), e, adj + [2 * (comp[-2] + 1)]
                 continue
             e = base + sum(adj) + _as_int_exponent(4 * (last - 1) * q)
-            yield (-1) ** r, two * _gauge(ell, comp), e, adj + [4 * (last - 1)]
+            yield 2 * (-1) ** r, _gauge(ell, comp), e, adj + [4 * (last - 1)]
 
             ks3 = adj[: r - 2]
             e3 = (ell - 1) * (pair2 + n * (n - 1) - last * (last - 1)) + sum(ks3)
@@ -260,8 +262,7 @@ def lr_general(req: FlatSeriesRequest) -> RatFun:
     ell = req.ell
     if g.family not in (UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC):
         raise UnsupportedFamily(f"no engine route for {g.family}")
-    if ell < 1:
-        raise InputError("need ell >= 1")
+    _check_rank_and_genus(g.n, 1, ell)
 
     def terms():
         for idx in enumerate_parabolics(g):
@@ -305,4 +306,4 @@ def flat_series(g: GroupSpec, c: int, ell: int, engine: str = "specialized") -> 
         return so_odd_flat(n, ell, c)
     if fam == SO_EVEN:
         return so_even_flat(n, ell, c)
-    raise UnsupportedFamily(fam)
+    raise UnsupportedFamily(f"no closed-form flat series for family {fam!r}")

@@ -7,21 +7,27 @@ numerator and denominator, so this module provides exactly three value types:
   RatFun      normalized quotient of two Poly values
   CoeffVector truncated power-series coefficients of a RatFun
 
-All values are immutable and all arithmetic is exact.  Polynomial gcds are
-computed with a fraction-free subresultant remainder sequence, so intermediate
-coefficient growth stays bounded without ever leaving the integers.
+All values are immutable and all arithmetic is exact.  Long products use
+Kronecker substitution: both operands are packed into one integer each and
+multiplied once.  The general RatFun constructor cancels with a
+fraction-free subresultant gcd, so intermediate coefficient growth stays
+bounded without ever leaving the integers.
 
-signed_sum, the accumulator of every alternating series, avoids a gcd per
-term: every denominator it meets is (up to a leftover factor) a product of
-cyclotomic polynomials Phi_d, so it sums over one common denominator, kept
-as Phi_d multiplicities, and cancels once at the end.
+The closed products and alternating sums of the package need no gcd: every
+denominator they meet is (up to a leftover factor) a product of cyclotomic
+polynomials Phi_d.  cyclotomic_quotient builds a closed product from Phi_d
+multiplicities and cancels them by subtraction; signed_sum sums over one
+common denominator, kept as Phi_d multiplicities, and divides each Phi_d
+out of the summed numerator while it divides.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 from .errors import ExactnessError, InputError
@@ -126,6 +132,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(())
+        if len(a) > _KRONECKER_MIN and len(b) > _KRONECKER_MIN:
+            return Poly(_kronecker_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -156,21 +164,24 @@ class Poly:
         if self.is_zero:
             return self
         rem = list(self.coeffs)
-        lead = other.leading
+        db, lead = other.degree, other.leading
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             raise ValueError("not an exact division")
+        # the top slot of each step is never read again, so only the
+        # nonzero coefficients below the leading one are subtracted
+        lower = [(j, cb) for j, cb in enumerate(other.coeffs[:db]) if cb]
         out = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            if c % lead != 0:
-                raise ValueError("not an exact division")
-            q = c // lead
-            out[k] = q
-            if q:
-                for j, cb in enumerate(other.coeffs):
+            c = rem[k + db]
+            if c:
+                q, r = divmod(c, lead)
+                if r:
+                    raise ValueError("not an exact division")
+                out[k] = q
+                for j, cb in lower:
                     rem[k + j] -= q * cb
-        if any(rem[: other.degree]):
+        if any(rem[:db]):
             raise ValueError("not an exact division")
         return Poly(out)
 
@@ -185,6 +196,41 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render_poly(self)!r})"
+
+
+# Poly.__mul__ switches from schoolbook to Kronecker substitution once both
+# operands have more terms than this.
+_KRONECKER_MIN = 16
+
+
+def _slot_bias(slots: int, width: int) -> int:
+    """2**(8*width - 1) in each of `slots` slots of `width` bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
+
+
+def _kronecker_pack(cs, width: int) -> int:
+    """sum cs[i] * 2**(8*width*i), each |cs[i]| < 2**(8*width - 1)."""
+    half = 1 << (8 * width - 1)
+    packed = b"".join((c + half).to_bytes(width, "little") for c in cs)
+    return int.from_bytes(packed, "little") - _slot_bias(len(cs), width)
+
+
+def _kronecker_mul(a: tuple, b: tuple) -> list:
+    """Coefficients of a * b by Kronecker substitution t = 2**(8*width).
+
+    No coefficient of the product exceeds min(len)*max|a|*max|b| in size;
+    the slot width leaves one bit above that for the sign.  Adding half a
+    slot to every slot of the product makes each slot a nonnegative digit,
+    so the bytes of the sum are the slots, read back with the half removed.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = (bound.bit_length() + 8) // 8
+    slots = len(a) + len(b) - 1
+    product = _kronecker_pack(a, width) * _kronecker_pack(b, width)
+    data = (product + _slot_bias(slots, width)).to_bytes(slots * width, "little")
+    half = 1 << (8 * width - 1)
+    slot = range(0, len(data), width)
+    return [int.from_bytes(data[i : i + width], "little") - half for i in slot]
 
 
 def _pseudo_rem(a: Poly, b: Poly) -> Poly:
@@ -286,10 +332,6 @@ class RatFun:
     @staticmethod
     def one() -> "RatFun":
         return RatFun(Poly.one(), Poly.one(), _normalized=True)
-
-    @staticmethod
-    def from_int(c: int) -> "RatFun":
-        return RatFun(Poly.const(c), Poly.one(), _normalized=True)
 
     @staticmethod
     def t_power(e: int) -> "RatFun":
@@ -534,22 +576,28 @@ def ratfun_to_json(f: RatFun) -> dict:
     return {"num": list(f.num.coeffs), "den": list(f.den.coeffs)}
 
 
-# convenience monomials used throughout the closed formulas
+# -- cyclotomic products and the alternating-sum accumulator ------------
+
 
 def one_minus_t(e: int) -> Poly:
     """1 - t**e."""
     return Poly.one() - Poly.t_power(e)
 
 
-def one_plus_t(e: int) -> Poly:
-    """1 + t**e."""
-    return Poly.one() + Poly.t_power(e)
-
-
 @lru_cache(maxsize=None)
 def _divisors(k: int) -> tuple:
     """The positive divisors of k, ascending."""
     return tuple(d for d in range(1, k + 1) if k % d == 0)
+
+
+@lru_cache(maxsize=None)
+def _plus_divisors(a: int) -> tuple:
+    """The d with 1 + t**a = prod Phi_d: the divisors of 2a that do not divide a.
+
+    1 + t**a = (1 - t**(2a)) / (1 - t**a), and 1 - t**k is the product of
+    Phi_d over the divisors d of k.
+    """
+    return tuple(d for d in _divisors(2 * a) if a % d)
 
 
 @lru_cache(maxsize=None)
@@ -565,55 +613,160 @@ def _cyclotomic(d: int) -> Poly:
     return phi
 
 
+def _phi_divides(p: Poly, d: int) -> bool:
+    """Whether Phi_d divides p.
+
+    Phi_d divides t**d - 1, so it divides p exactly when it divides p
+    reduced mod t**d - 1, whose coefficients are p's summed by index mod d.
+    """
+    cs = p.coeffs
+    folded = Poly([sum(cs[i::d]) for i in range(min(d, len(cs)))])
+    try:
+        folded.divexact(_cyclotomic(d))
+    except ValueError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d."""
+    phi, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            phi -= phi // p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
+
+
 @lru_cache(maxsize=None)
 def _den_factors(den: Poly) -> tuple:
     """den as (key, multiplicity) pairs, found by trial division.
 
-    An int key d stands for Phi_d (d <= deg den).  Whatever the cyclotomic
-    factors leave over other than 1 is one opaque Poly key, so the product
-    of the pairs is den whatever den is.
+    An int key d stands for Phi_d.  Every Phi_d dividing den is found: the
+    trial divisors run over the d with phi(d) <= deg of what is left, and
+    phi(d) >= sqrt(d/2) bounds those d.  Whatever the cyclotomic factors
+    leave over other than 1 is one opaque Poly key, so the product of the
+    pairs is den whatever den is.
     """
     mult = {}
     rest = den
-    for d in range(1, den.degree + 1):
-        phi = _cyclotomic(d)
-        while phi.degree <= rest.degree:
-            try:
-                rest = rest.divexact(phi)
-            except ValueError:
-                break
-            mult[d] = mult.get(d, 0) + 1
+    d = 1
+    while d <= 2 * rest.degree**2:
+        if _totient(d) <= rest.degree:
+            while _phi_divides(rest, d):
+                rest = rest.divexact(_cyclotomic(d))
+                mult[d] = mult.get(d, 0) + 1
+        d += 1
     if rest != Poly.one():
         mult[rest] = 1
     return tuple(mult.items())
 
 
 def _expand(mult: dict) -> Poly:
-    """The product of a {key: multiplicity} map of _den_factors keys."""
-    out = Poly.one()
+    """The product of a {key: multiplicity} map of _den_factors keys.
+
+    The factors are multiplied as a balanced tree, the two smallest first,
+    so that the long products reach the Kronecker path of Poly.__mul__.
+    """
+    tiebreak = count()
+    heap = []
     for key, m in mult.items():
-        if m:
-            out = out * (_cyclotomic(key) if isinstance(key, int) else key) ** m
-    return out
+        poly = _cyclotomic(key) if isinstance(key, int) else key
+        heap.extend((poly.degree, next(tiebreak), poly) for _ in range(m))
+    if not heap:
+        return Poly.one()
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        a = heapq.heappop(heap)[2]
+        b = heapq.heappop(heap)[2]
+        product = a * b
+        heapq.heappush(heap, (product.degree, next(tiebreak), product))
+    return heap[0][2]
+
+
+def _cyclotomic_ratfun(num: Poly, den: dict) -> RatFun:
+    """num / prod Phi_d**den[d] in canonical form, without a gcd.
+
+    The caller guarantees that num is nonzero and that no Phi_d with
+    den[d] > 0 divides num.  The result then meets every RatFun invariant:
+    each Phi_d is irreducible over Q, so num and the denominator have no
+    common factor; each Phi_d is primitive with constant term 1, so by
+    Gauss's lemma the denominator has content 1 and a positive lowest
+    coefficient.  The canonical form is unique, so this is exactly what
+    RatFun(num, den) builds with its gcd.
+    """
+    return RatFun(num, _expand(den), _normalized=True)
+
+
+def cyclotomic_quotient(plus, minus, shift: int = 0) -> RatFun:
+    """t**shift * prod (1 + t**a)**m / prod (1 - t**b)**m, canonical, without a gcd.
+
+    plus holds the (a, m) pairs of the numerator and minus the (b, m)
+    pairs of the denominator, all exponents positive.  Both sides are
+    products of cyclotomic polynomials: 1 + t**a of Phi_d over
+    _plus_divisors(a) and 1 - t**b of Phi_d over the divisors of b.  The
+    multiplicities cancel by subtraction, and what is left is expanded.
+    """
+    num = {}
+    den = {}
+    for a, m in plus:
+        for d in _plus_divisors(a):
+            num[d] = num.get(d, 0) + m
+    for b, m in minus:
+        for d in _divisors(b):
+            den[d] = den.get(d, 0) + m
+    for d in num.keys() & den.keys():
+        common = min(num[d], den[d])
+        num[d] -= common
+        den[d] -= common
+    return _cyclotomic_ratfun(Poly.t_power(shift) * _expand(num), den)
+
+
+def _sum_over_common(parts) -> tuple:
+    """(numerator, denominator map) of the sum of the (sign, num, e, mult) parts.
+
+    The denominator map takes the largest multiplicity of each key.  The
+    parts are summed pairwise as a balanced tree, so each numerator is
+    multiplied by the cofactor of its half's denominator, which stays small
+    until the last levels.
+    """
+    if len(parts) == 1:
+        sign, num, e, mult = parts[0]
+        return Poly((0,) * e + tuple(sign * c for c in num.coeffs)), mult
+    half = len(parts) // 2
+    left, lmult = _sum_over_common(parts[:half])
+    right, rmult = _sum_over_common(parts[half:])
+    common = {key: max(lmult.get(key, 0), rmult.get(key, 0)) for key in lmult | rmult}
+    left = left * _expand({key: m - lmult.get(key, 0) for key, m in common.items()})
+    right = right * _expand({key: m - rmult.get(key, 0) for key, m in common.items()})
+    return left + right, common
 
 
 def signed_sum(terms) -> RatFun:
     """Sum of sign * factor * t**e / prod_{k in ks} (1 - t**k) over the terms.
 
     Each term is a tuple (sign, factor, e, ks) with sign an integer (+1 or
-    -1 in every alternating series), factor a RatFun, e a natural number and
-    ks an iterable of positive exponents; a repeated k contributes its
-    factor once per occurrence.  Every alternating series of the package
-    goes through here.
+    -1 in every alternating series, any integer multiplier otherwise),
+    factor a RatFun, e a natural number and ks an iterable of positive
+    exponents; a repeated k contributes its factor once per occurrence.
+    Every alternating series of the package goes through here.
 
     The sum is taken over one common denominator.  Each term's denominator
     is kept as a map {d: multiplicity} of the cyclotomic factors Phi_d: those
     of factor.den, found by trial division (any non-cyclotomic remainder is
     one opaque factor), and Phi_d for every divisor d of each k, since
     1 - t**k is the product of those.  The common denominator takes the
-    largest multiplicity of each factor; every numerator is multiplied by
-    its cofactor and added into one integer coefficient list, and the
-    RatFun constructor cancels the result once.
+    largest multiplicity of each factor, and the numerators are summed over
+    it pairwise (_sum_over_common).  Each Phi_d is then divided out of the
+    summed numerator while it divides and its multiplicity stays positive,
+    which leaves the canonical quotient with no gcd.  A zero sum, or a
+    common denominator with an opaque factor, is handed to the RatFun
+    constructor instead.
     """
     parts = []
     for sign, factor, e, ks in terms:
@@ -627,18 +780,12 @@ def signed_sum(terms) -> RatFun:
                 mult[d] = mult.get(d, 0) + 1
         if not factor.is_zero:
             parts.append((sign, factor.num, e, mult))
-    common = {}
-    for _, _, _, mult in parts:
-        for key, m in mult.items():
-            common[key] = max(common.get(key, 0), m)
-    cofactors = {}
-    acc = []
-    for sign, num, e, mult in parts:
-        sig = frozenset(mult.items())
-        if sig not in cofactors:
-            cofactors[sig] = _expand({key: m - mult.get(key, 0) for key, m in common.items()})
-        coeffs = (num * cofactors[sig]).coeffs
-        acc.extend([0] * (e + len(coeffs) - len(acc)))
-        for i, c in enumerate(coeffs, e):
-            acc[i] += sign * c
-    return RatFun(Poly(acc), _expand(common))
+    total, common = _sum_over_common(parts) if parts else (Poly.zero(), {})
+    if total.is_zero or not all(isinstance(key, int) for key in common):
+        return RatFun(total, _expand(common))
+    for d, m in common.items():
+        while m and _phi_divides(total, d):
+            total = total.divexact(_cyclotomic(d))
+            m -= 1
+        common[d] = m
+    return _cyclotomic_ratfun(total, common)

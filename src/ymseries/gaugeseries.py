@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .exactalg import Poly, RatFun, one_minus_t, one_plus_t
+from .exactalg import RatFun, cyclotomic_quotient
 from .rootsys import (
     SO_EVEN,
     SO_ODD,
@@ -55,7 +55,7 @@ def tail_profile(family: str, m: int) -> DegreeProfile:
             # SO(2) is a torus
             return DegreeProfile((1,), 1)
         return DegreeProfile(tuple(sorted([2 * k for k in range(1, m)] + [m])), 0)
-    raise UnsupportedFamily(family)
+    raise UnsupportedFamily(f"tail degree profiles are not defined for family {family!r}")
 
 
 def betti_degrees(g: GroupSpec) -> DegreeProfile:
@@ -69,7 +69,7 @@ def betti_degrees(g: GroupSpec) -> DegreeProfile:
         return tail_profile(SO_ODD, n)
     if fam in (SO_EVEN, SPIN_EVEN):
         return tail_profile(SO_EVEN, n)
-    raise UnsupportedFamily(fam)
+    raise UnsupportedFamily(f"Betti degrees are not defined for family {fam!r}")
 
 
 def concat_profiles(profiles) -> DegreeProfile:
@@ -88,21 +88,22 @@ def bg_orientable(profile: DegreeProfile, ell: int) -> RatFun:
 
     Each torus generator contributes (1+t)^{2 ell} / (1-t^2); a generator of
     halved degree d > 1 contributes
-    (1+t^{2d-1})^{2 ell} / ((1-t^{2d-2})(1-t^{2d})).  The series depends
-    only on the sorted degree list and ell, so it is computed once per pair.
+    (1+t^{2d-1})^{2 ell} / ((1-t^{2d-2})(1-t^{2d})).  The product is built
+    by cyclotomic_quotient, which cancels its cyclotomic factors by their
+    multiplicities with no gcd.  The series depends only on the sorted
+    degree list and ell, so it is computed once per pair.
     """
     if ell < 0:
         raise InputError("genus must be nonnegative")
-    num = Poly.one()
-    den = Poly.one()
+    plus, minus = [], []
     for d in profile.degrees:
         if d == 1:
-            num = num * one_plus_t(1) ** (2 * ell)
-            den = den * one_minus_t(2)
+            plus.append((1, 2 * ell))
+            minus.append((2, 1))
         else:
-            num = num * one_plus_t(2 * d - 1) ** (2 * ell)
-            den = den * one_minus_t(2 * d - 2) * one_minus_t(2 * d)
-    return RatFun(num, den)
+            plus.append((2 * d - 1, 2 * ell))
+            minus += [(2 * d - 2, 1), (2 * d, 1)]
+    return cyclotomic_quotient(plus, minus)
 
 
 def bg_nonorientable(profile: DegreeProfile, m: int) -> RatFun:
@@ -113,10 +114,6 @@ def bg_nonorientable(profile: DegreeProfile, m: int) -> RatFun:
     """
     if m < 1:
         raise InputError("need at least one crosscap")
-    num = Poly.one()
-    den = Poly.one()
-    for d in profile.degrees:
-        num = num * one_plus_t(2 * d - 1) ** (m - 1)
-        den = den * one_minus_t(2 * d)
-    return RatFun(num, den)
-
+    return cyclotomic_quotient(
+        [(2 * d - 1, m - 1) for d in profile.degrees], [(2 * d, 1) for d in profile.degrees]
+    )

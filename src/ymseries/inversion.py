@@ -35,7 +35,7 @@ from itertools import accumulate
 from math import ceil
 
 from .errors import ExactnessError, InputError
-from .exactalg import CoeffVector, Poly, RatFun, one_minus_t, series_expand, signed_sum
+from .exactalg import CoeffVector, RatFun, cyclotomic_quotient, series_expand, signed_sum
 from .gaugeseries import bg_orientable
 from .levidata import enumerate_parabolics, levi_profile, relative_rho
 from .rootsys import (
@@ -79,12 +79,8 @@ class ConeSumSpec:
 
 def cone_sum_closed(spec: ConeSumSpec) -> RatFun:
     """prod_a t^{p_a <x_a>} / (1 - t^{p_a})."""
-    num_exp = 0
-    den = Poly.one()
-    for p, x in zip(spec.weights, spec.classes):
-        num_exp += int(p * frac_part(x))
-        den = den * one_minus_t(p)
-    return RatFun(Poly.t_power(num_exp), den)
+    num_exp = sum(int(p * frac_part(x)) for p, x in zip(spec.weights, spec.classes))
+    return cyclotomic_quotient([], [(p, 1) for p in spec.weights], shift=num_exp)
 
 
 def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:

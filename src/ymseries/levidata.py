@@ -108,7 +108,7 @@ def enumerate_parabolics(g: GroupSpec):
                 for flags in ((False, False), (False, True), (True, False)):
                     out.append(ParabolicIndex(c, flags))
     else:
-        raise UnsupportedFamily(fam)
+        raise UnsupportedFamily(f"standard parabolics are not defined for family {fam!r}")
     return out
 
 
@@ -131,7 +131,7 @@ def _check_admissible(g: GroupSpec, idx: ParabolicIndex):
         if flags != (True, True) and comp[-1] < 2:
             raise InadmissibleCase("a missing fork node forces a last block of size >= 2")
     else:
-        raise UnsupportedFamily(fam)
+        raise UnsupportedFamily(f"parabolic admissibility is not defined for family {fam!r}")
 
 
 def _pair_sum(comp) -> int:
@@ -212,7 +212,7 @@ def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
             dim_u = _pair_sum(comp) + (n * (n - 1) - m * (m - 1)) // 2
             excess = r - 1
     else:
-        raise UnsupportedFamily(fam)
+        raise UnsupportedFamily(f"Levi profiles are not defined for family {fam!r}")
     profiles = [unitary_block_profile(b) for b in blocks]
     if tail is not None:
         profiles.append(tail_profile(*tail))

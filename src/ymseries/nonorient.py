@@ -67,7 +67,7 @@ def chamber_involution(g: GroupSpec, mu) -> tuple:
         if g.n % 2 == 1:
             return v[:-1] + (-v[-1],)
         return v
-    raise UnsupportedFamily(fam)
+    raise UnsupportedFamily(f"the chamber involution is not defined for family {fam!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class NonorientablePoint:
         if self.zero_tail and labels[-1] != 0:
             raise InvalidPoint("a zero tail stores label 0")
         if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
-            raise UnsupportedFamily(fam)
+            raise UnsupportedFamily(f"nonorientable points are not defined for family {fam!r}")
         tail_kind = _FLAGS_TO_TAIL.get((self.zero_tail, self.minus_last), "zero_tail+minus_last")
         if fam == SO_EVEN and sum(comp) % 2 == 1:
             # only tau-fixed vectors end in 0: the zero tail is mandatory, of any size
@@ -221,7 +221,7 @@ def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
         raise InputError("i must be 1 or 2")
     fam, n = g.family, g.n
     if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
-        raise UnsupportedFamily(fam)
+        raise UnsupportedFamily(f"nonorientable strata are not defined for family {fam!r}")
     found = {}
 
     def try_point(comp, labels, tail_kind):
@@ -322,7 +322,7 @@ def tau_fixed_unrealized(g: GroupSpec, i: int, bound: int):
     """
     fam, n = g.family, g.n
     if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
-        raise UnsupportedFamily(fam)
+        raise UnsupportedFamily(f"tau-fixed chamber vectors are not defined for family {fam!r}")
     out = []
 
     def realized(part, numerator):

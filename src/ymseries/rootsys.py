@@ -148,7 +148,7 @@ def _simple_data(g: GroupSpec):
         roots = a_chain + [_vec(n, {n - 1: 2})]
         coroots = list(a_chain) + [_vec(n, {n - 1: 1})]
         return roots, coroots
-    raise UnsupportedFamily(fam)
+    raise UnsupportedFamily(f"simple roots are not defined for family {fam!r}")
 
 
 def _close_under_reflections(simple_roots, simple_coroots):

@@ -77,7 +77,7 @@ def _tail_shapes(family: str, size: int, label: int) -> tuple:
         if label == 0 and size >= 2:
             return (TAIL_ZERO,)
         return (TAIL_NONE,) if size == 1 else (TAIL_NONE, TAIL_MINUS)
-    raise UnsupportedFamily(family)
+    raise UnsupportedFamily(f"stratum tail shapes are not defined for family {family!r}")
 
 
 def _check_blocks(comp, labels):
@@ -178,7 +178,7 @@ def codim(g: GroupSpec, mu: AtiyahBottPoint, ell: int) -> int:
     d_mu = (sum of the positive values a(L mu)) / L + #{a : a(mu) > 0} (ell - 1).
     """
     if ell < 1:
-        raise InputError("need ell >= 1")
+        raise InputError(f"need genus ell >= 1, got ell = {ell}")
     if mu.family != g.family or sum(mu.composition) != g.n:
         raise InvalidPoint("point does not belong to this group")
     scale = lcm(*mu.composition)
@@ -241,7 +241,7 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
     """
     validate_topclass(g, c)
     if ell < 1:
-        raise InputError("need ell >= 1")
+        raise InputError(f"need genus ell >= 1, got ell = {ell}")
     fam, n = g.family, g.n
     unitary = fam == UNITARY
     # slope window [lo_num / den, hi_num / den)

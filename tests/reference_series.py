@@ -11,7 +11,12 @@ factored form is the one consistent with the closed formulas and with
 series positivity, once its stray (1+t)^{2 ell} prefactor is dropped).
 """
 
-from ymseries.exactalg import Poly, RatFun, one_minus_t, one_plus_t
+from ymseries.exactalg import Poly, RatFun, one_minus_t
+
+
+def one_plus_t(e):
+    """1 + t**e, expanded by hand."""
+    return Poly.one() + Poly.t_power(e)
 
 
 def _term(ell, sign, pluses, texp, minuses, coeff=1):

@@ -130,24 +130,28 @@ def test_criterion_2_exceptional_isomorphisms():
 
 
 def test_criterion_3_engine_cross_check():
-    count = 0
     # n <= 5 at every genus, and n = 6 at genus 2
-    for ell, top in ((1, 5), (2, 6), (3, 5)):
-        for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
-            for n in range(lo, top + 1):
-                for c in topclasses(fam, n):
-                    engine = engine_series(fam, n, c, ell)
-                    if fam == "u":
-                        special = zagier_un(n, c, ell)
-                    elif fam == "so-odd":
-                        special = so_odd_flat(n, ell, c)
-                    elif fam == "so-even":
-                        special = so_even_flat(n, ell, c)
-                    else:
-                        special = sp_flat(n, ell)
-                    assert ratfun_eq(engine, special), (fam, n, c, ell)
-                    count += 1
-    print(f"\ncriterion 3: PASS - general engine equals specialized forms ({count} cases)")
+    cases = [
+        (fam, n, c, ell)
+        for ell, top in ((1, 5), (2, 6), (3, 5))
+        for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1))
+        for n in range(lo, top + 1)
+        for c in topclasses(fam, n)
+    ]
+    # Sp(7) and both SO(15) bundles at genus 2
+    cases += [("sp", 7, 0, 2), ("so-odd", 7, 0, 2), ("so-odd", 7, 1, 2)]
+    for fam, n, c, ell in cases:
+        engine = engine_series(fam, n, c, ell)
+        if fam == "u":
+            special = zagier_un(n, c, ell)
+        elif fam == "so-odd":
+            special = so_odd_flat(n, ell, c)
+        elif fam == "so-even":
+            special = so_even_flat(n, ell, c)
+        else:
+            special = sp_flat(n, ell)
+        assert ratfun_eq(engine, special), (fam, n, c, ell)
+    print(f"\ncriterion 3: PASS - general engine equals specialized forms ({len(cases)} cases)")
 
 
 def test_criterion_4_recursion_identity():

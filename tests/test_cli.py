@@ -9,7 +9,12 @@ import ymseries
 from ymseries import cli, strata
 from ymseries.cli import main
 from ymseries.errors import ExactnessError, InputError
+from ymseries.closedforms import so_even_flat, sp_flat, zagier_un
 from ymseries.exactalg import Poly, RatFun
+from ymseries.gaugeseries import tail_profile
+from ymseries.levidata import enumerate_parabolics
+from ymseries.nonorient import chamber_involution, enumerate_nonorientable_points
+from ymseries.rootsys import GroupSpec
 
 
 def run(capsys, *argv):
@@ -208,11 +213,61 @@ BAD_INPUTS = {
 }
 
 
+# the one stderr line of each, naming the argument or the operation that failed
+BAD_INPUT_ERRORS = {
+    "rank 0": "sp requires n >= 1, got 0",
+    "genus 0": "need genus ell >= 1, got ell = 0",
+    "su rank 1": "su requires n >= 2, got 1",
+    "series order -1": "order must be nonnegative",
+    "recursion genus 0": "need genus ell >= 1, got ell = 0",
+    "recursion order -2": "order must be nonnegative",
+    "composition 1,x": "--composition must be a comma-separated integer list",
+    "strata-list genus 0": "need genus ell >= 1, got ell = 0",
+    "appendix order -1": "order must be nonnegative",
+    "components of u": "nonorientable points are not defined for family 'u'",
+    "split point, no component": "split point: pass component='plus' or 'minus'",
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_input_error_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", BAD_INPUTS)
+    def test_input_error_names_what_failed(self, capsys, name):
+        assert run(capsys, *BAD_INPUTS[name])[2] == f"error: {BAD_INPUT_ERRORS[name]}\n"
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: zagier_un(0, 0, 2), "need rank n >= 1, got n = 0"),
+            (lambda: so_even_flat(1, 2, 0), "need rank n >= 2, got n = 1"),
+            (lambda: sp_flat(2, 0), "need genus ell >= 1, got ell = 0"),
+            (lambda: tail_profile("u", 2), "tail degree profiles are not defined for family 'u'"),
+            (
+                lambda: enumerate_parabolics(GroupSpec("su", 3)),
+                "standard parabolics are not defined for family 'su'",
+            ),
+            (
+                lambda: chamber_involution(GroupSpec("spin-odd", 2), (1, 0)),
+                "the chamber involution is not defined for family 'spin-odd'",
+            ),
+            (
+                lambda: enumerate_nonorientable_points(GroupSpec("u", 2), 1, 2),
+                "nonorientable strata are not defined for family 'u'",
+            ),
+            (
+                lambda: strata._tail_shapes("su", 1, 0),
+                "stratum tail shapes are not defined for family 'su'",
+            ),
+        ],
+    )
+    def test_library_errors_name_what_failed(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_codimension_fault_exits_3(self, capsys, monkeypatch):
         real_codim = strata.codim

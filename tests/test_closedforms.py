@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference_series import REFERENCE_CASES
+from reference_series import REFERENCE_CASES, one_plus_t
 from ymseries.closedforms import (
     FlatSeriesRequest,
     flat_series,
@@ -18,7 +18,6 @@ from ymseries.closedforms import (
 from ymseries.exactalg import (
     RatFun,
     one_minus_t,
-    one_plus_t,
     parse_ratfun,
     ratfun_eq,
     series_expand,

@@ -1,7 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
+from reference_series import one_plus_t
 from ymseries.exactalg import (
     CoeffVector,
     ParseError,
@@ -11,7 +13,6 @@ from ymseries.exactalg import (
     ZeroDenominator,
     latex_ratfun,
     one_minus_t,
-    one_plus_t,
     parse_poly,
     parse_ratfun,
     poly_gcd,
@@ -22,7 +23,16 @@ from ymseries.exactalg import (
     signed_sum,
 )
 from ymseries.errors import ExactnessError
-from ymseries.exactalg import _cyclotomic, _den_factors, _divisors, _expand
+from ymseries import exactalg
+from ymseries.exactalg import (
+    _KRONECKER_MIN,
+    _cyclotomic,
+    _den_factors,
+    _divisors,
+    _expand,
+    _kronecker_mul,
+    cyclotomic_quotient,
+)
 
 
 def P(*coeffs):
@@ -59,6 +69,55 @@ class TestPolyArith:
     def test_trailing_zeros_stripped(self):
         assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
         assert Poly([0, 0]).is_zero
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def rand_coeffs(rng, length, bits):
+    """Random signed coefficients, about half of them zero, the top one nonzero."""
+    cs = [rng.choice([0, rng.randint(-(2**bits), 2**bits)]) for _ in range(length - 1)]
+    return cs + [rng.choice([-1, 1]) * rng.randint(1, 2**bits)]
+
+
+class TestKronecker:
+    LENGTHS = (1, 2, _KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1, 40, 97)
+
+    def test_matches_schoolbook_randomized(self):
+        rng = random.Random(2024)
+        for la in self.LENGTHS:
+            for lb in self.LENGTHS:
+                for bits in (1, 8, 63, 64, 200):
+                    a, b = rand_coeffs(rng, la, bits), rand_coeffs(rng, lb, bits)
+                    expect = schoolbook(a, b)
+                    assert _kronecker_mul(tuple(a), tuple(b)) == expect, (la, lb, bits)
+                    assert (Poly(a) * Poly(b)).coeffs == tuple(expect), (la, lb, bits)
+
+    def test_coefficients_at_the_slot_bound(self):
+        # every coefficient of the same magnitude makes the middle coefficient
+        # exactly min(len) * max|a| * max|b|, the bound the slot width is sized for
+        for bits in range(1, 20):
+            for m in (2**bits - 1, 2**bits):
+                for la, lb in ((1, 1), (17, 17), (17, 33), (64, 20)):
+                    for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                        a, b = [sa * m] * la, [sb * m] * lb
+                        assert _kronecker_mul(tuple(a), tuple(b)) == schoolbook(a, b), (m, la, lb)
+
+    def test_alternating_signs_and_zero_runs(self):
+        a = [(-1) ** i * (i % 5) for i in range(1, 60)] + [7]
+        b = [0] * 30 + [-(2**200)] + [0] * 10 + [1]
+        assert (Poly(a) * Poly(b)).coeffs == tuple(schoolbook(a, b))
+        assert (Poly(b) * Poly(a)).coeffs == tuple(schoolbook(b, a))
+
+    def test_long_powers(self):
+        # the square-and-multiply chain crosses the threshold part way up
+        assert P(1, 1) ** 40 == Poly([comb(40, k) for k in range(41)])
+        assert (P(1, -1) ** 33).coeffs == tuple((-1) ** k * comb(33, k) for k in range(34))
 
 
 class TestPolyPow:
@@ -285,6 +344,109 @@ class TestSignedSum:
             assert _expand(dict(_den_factors(den))) == den
         m = dict(_den_factors(one_minus_t(6) * one_minus_t(4) * P(2, 0, 4)))
         assert m == {1: 2, 2: 2, 3: 1, 4: 1, 6: 1, P(2, 0, 4): 1}
+        # Phi_6 = 1 - t + t^2, Phi_12 and Phi_30 have index above their degree
+        for d in (6, 12, 30):
+            assert _den_factors(_cyclotomic(d) * one_minus_t(1)) == ((1, 1), (d, 1))
+        assert _den_factors(P(1, 3, 1)) == ((P(1, 3, 1), 1),)
+
+
+def hand_ratfun(plus, minus, shift=0):
+    """The cyclotomic_quotient arguments as explicit products, cancelled by
+    the gcd constructor."""
+    num = Poly.t_power(shift)
+    for a, m in plus:
+        num = num * one_plus_t(a) ** m
+    den = Poly.one()
+    for b, m in minus:
+        den = den * one_minus_t(b) ** m
+    return RatFun(num, den)
+
+
+def count_gcds(monkeypatch):
+    calls = []
+    real = exactalg.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counting)
+    return calls
+
+
+class TestCyclotomicQuotient:
+    def test_matches_gcd_constructor_randomized(self, monkeypatch):
+        rng = random.Random(808)
+        cases = []
+        for _ in range(80):
+            plus = [(rng.randint(1, 12), rng.randint(0, 4)) for _ in range(rng.randint(0, 4))]
+            minus = [(rng.randint(1, 24), rng.randint(0, 3)) for _ in range(rng.randint(0, 5))]
+            cases.append((plus, minus, rng.randint(0, 5)))
+        expected = [hand_ratfun(*case) for case in cases]
+        calls = count_gcds(monkeypatch)
+        for case, expect in zip(cases, expected):
+            got = cyclotomic_quotient(*case)
+            assert got.num == expect.num and got.den == expect.den, case
+        assert calls == []
+
+    def test_numerator_cancels_completely(self):
+        # (1 + t)(1 + t^2)(1 + t^4) = (1 - t^8) / (1 - t)
+        plus, minus = [(1, 1), (2, 1), (4, 1)], [(8, 1)]
+        got = cyclotomic_quotient(plus, minus)
+        assert got == RatFun(Poly.one(), one_minus_t(1)) == hand_ratfun(plus, minus)
+        assert cyclotomic_quotient([(3, 2)], [(6, 2)]) == RatFun(Poly.one(), one_minus_t(3) ** 2)
+
+    def test_nothing_cancels(self):
+        # 1 + t^2 = Phi_4 shares no factor with 1 - t^3 = Phi_1 Phi_3
+        got = cyclotomic_quotient([(2, 3)], [(3, 1)])
+        assert got.num == one_plus_t(2) ** 3 and got.den == one_minus_t(3)
+        assert cyclotomic_quotient([], [], shift=4) == RatFun.t_power(4)
+
+
+class TestSignedSumCancellation:
+    """The exact-division path of signed_sum against the gcd constructor."""
+
+    def test_cyclotomic_sums_match_constructor(self, monkeypatch):
+        rng = random.Random(606)
+        sums = []
+        for _ in range(40):
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                plus = [(rng.randint(1, 6), rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+                minus = [(rng.randint(1, 8), 1) for _ in range(rng.randint(0, 3))]
+                factor = hand_ratfun(plus, minus)
+                ks = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 3)))
+                terms.append((rng.choice([1, -1, 2, -2]), factor, rng.randint(0, 6), ks))
+            sums.append((terms, per_term_signed_sum(terms)))
+        calls = count_gcds(monkeypatch)
+        for terms, expect in sums:
+            got = signed_sum(terms)
+            assert got.num == expect.num and got.den == expect.den
+        assert calls == []
+
+    def test_denominator_cancels_completely(self, monkeypatch):
+        expect = RatFun(Poly.one(), one_minus_t(3))
+        calls = count_gcds(monkeypatch)
+        # (1 - t^6) / (1 - t^6) and (1 - t^2) / ((1 - t^2)(1 - t^3))
+        terms = [(1, RatFun.one(), 0, (6,)), (-1, RatFun.one(), 6, (6,))]
+        assert signed_sum(terms) == RatFun.one()
+        terms = [(1, RatFun.one(), 0, (2, 3)), (-1, RatFun.one(), 2, (2, 3))]
+        assert signed_sum(terms) == expect
+        assert calls == []
+
+    def test_zero_sum_has_denominator_one(self):
+        f = hand_ratfun([(2, 2)], [(3, 1), (4, 1)])
+        got = signed_sum([(1, f, 2, (5,)), (-1, f, 2, (5,))])
+        assert got.is_zero and got.den == Poly.one()
+
+    def test_opaque_factor_takes_the_constructor(self, monkeypatch):
+        opaque = RatFun(P(1, 2), P(1, 3, 1) * one_minus_t(2))
+        terms = [(1, opaque, 1, (2, 4)), (-1, RatFun.one(), 0, (4,)), (3, opaque, 0, ())]
+        expect = per_term_signed_sum(terms)
+        calls = count_gcds(monkeypatch)
+        got = signed_sum(terms)
+        assert got.num == expect.num and got.den == expect.den
+        assert calls
 
 
 class TestRatFunEq:

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from ymseries.exactalg import Poly, RatFun, one_minus_t, one_plus_t, ratfun_eq, series_expand
+from reference_series import one_plus_t
+from ymseries.exactalg import Poly, RatFun, one_minus_t, ratfun_eq, series_expand
 from ymseries.gaugeseries import (
     DegreeProfile,
     betti_degrees,
@@ -11,7 +16,7 @@ from ymseries.gaugeseries import (
     unitary_block_profile,
 )
 from ymseries.levidata import ParabolicIndex, levi_profile
-from ymseries.rootsys import GroupSpec
+from ymseries.rootsys import FAMILIES, GroupSpec
 
 
 class TestBettiDegrees:
@@ -157,3 +162,69 @@ def test_gauge_series_cached_per_profile():
     num = one_plus_t(1) ** 4 * one_plus_t(3) ** 8 * one_plus_t(7) ** 4
     den = one_minus_t(2) * (one_minus_t(2) * one_minus_t(4)) ** 2 * one_minus_t(6) * one_minus_t(8)
     assert first == RatFun(num, den)
+
+
+def _constructor_product(profile, plus_power, orientable):
+    """The gauge series as explicit products, cancelled by the gcd constructor."""
+    num = den = Poly.one()
+    for d in profile.degrees:
+        num = num * one_plus_t(2 * d - 1) ** plus_power
+        if orientable and d == 1:
+            den = den * one_minus_t(2)
+        elif orientable:
+            den = den * one_minus_t(2 * d - 2) * one_minus_t(2 * d)
+        else:
+            den = den * one_minus_t(2 * d)
+    return RatFun(num, den)
+
+
+ALL_PROFILES = sorted(
+    {
+        betti_degrees(GroupSpec(fam, n))
+        for fam in FAMILIES
+        for n in range(2 if fam in ("su", "so-even", "spin-even") else 1, 7)
+    },
+    key=lambda p: (p.degrees, p.center_count),
+)
+
+
+@pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: str(p.degrees))
+def test_cyclotomic_gauge_series_match_constructor(profile):
+    for ell in range(4):
+        got = bg_orientable(profile, ell)
+        expect = _constructor_product(profile, 2 * ell, orientable=True)
+        assert (got.num, got.den) == (expect.num, expect.den), ell
+        # m = ell + 1 crosscaps
+        got = bg_nonorientable(profile, ell + 1)
+        expect = _constructor_product(profile, ell, orientable=False)
+        assert (got.num, got.den) == (expect.num, expect.den), ell
+
+
+FLAT_ENGINES_GCD_COUNT = """
+import contextlib, io, sys
+from ymseries import cli, exactalg
+calls = []
+real = exactalg.poly_gcd
+exactalg.poly_gcd = lambda a, b: calls.append(1) or real(a, b)
+for argv in (["sp", "--rank", "5"], ["so-odd", "--rank", "5", "--w2", "1"],
+             ["so-even", "--rank", "5", "--w2", "1"], ["u", "--rank", "6", "--degree", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["poincare", "--group", *argv, "--genus", "2", "--engine", "both"])
+    assert code == 0, argv
+print(len(calls))
+"""
+
+
+def test_flat_engines_run_without_gcd():
+    """Both engines on the flat-engines bundles, in a fresh process so that no
+    cached series hides a call, make no poly_gcd call."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", FLAT_ENGINES_GCD_COUNT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
