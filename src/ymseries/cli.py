@@ -216,6 +216,8 @@ def cmd_verify_isomorphisms(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
+    if args.cone_samples < 1:
+        raise InputError(f"--cone-samples must be at least 1, got {args.cone_samples}")
     rng = random.Random(args.seed)
     ok = True
     for _ in range(args.cone_samples):
@@ -232,13 +234,15 @@ def cmd_verify_appendix(args) -> int:
         ):
             print(f"cone sum mismatch at {spec}", file=sys.stderr)
             ok = False
+    # run every check before the first report line, so a bad sample count
+    # leaves stdout empty
+    ranks = (1, 2, 3)
+    holds = [verify_langlands(r, samples=args.langlands_samples, seed=args.seed) for r in ranks]
     print(f"cone sums: {args.cone_samples} random specs to degree {args.order}: "
           f"{'ok' if ok else 'FAIL'}")
-    for rank in (1, 2, 3):
-        holds = verify_langlands(rank, samples=args.langlands_samples, seed=args.seed)
-        print(f"alternating identities, rank {rank}: {'ok' if holds else 'FAIL'}")
-        ok = ok and holds
-    return 0 if ok else 1
+    for rank, rank_holds in zip(ranks, holds):
+        print(f"alternating identities, rank {rank}: {'ok' if rank_holds else 'FAIL'}")
+    return 0 if ok and all(holds) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,9 +40,8 @@ from .gaugeseries import bg_orientable
 from .levidata import enumerate_parabolics, levi_profile, relative_rho
 from .rootsys import (
     GroupSpec,
-    _nullspace,
-    _solve,
     build_root_system,
+    dual_weights,
     frac_part,
     pairing,
     pi1_representative,
@@ -212,12 +211,16 @@ def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int
 
     sample_points, when given, must be a list of (small, large, h) triples
     with h in the relative subspace a_small^large, or InputError is raised;
-    otherwise random off-wall points are drawn for every nested pair.
+    otherwise random off-wall points are drawn, samples of them for every
+    proper nested pair (InputError when samples < 1) and one for each
+    trivial pair.
     Given samples on a wall raise WallPoint; MAX_DRAWS drawn samples in a
     row on a wall raise ExactnessError.
     """
     if rank < 1:
         raise InputError("rank must be at least 1")
+    if sample_points is None and samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     poset = _TypeAPoset(rank)
     if sample_points is not None:
         for small, large, h in sample_points:
@@ -325,28 +328,20 @@ def default_gauge_assignment(poset: ParabolicPoset) -> dict:
     return {cut: bg_orientable(prof.betti, poset.ell) for cut, prof in poset.profiles.items()}
 
 
-def _relative_weight(rs, q_cut: frozenset, a: int):
-    """Fundamental weight of the Levi cut by q_cut, dual to coroot a.
-
-    The covector pairing delta with every Levi simple coroot and vanishing
-    on the Levi's center; a must be a Levi simple index (not in q_cut).
-    Only these weights induce the correct classes in Q/Z on topological
-    types of Levi bundles: the ambient weights vanish on the wrong center.
-    """
-    n = len(rs.simple_coroots[0])
-    rank = len(rs.simple_roots)
-    levi_idx = [i for i in range(rank) if (i + 1) not in q_cut]
-    rows = [list(rs.simple_coroots[i]) + [F(int(i + 1 == a))] for i in levi_idx]
-    # center of the Levi: common kernel of the Levi simple roots
-    center = _nullspace([rs.simple_roots[i] for i in levi_idx], n)
-    rows += [list(z) + [F(0)] for z in center]
-    return tuple(_solve(rows, n))
-
-
 def _relative_weights(rs, q_cut: frozenset) -> dict:
-    """{a: relative fundamental weight} over the Levi simple indices a of q_cut."""
-    rank = len(rs.simple_roots)
-    return {a: _relative_weight(rs, q_cut, a) for a in range(1, rank + 1) if a not in q_cut}
+    """{a: fundamental weight of the Levi cut by q_cut, dual to coroot a}.
+
+    a runs over the Levi simple indices (those not in q_cut).  Each weight
+    pairs delta with the Levi simple coroots and vanishes on the Levi's
+    centre: it is dual_weights of the Levi's simple roots and coroots.
+    Only these weights induce the correct classes in Q/Z on topological
+    types of Levi bundles: the ambient weights vanish on the wrong centre.
+    """
+    levi = [a for a in range(1, len(rs.simple_roots) + 1) if a not in q_cut]
+    weights = dual_weights(
+        [rs.simple_roots[a - 1] for a in levi], [rs.simple_coroots[a - 1] for a in levi]
+    )
+    return dict(zip(levi, weights))
 
 
 def _b0_at_element(

@@ -253,7 +253,7 @@ def _roots_between(rs, small_cut: frozenset, large_cut: frozenset) -> list:
 def relative_rho(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
     """Half the sum of the positive roots in the large Levi outside the small one."""
     roots = _roots_between(rs, small_cut, large_cut)
-    return tuple(sum((beta[j] for beta in roots), F(0)) / 2 for j in range(rs.n))
+    return tuple(F(sum(beta[j] for beta in roots), 2) for j in range(rs.n))
 
 
 def dim_u_from_roots(g: GroupSpec, idx: ParabolicIndex) -> int:

@@ -3,12 +3,20 @@
 Covectors (roots, weights) live in the basis theta_1..theta_n dual to the
 coordinate basis e_1..e_n of the maximal torus; vectors (coroots, fundamental
 group representatives) live in the e-basis.  Both are stored as tuples of
-exact rationals of length n, so a pairing is a plain dot product.
+length n, so a pairing is a plain dot product.  Roots, coroots and the lifts
+of pi_1 classes have integer entries and are int tuples; only the weights
+are tuples of Fractions.
 
-The fundamental weights returned here are dual to the simple coroots and
-orthogonal to the central directions; evaluated on a representative of a
-class in pi_1 of the group they produce the rational class mod Z that drives
-the twist exponents of the closed series formulas.
+Two rules build everything from the simple roots and coroots:
+- the positive roots come by height from the root-string rule
+  (_positive_roots), each with its simple-root coefficients;
+- the weights dual to a set of simple coroots are the solution of the
+  Cartan system in the span of those simple roots (dual_weights).  Given
+  all simple roots they are the fundamental weights of the group, given a
+  Levi's they are its relative weights.  Either way they vanish on the
+  centre, and evaluated on a representative of a class in pi_1 they produce
+  the rational class mod Z that drives the twist exponents of the closed
+  series formulas.
 """
 
 from __future__ import annotations
@@ -123,10 +131,7 @@ def pairing(covector, vector) -> Fraction:
 
 
 def _vec(n, entries: dict) -> tuple:
-    v = [Fraction(0)] * n
-    for i, val in entries.items():
-        v[i] = Fraction(val)
-    return tuple(v)
+    return tuple(entries.get(i, 0) for i in range(n))
 
 
 def _simple_data(g: GroupSpec):
@@ -151,21 +156,43 @@ def _simple_data(g: GroupSpec):
     raise UnsupportedFamily(f"simple roots are not defined for family {fam!r}")
 
 
-def _close_under_reflections(simple_roots, simple_coroots):
-    """All roots, generated from the simple ones by simple reflections."""
-    roots = set(simple_roots)
-    frontier = list(simple_roots)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for alpha, alpha_v in zip(simple_roots, simple_coroots):
-                k = pairing(beta, alpha_v)
-                img = tuple(b - k * a for b, a in zip(beta, alpha))
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return roots
+def _positive_roots(simple_roots, simple_coroots) -> list:
+    """The positive roots, sorted, each paired with its simple-root coefficients.
+
+    They are found by height, starting from the simple roots, with the
+    root-string rule (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 8.4): for a positive root beta other than
+    alpha_i, let p be the largest k such that beta - k alpha_i is a root;
+    then beta + alpha_i is a root exactly when p > <beta, alpha_i^v>.
+    Every beta - k alpha_i is lower than beta and either positive or not a
+    root, so the roots already found decide p.  At beta = alpha_i they give
+    p = 0 < 2, so the rule adds no multiple of a simple root.
+    """
+    rank = len(simple_roots)
+    # cartan[b][i] = <alpha_b, alpha_i^v>
+    cartan = [[sum(x * y for x, y in zip(a, av)) for av in simple_coroots] for a in simple_roots]
+    found = {tuple(int(b == i) for b in range(rank)) for i in range(rank)}
+    layer = list(found)
+    while layer:
+        higher = []
+        for coeffs in layer:
+            for i in range(rank):
+                p, down = 0, list(coeffs)
+                down[i] -= 1
+                while tuple(down) in found:
+                    p += 1
+                    down[i] -= 1
+                if p > sum(c * row[i] for c, row in zip(coeffs, cartan)):
+                    up = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1 :]
+                    if up not in found:
+                        found.add(up)
+                        higher.append(up)
+        layer = higher
+    columns = list(zip(*simple_roots))
+    return sorted(
+        (tuple(sum(c * x for c, x in zip(coeffs, col)) for col in columns), coeffs)
+        for coeffs in found
+    )
 
 
 def _rref(rows, ncols):
@@ -210,51 +237,29 @@ def _solve(rows, n):
     return sol
 
 
-def _nullspace(covectors, n):
-    """Basis of the common kernel of the given covectors in Q^n."""
-    rows = [[Fraction(x) for x in cv] for cv in covectors]
-    pivots = _rref(rows, n)
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row, col in zip(rows, pivots):
-            vec[col] = -row[free]
-        basis.append(tuple(vec))
-    return basis
+def dual_weights(simple_roots, simple_coroots) -> list:
+    """The weights dual to the simple coroots, in the span of the simple roots.
 
-
-def expand_in_simple_roots(beta, simple_roots):
-    """Coefficients of beta in the simple-root basis, or None."""
-    rows = [[a[i] for a in simple_roots] + [b] for i, b in enumerate(beta)]
-    try:
-        return _solve(rows, len(simple_roots))
-    except ValueError:
-        return None
-
-
-def _fundamental_weights(g: GroupSpec, simple_coroots):
-    """Covectors dual to the simple coroots, vanishing on the center.
-
-    For u/su the coroots span only the trace-zero hyperplane, so the duality
-    conditions are completed by requiring each weight to kill the central
-    direction e_1 + ... + e_n; this is the choice under which the weights
-    induce well-defined classes in Q/Z on pi_1 of the group.
+    omega_j = sum_b x_b alpha_b, where x solves the Cartan system
+    sum_b x_b <alpha_b, alpha_c^v> = delta_jc.  In the span of the roots,
+    omega_j vanishes on the centre, their common kernel.  The Cartan matrix
+    is nonsingular, so Q^n is the direct sum of the span of the coroots and
+    the centre, and omega_j is the only covector dual to the coroots that
+    vanishes on the centre.
     """
-    n = g.n
-    s = len(simple_coroots)
-    constraints = [list(v) for v in simple_coroots]
-    if g.family in (UNITARY, SPECIAL_UNITARY):
-        constraints.append([Fraction(1)] * n)
-    if len(_rref([list(c) for c in constraints], n)) < n:
+    rank = len(simple_roots)
+    # row c of the system: <alpha_b, alpha_c^v> over b
+    rows = [[pairing(a, av) for a in simple_roots] for av in simple_coroots]
+    if len(_rref([list(row) for row in rows], rank)) < rank:
         raise ValueError("system is rank deficient")
-    # weight j pairs to 1 with coroot j and to 0 with every other constraint
-    return [
-        tuple(_solve([c + [int(i == j)] for i, c in enumerate(constraints)], n))
-        for j in range(s)
-    ]
+    columns = list(zip(*simple_roots))
+    weights = []
+    for j in range(rank):
+        x = _solve([row + [int(c == j)] for c, row in enumerate(rows)], rank)
+        weights.append(
+            tuple(sum((xb * a for xb, a in zip(x, col)), Fraction(0)) for col in columns)
+        )
+    return weights
 
 
 @lru_cache(maxsize=None)
@@ -265,20 +270,13 @@ def build_root_system(g: GroupSpec) -> RootSystem:
     immutable.
     """
     simple_roots, simple_coroots = _simple_data(g)
-    all_roots = _close_under_reflections(simple_roots, simple_coroots)
-    positive = []
-    for beta in all_roots:
-        coeffs = expand_in_simple_roots(beta, simple_roots)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            positive.append((beta, tuple(coeffs)))
-    positive.sort()
-    weights = _fundamental_weights(g, simple_coroots)
+    positive = _positive_roots(simple_roots, simple_coroots)
     return RootSystem(
         n=g.n,
         simple_roots=tuple(simple_roots),
         positive_roots=tuple(beta for beta, _ in positive),
         simple_coroots=tuple(simple_coroots),
-        fundamental_weights=tuple(weights),
+        fundamental_weights=tuple(dual_weights(simple_roots, simple_coroots)),
         positive_coefficients=tuple(coeffs for _, coeffs in positive),
     )
 

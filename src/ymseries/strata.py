@@ -166,7 +166,7 @@ class AtiyahBottPoint:
 def _positive_root_terms(g: GroupSpec) -> tuple:
     """Each positive root of g as its nonzero (coordinate, integer coefficient) pairs."""
     return tuple(
-        tuple((i, int(a)) for i, a in enumerate(alpha) if a)
+        tuple((i, a) for i, a in enumerate(alpha) if a)
         for alpha in build_root_system(g).positive_roots
     )
 

@@ -250,7 +250,7 @@ def test_criterion_6_appendix_properties():
 def test_criterion_7_levi_tables():
     count = 0
     for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
-        for n in range(lo, 7):
+        for n in range(lo, 8):
             g = GroupSpec(fam, n)
             for idx in enumerate_parabolics(g):
                 prof = levi_profile(g, idx)

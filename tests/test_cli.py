@@ -202,6 +202,10 @@ BAD_INPUTS = {
         "strata-list", "--group", "sp", "--rank", "1", "--genus", "0", "--codim-bound", "6",
     ],
     "appendix order -1": ["verify-appendix", "--order", "-1"],
+    "appendix langlands samples -1": [
+        "verify-appendix", "--langlands-samples", "-1", "--cone-samples", "1",
+    ],
+    "appendix cone samples 0": ["verify-appendix", "--cone-samples", "0"],
     "components of u": [
         "components", "--group", "u", "--rank", "2", "--surface-i", "1",
         "--composition", "1,1", "--labels", "1,0",
@@ -224,6 +228,8 @@ BAD_INPUT_ERRORS = {
     "composition 1,x": "--composition must be a comma-separated integer list",
     "strata-list genus 0": "need genus ell >= 1, got ell = 0",
     "appendix order -1": "order must be nonnegative",
+    "appendix langlands samples -1": "samples must be at least 1, got -1",
+    "appendix cone samples 0": "--cone-samples must be at least 1, got 0",
     "components of u": "nonorientable points are not defined for family 'u'",
     "split point, no component": "split point: pass component='plus' or 'minus'",
 }

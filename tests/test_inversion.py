@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -26,13 +26,41 @@ from ymseries.rootsys import (
     UNITARY,
     GroupSpec,
     UnsupportedFamily,
-    _nullspace,
+    _rref,
     _solve,
     build_root_system,
     pairing,
 )
 
 F = Fraction
+
+
+def _nullspace(covectors, n):
+    """Basis of the common kernel of the given covectors in Q^n."""
+    rows = [[F(x) for x in cv] for cv in covectors]
+    pivots = _rref(rows, n)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [F(0)] * n
+        vec[free] = F(1)
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def gram_relative_weight(rs, q_cut, a):
+    """Reference: the Levi-relative weight of a as one solve per weight,
+    pairing delta with the Levi simple coroots and zero with a basis of the
+    Levi's centre, as inversion computed it before dual_weights."""
+    n = rs.n
+    levi_idx = [i for i in range(len(rs.simple_roots)) if (i + 1) not in q_cut]
+    rows = [list(rs.simple_coroots[i]) + [F(int(i + 1 == a))] for i in levi_idx]
+    center = _nullspace([rs.simple_roots[i] for i in levi_idx], n)
+    rows += [list(z) + [F(0)] for z in center]
+    return tuple(_solve(rows, n))
 
 
 class GramTypeAPoset:
@@ -233,6 +261,12 @@ class TestLanglands:
             with pytest.raises(ValueError):
                 verify_langlands(rank)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        # only the trivial pairs, small = large, would be checked
+        with pytest.raises(InputError, match=f"samples must be at least 1, got {samples}"):
+            verify_langlands(2, samples=samples)
+
     def test_samples_always_on_a_wall_exhaust(self, monkeypatch):
         def on_wall(*args):
             raise WallPoint("stub")
@@ -252,6 +286,23 @@ class TestLanglands:
 
 
 class TestInvertAbstract:
+    @pytest.mark.parametrize("fam", ["u", "so-odd", "so-even", "sp"])
+    def test_relative_weights_match_gram_reference(self, fam):
+        cuts = 0
+        for n in range(2 if fam == "so-even" else 1, 6):
+            rs = build_root_system(GroupSpec(fam, n))
+            rank = len(rs.simple_roots)
+            for k in range(rank + 1):
+                for cut in map(frozenset, combinations(range(1, rank + 1), k)):
+                    expected = {
+                        a: gram_relative_weight(rs, cut, a)
+                        for a in range(1, rank + 1)
+                        if a not in cut
+                    }
+                    assert inversion._relative_weights(rs, cut) == expected, (n, sorted(cut))
+                    cuts += 1
+        assert cuts == {"u": 31, "so-odd": 62, "so-even": 60, "sp": 62}[fam]
+
     def test_trivial_poset_rank_free(self):
         # the group element alone: b0 = a0 and zero residual
         g = GroupSpec("u", 1)

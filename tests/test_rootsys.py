@@ -2,16 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from ymseries.errors import InputError
 from ymseries.rootsys import (
+    FAMILIES,
     DimensionMismatch,
     GroupSpec,
     TopClass,
     UnsupportedFamily,
     UnsupportedRank,
-    _fundamental_weights,
+    _positive_roots,
+    _rref,
+    _simple_data,
     _solve,
     build_root_system,
-    expand_in_simple_roots,
+    dual_weights,
     pairing,
     root_system_to_json,
     validate_topclass,
@@ -23,6 +27,50 @@ F = Fraction
 
 def V(*xs):
     return tuple(F(x) for x in xs)
+
+
+def every_group(max_n):
+    for fam in FAMILIES:
+        for n in range(1, max_n + 1):
+            try:
+                yield GroupSpec(fam, n)
+            except InputError:
+                continue
+
+
+def reflection_closure_roots(simple_roots, simple_coroots, n):
+    """Reference: the positive roots as root data found them before the
+    root-string rule, by closing the simple roots under the simple
+    reflections and keeping the roots whose coefficients, found by exact
+    elimination, are nonnegative.  The coefficients of all roots come from
+    one elimination with every root as a right-hand side."""
+    roots = set(simple_roots)
+    frontier = list(simple_roots)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for alpha, alpha_v in zip(simple_roots, simple_coroots):
+                k = sum(b * v for b, v in zip(beta, alpha_v))
+                img = tuple(b - k * a for b, a in zip(beta, alpha))
+                if img not in roots:
+                    roots.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    roots = sorted(roots)
+    r = len(simple_roots)
+    rows = [
+        [F(a[i]) for a in simple_roots] + [F(beta[i]) for beta in roots]
+        for i in range(n)
+    ]
+    pivots = _rref(rows, r)
+    # every root lies in the span of the simple roots
+    assert len(pivots) == r and all(x == 0 for row in rows[r:] for x in row)
+    positive = []
+    for j, beta in enumerate(roots):
+        coeffs = tuple(row[r + j] for row in rows[:r])
+        if all(c >= 0 for c in coeffs):
+            positive.append((beta, coeffs))
+    return sorted(positive)
 
 
 class TestBuildRootSystem:
@@ -63,6 +111,29 @@ class TestBuildRootSystem:
                     )
                     assert expanded == beta, (fam, n, beta)
 
+    @pytest.mark.parametrize("g", list(every_group(8)), ids=GroupSpec.describe)
+    def test_positive_roots_match_reflection_closure(self, g):
+        simple_roots, simple_coroots = _simple_data(g)
+        got = _positive_roots(simple_roots, simple_coroots)
+        assert got == reflection_closure_roots(simple_roots, simple_coroots, g.n)
+        assert all(type(x) is int for beta, coeffs in got for x in beta + coeffs)
+
+    def test_highest_root(self):
+        # the classical tables (Bourbaki, Plate I-IV), independent of both
+        # ways of finding the roots
+        expected = {  # family: (lowest n, coefficients of the highest root)
+            "u": (2, lambda n: (1,) * (n - 1)),
+            "so-odd": (1, lambda n: (1,) + (2,) * (n - 1)),
+            "sp": (1, lambda n: (2,) * (n - 1) + (1,)),
+            # so-even at n = 2 is A1 x A1, which has two highest roots
+            "so-even": (3, lambda n: (1,) + (2,) * (n - 3) + (1, 1)),
+        }
+        for fam, (lo, top) in expected.items():
+            for n in range(lo, 9):
+                coeffs = build_root_system(GroupSpec(fam, n)).positive_coefficients
+                height = max(map(sum, coeffs))
+                assert [c for c in coeffs if sum(c) == height] == [top(n)], (fam, n)
+
     def test_weight_coroot_duality(self):
         for fam, lo in (("u", 1), ("su", 2), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
             for n in range(lo, 7):
@@ -94,10 +165,6 @@ class TestBuildRootSystem:
 
 
 class TestExactLinearAlgebra:
-    def test_expand_outside_span(self):
-        simple_roots = build_root_system(GroupSpec("u", 2)).simple_roots
-        assert expand_in_simple_roots(V(1, 1), simple_roots) is None
-
     def test_solve_singular_2x2(self):
         # x + 2y = 1 and 2x + 4y = 3
         with pytest.raises(ValueError):
@@ -110,7 +177,7 @@ class TestExactLinearAlgebra:
 
     def test_fundamental_weights_rank_deficient(self):
         with pytest.raises(ValueError, match="rank deficient"):
-            _fundamental_weights(GroupSpec("sp", 2), [V(1, 1), V(2, 2)])
+            dual_weights(build_root_system(GroupSpec("sp", 2)).simple_roots, [V(1, 1), V(2, 2)])
 
 
 class TestPairing:
