@@ -10,10 +10,12 @@ doubles as the auditable transcription.  Both routes hand their signed terms
 to exactalg.signed_sum, the one accumulator of every alternating series.
 
 The general route (lr_general) evaluates the abstract inversion of the
-stratification recursion: a single signed sum over all standard parabolics,
-with exponents driven by the Levi case tables and the fundamental-weight
-classes on pi_1.  Agreement of the two routes on every family is one of the
-package's acceptance gates.
+stratification recursion at the group element: a single signed sum over all
+standard parabolics, with exponents driven by the Levi case tables and the
+fundamental-weight classes on pi_1.  Its terms come from
+inversion.parabolic_terms, the generator the closed inversion uses at every
+element of the parabolic poset.  Agreement of the two routes on every
+family is one of the package's acceptance gates.
 
 Conventions: the bracket <x> is the representative of x mod Z in the
 half-open interval (0, 1], so <0> = 1.  The indicator eps(r) = [r > 1]
@@ -31,7 +33,8 @@ from functools import lru_cache
 from .errors import ExactnessError, InputError
 from .exactalg import RatFun, cyclotomic_quotient, signed_sum
 from .gaugeseries import bg_orientable, concat_profiles, tail_profile, unitary_block_profile
-from .levidata import _compositions, _cut_positions, _pair_sum, enumerate_parabolics, levi_profile
+from .inversion import build_parabolic_poset, default_gauge_assignment, parabolic_terms
+from .levidata import _compositions, _cut_positions, _pair_sum
 from .rootsys import (
     SO_EVEN,
     SO_ODD,
@@ -246,36 +249,29 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
 
 
 def lr_general(req: FlatSeriesRequest) -> RatFun:
-    """The general inversion engine: signed sum over all standard parabolics.
+    """The general engine: the closed inversion b0 at the group element.
 
-    For each parabolic I the summand is
+    It is the signed sum over all standard parabolics, each named by its
+    cut set I of simple-root indices, of
 
-        (-1)^{center excess} * P_t(B gauge of the Levi)
+        (-1)^{|I|} * P_t(B gauge of the Levi)
         * t^{2 dim U^I (ell-1)}
         * t^{sum_a 4<rho^I, a^v> <w_a(c)>} / prod_a (1 - t^{4<rho^I, a^v>})
 
     over a in I, where w_a(c) is the fundamental-weight class of the bundle
-    class c.  Denominator exponents must be positive integers and the total
-    twist a natural number; violations raise ExactnessError.
+    class c (rootsys.weight_on_pi1).  The terms come from
+    inversion.parabolic_terms at the empty cut set, the generator that
+    gives the closed inversion at every poset element; every exponent is
+    read from the Levi case tables.  Denominator exponents must be positive
+    integers and the total twist a natural number; violations raise
+    ExactnessError.
     """
     g, c = req.group, req.topclass
-    ell = req.ell
-    if g.family not in (UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC):
-        raise UnsupportedFamily(f"no engine route for {g.family}")
-    _check_rank_and_genus(g.n, 1, ell)
-
-    def terms():
-        for idx in enumerate_parabolics(g):
-            prof = levi_profile(g, idx)
-            ks = [_as_int_exponent(4 * rho_pair) for rho_pair in prof.rho_pairings]
-            if 0 in ks:
-                raise ExactnessError("denominator exponent must be positive")
-            weights = (weight_on_pi1(g, i, c) for i in prof.simple_indices)
-            twist = sum(k * frac_part(w) for k, w in zip(ks, weights))
-            exponent = 2 * prof.dim_u * (ell - 1) + _as_int_exponent(twist)
-            yield (-1) ** prof.center_excess, bg_orientable(prof.betti, ell), exponent, ks
-
-    return signed_sum(terms())
+    _check_rank_and_genus(g.n, 1, req.ell)
+    poset = build_parabolic_poset(g, req.ell)
+    classes = {a: weight_on_pi1(g, a, c) for a in frozenset().union(*poset.elements)}
+    a0 = default_gauge_assignment(poset)
+    return signed_sum(parabolic_terms(poset, a0, frozenset(), classes))
 
 
 _SPIN_ALIASES = {SPIN_ODD: SO_ODD, SPIN_EVEN: SO_EVEN}

@@ -17,8 +17,13 @@ semistable series) by a cone-weighted lattice sum over topological types.
 invert_abstract computes b0 from its closed formula and re-sums the
 defining relation by explicit lattice enumeration as the forward check.
 The poset comes from levidata: its elements are the cut sets of the
-parabolics in enumerate_parabolics, each with its LeviProfile, and every
-relative half-sum rho_P^Q is levidata.relative_rho.
+parabolics in enumerate_parabolics, each with its LeviProfile.
+parabolic_terms is the one generator of the closed formula's signed
+terms, at any element and for any classes; it reads every exponent from
+the Levi tables, and closedforms.lr_general is its sum at the group
+element.  The forward check reads rho_P from root data instead
+(levidata.relative_rho), so the round trip compares the tables with the
+root system.
 verify_langlands tests the two alternating-sum identities on which the
 inversion rests, at off-wall rational sample points of the type-A poset
 of any rank.  In standard coordinates that check needs no linear algebra:
@@ -263,64 +268,26 @@ def verify_langlands(rank: int, sample_points=None, samples: int = 64, seed: int
 
 
 @dataclass(frozen=True)
-class PosetPairData:
-    """Data of one nested pair P < Q: the relative simple roots."""
-
-    indices: tuple  # 1-based ambient simple-root indices in I_P minus I_Q
-    weights: tuple  # exponent weights p_a = 4 <rho_P^Q, a^v>
-
-
-@dataclass(frozen=True)
 class ParabolicPoset:
     """Standard parabolics of one classical group, ordered by inclusion.
 
     Elements are labelled by the subset I of simple-root indices CUT by the
     parabolic (so the group itself is the empty set and the Borel is all of
-    them); P <= Q as parabolics means I_P >= I_Q as subsets.  n_weights
-    are the stratum codimension offsets 2 dim U (ell - 1).
+    them); P <= Q as parabolics means I_P >= I_Q as subsets.  Each element's
+    LeviProfile holds all the closed inversion reads about it.
     """
 
     group: GroupSpec
     ell: int
     elements: tuple  # frozensets of 1-based indices
-    n_weights: dict  # element -> n_P
-    pair_data: dict  # (small_parabolic, large_parabolic) -> PosetPairData
     profiles: dict  # element -> LeviProfile
 
 
 def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
-    """All standard parabolics of g with the pair data the inversion needs."""
-    # the pair data grows as 3^n and nothing yet budgets the terms
-    if g.n > 3:
-        raise InputError("poset construction is scoped to rank <= 3")
-    rs = build_root_system(g)
-    profiles = {}
-    for idx in enumerate_parabolics(g):
-        prof = levi_profile(g, idx)
-        profiles[frozenset(prof.simple_indices)] = prof
-    n_weights = {cut: 2 * prof.dim_u * (ell - 1) for cut, prof in profiles.items()}
-    pair_data = {}
-    for small in profiles:  # small parabolic = larger cut set
-        for large in profiles:
-            if not large < small:
-                continue
-            rel = sorted(small - large)
-            rho = relative_rho(rs, small, large)
-            weights = []
-            for a in rel:
-                val = 4 * pairing(rho, rs.simple_coroots[a - 1])
-                if val.denominator != 1 or val <= 0:
-                    raise ExactnessError(f"pair weight {val} not a positive integer")
-                weights.append(int(val))
-            pair_data[(small, large)] = PosetPairData(tuple(rel), tuple(weights))
-    return ParabolicPoset(
-        group=g,
-        ell=ell,
-        elements=tuple(profiles),
-        n_weights=n_weights,
-        pair_data=pair_data,
-        profiles=profiles,
-    )
+    """All standard parabolics of g, each with its Levi case table."""
+    profiles = [levi_profile(g, idx) for idx in enumerate_parabolics(g)]
+    by_cut = {frozenset(prof.simple_indices): prof for prof in profiles}
+    return ParabolicPoset(group=g, ell=ell, elements=tuple(by_cut), profiles=by_cut)
 
 
 def default_gauge_assignment(poset: ParabolicPoset) -> dict:
@@ -344,47 +311,49 @@ def _relative_weights(rs, q_cut: frozenset) -> dict:
     return dict(zip(levi, weights))
 
 
-def _b0_at_element(
-    poset: ParabolicPoset, a0: dict, rel_weights: dict, q_cut: frozenset, rep
-) -> RatFun:
-    """Closed inversion formula at one element, for the type represented by rep.
+def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: dict):
+    """The signed terms of the closed inversion b0(Q), for exactalg.signed_sum.
 
     b0(Q) = sum over parabolics P <= Q (cut sets p_cut >= q_cut) of
 
-        (-1)^{|p_cut - q_cut|} a0(P) t^{n_P - n_Q}
+        (-1)^{|p_cut - q_cut|} a0(P) t^{2 (dim U_P - dim U_Q)(ell - 1)}
         prod_a t^{p_a <x_a>} / (1 - t^{p_a}),
 
-    the product over a in p_cut - q_cut with x_a the class of rep under
-    the Levi-relative fundamental weight of a, read from rel_weights
-    (`_relative_weights(rs, q_cut)`).
+    the product over a in p_cut - q_cut, with x_a = classes[a] and
+    p_a = 4 <rho_P^Q, a^v>.  As rho_P^Q = rho_P - rho_Q and rho_Q pairs to
+    zero with every simple coroot of Q's Levi, p_a = 4 <rho_P, a^v>: the
+    entry of P's Levi table at a.  A p_a that is not a positive integer, or
+    a total twist that is not an integer, raises ExactnessError.
     """
-    def terms():
-        for p_cut in poset.elements:
-            if not q_cut <= p_cut:
+    q_dim_u = poset.profiles[q_cut].dim_u
+    for p_cut, prof in poset.profiles.items():
+        if not q_cut <= p_cut:
+            continue
+        ks, twist = [], F(0)
+        for a, rho_pair in zip(prof.simple_indices, prof.rho_pairings):
+            if a in q_cut:
                 continue
-            shift = poset.n_weights[p_cut] - poset.n_weights[q_cut]
-            weights, twist = (), F(0)
-            if p_cut != q_cut:
-                data = poset.pair_data[(p_cut, q_cut)]
-                weights = data.weights
-                for a, p in zip(data.indices, data.weights):
-                    twist += p * frac_part(pairing(rel_weights[a], rep))
-                # individual p<x> may be fractional; the total twist may not be
-                if twist.denominator != 1:
-                    raise ExactnessError(f"total twist {twist} not integral")
-            yield (-1) ** len(p_cut - q_cut), a0[p_cut], shift + int(twist), weights
-
-    return signed_sum(terms())
+            k = 4 * rho_pair
+            if k.denominator != 1 or k <= 0:
+                raise ExactnessError(f"pair weight {k} not a positive integer")
+            ks.append(int(k))
+            twist += k * frac_part(classes[a])
+        # individual p<x> may be fractional; the total twist may not be
+        if twist.denominator != 1:
+            raise ExactnessError(f"total twist {twist} not integral")
+        shift = 2 * (prof.dim_u - q_dim_u) * (poset.ell - 1)
+        yield (-1) ** len(ks), a0[p_cut], shift + int(twist), ks
 
 
 def closed_inverse(poset: ParabolicPoset, a0: dict, topclass: int) -> dict:
     """b0 at every poset element for (the image of) the topological class."""
-    g = poset.group
-    rs = build_root_system(g)
-    rep = pi1_representative(g, topclass)
-    return {
-        q: _b0_at_element(poset, a0, _relative_weights(rs, q), q, rep) for q in poset.elements
-    }
+    rs = build_root_system(poset.group)
+    rep = pi1_representative(poset.group, topclass)
+    b0 = {}
+    for q in poset.elements:
+        classes = {a: pairing(w, rep) for a, w in _relative_weights(rs, q).items()}
+        b0[q] = signed_sum(parabolic_terms(poset, a0, q, classes))
+    return b0
 
 
 def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: int, order: int):
@@ -412,16 +381,16 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
             for i, x in enumerate(series_expand(b0_top, order).coeffs):
                 rhs[i] += x
             continue
-        n_p = poset.n_weights[p_cut]
+        n_p = 2 * poset.profiles[p_cut].dim_u * (poset.ell - 1)
         if n_p > order:
             continue
         idxs = sorted(p_cut)
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
         rho = relative_rho(rs, p_cut, top)
-        p_weights = poset.pair_data[(p_cut, top)].weights
+        p_weights = [4 * pairing(rho, v) for v in coroots]
         base_vals = [pairing(ambient[a - 1], rep) for a in idxs]
         lo = [ceil(-x) for x in base_vals]
-        hi = [(F(order - n_p, w) - x).__floor__() for w, x in zip(p_weights, base_vals)]
+        hi = [((order - n_p) / w - x).__floor__() for w, x in zip(p_weights, base_vals)]
         rel_weights = _relative_weights(rs, p_cut)
         # each relative weight is delta on the Levi coroots and zero on the
         # Levi centre, so v - sum_a <w_a, v> a^v is v's centre part; it is
@@ -447,7 +416,8 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
                     return
                 key = tuple(pairing(w, x) % 1 for w in rel_weights.values())
                 if key not in b0_cache:
-                    b0_cache[key] = _b0_at_element(poset, a0, rel_weights, p_cut, x)
+                    classes = dict(zip(rel_weights, key))
+                    b0_cache[key] = signed_sum(parabolic_terms(poset, a0, p_cut, classes))
                 for i, c in enumerate(series_expand(b0_cache[key], order - e).coeffs):
                     rhs[e + i] += c
                 return

@@ -231,9 +231,10 @@ def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
 #
 # Used by the consistency tests: the table values above must agree exactly
 # with what the root system says.  The same root-support rule gives
-# inversion its relative half-sums rho_P^Q.  Root supports are read off
-# RootSystem.positive_coefficients, which is computed from the simple roots
-# and stays independent of the case tables.
+# inversion.forward_residual the rho_P of its lattice walk; the closed
+# inversion reads its pair weights from the tables.  Root supports are read
+# off RootSystem.positive_coefficients, which is computed from the simple
+# roots and stays independent of the case tables.
 
 
 def _roots_between(rs, small_cut: frozenset, large_cut: frozenset) -> list:

@@ -227,10 +227,10 @@ def test_criterion_6_appendix_properties():
         assert verify_langlands(rank, samples=per_pair, seed=97), rank
     trips = 0
     for fam, ns, classes in (  # classes None: every unitary degree class mod n
-        ("u", (1, 2, 3), None),
-        ("sp", (1, 2, 3), (0,)),
-        ("so-odd", (1, 2, 3), (0, 1)),
-        ("so-even", (2, 3), (0, 1)),
+        ("u", (1, 2, 3, 4), None),
+        ("sp", (1, 2, 3, 4), (0,)),
+        ("so-odd", (1, 2, 3, 4), (0, 1)),
+        ("so-even", (2, 3, 4), (0, 1)),
     ):
         for n in ns:
             g = GroupSpec(fam, n)
@@ -244,7 +244,7 @@ def test_criterion_6_appendix_properties():
                 trips += 1
     print("\ncriterion 6: PASS - cone sums (200 specs), alternating identities "
           "(ranks 1-4, >= 1000 samples per rank), inversion round trips against both "
-          f"engines ({trips} bundles: u, sp, so-odd, so-even at n <= 3)")
+          f"engines ({trips} bundles: u, sp, so-odd, so-even at n <= 4)")
 
 
 def test_criterion_7_levi_tables():
@@ -255,6 +255,8 @@ def test_criterion_7_levi_tables():
             for idx in enumerate_parabolics(g):
                 prof = levi_profile(g, idx)
                 assert prof.dim_u == dim_u_from_roots(g, idx), (fam, n, idx)
+                # the sign (-1)^|I| of the parabolic sum relies on this
+                assert prof.center_excess == len(prof.simple_indices), (fam, n, idx)
                 table = dict(zip(prof.simple_indices, prof.rho_pairings))
                 assert table == rho_pairings_from_roots(g, idx), (fam, n, idx)
                 count += 1

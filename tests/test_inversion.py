@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -18,6 +19,7 @@ from ymseries.inversion import (
     cone_sum_truncated,
     default_gauge_assignment,
     invert_abstract,
+    parabolic_terms,
     random_relative_point,
     verify_langlands,
 )
@@ -365,10 +367,6 @@ class TestInvertAbstract:
             assert ratfun_eq(b0[frozenset()], flat_series(g, w2, 2, engine)), engine
         assert residual.is_zero
 
-    def test_poset_scope(self):
-        with pytest.raises(Exception):
-            build_parabolic_poset(GroupSpec("u", 4), 2)
-
     @pytest.mark.parametrize("fam", ["su", "spin-odd", "spin-even"])
     def test_poset_unsupported_families(self, fam):
         with pytest.raises(UnsupportedFamily):
@@ -395,6 +393,30 @@ class TestInvertAbstract:
         assert set(poset.profiles) == subsets
         for cut in poset.elements:
             assert poset.profiles[cut] == levi_profile(g, former_index_for_cutset(g, cut)), cut
+
+
+class TestParabolicTerms:
+    """The exactness guards of the one generator of parabolic-sum terms."""
+
+    def u2_borel_case(self, rho_pairing=None):
+        poset = build_parabolic_poset(GroupSpec("u", 2), 2)
+        if rho_pairing is not None:
+            borel = frozenset({1})
+            profile = replace(poset.profiles[borel], rho_pairings=(rho_pairing,))
+            poset = replace(poset, profiles={**poset.profiles, borel: profile})
+        return poset, default_gauge_assignment(poset)
+
+    def test_fractional_total_twist(self):
+        poset, a0 = self.u2_borel_case()
+        assert poset.profiles[frozenset({1})].rho_pairings == (1,)  # weight 4
+        with pytest.raises(ExactnessError, match="total twist 4/3"):
+            list(parabolic_terms(poset, a0, frozenset(), {1: F(1, 3)}))
+
+    @pytest.mark.parametrize("rho_pairing,weight", [(F(1, 3), "4/3"), (F(0), "0")])
+    def test_pair_weight_not_positive_integer(self, rho_pairing, weight):
+        poset, a0 = self.u2_borel_case(rho_pairing)
+        with pytest.raises(ExactnessError, match=f"pair weight {weight} "):
+            list(parabolic_terms(poset, a0, frozenset(), {1: F(1, 2)}))
 
 
 def test_random_relative_point_off_walls():

@@ -13,7 +13,7 @@ from ymseries.levidata import (
     relative_rho,
     rho_pairings_from_roots,
 )
-from ymseries.rootsys import GroupSpec, build_root_system
+from ymseries.rootsys import GroupSpec, build_root_system, pairing
 
 F = Fraction
 
@@ -145,8 +145,8 @@ class TestRootDataConsistency:
 
     @pytest.mark.parametrize(
         "fam,n",
-        [(f, n) for f in ("u", "so-odd", "sp") for n in (1, 2, 3)]
-        + [("so-even", n) for n in (2, 3, 4)],
+        [(f, n) for f in ("u", "so-odd", "sp") for n in (1, 2, 3, 4, 5)]
+        + [("so-even", n) for n in (2, 3, 4, 5)],
     )
     def test_relative_rho_matches_former_inversion_sum(self, fam, n):
         def former_relative_rho(rs, small_cut, large_cut):
@@ -162,16 +162,27 @@ class TestRootDataConsistency:
                         total[i] += F(x)
             return tuple(x / 2 for x in total)
 
-        rs = build_root_system(GroupSpec(fam, n))
+        g = GroupSpec(fam, n)
+        rs = build_root_system(g)
+        tables = {}
+        for idx in enumerate_parabolics(g):
+            prof = levi_profile(g, idx)
+            table = dict(zip(prof.simple_indices, prof.rho_pairings))
+            tables[frozenset(prof.simple_indices)] = table
         rank = len(rs.simple_roots)
         cuts = [
             frozenset(i + 1 for i in range(rank) if mask >> i & 1) for mask in range(2**rank)
         ]
         pairs = [(small, large) for small in cuts for large in cuts if large <= small]
         for small, large in pairs:
-            expect = former_relative_rho(rs, small, large)
+            rho = relative_rho(rs, small, large)
             if rs.positive_roots:
-                assert relative_rho(rs, small, large) == expect, (small, large)
+                assert rho == former_relative_rho(rs, small, large), (small, large)
             else:
                 # rank 0: no roots, so the former sum had no coordinates
-                assert relative_rho(rs, small, large) == (F(0),) * rs.n
+                assert rho == (F(0),) * rs.n
+            # the pair weights the inversion reads from the small parabolic's
+            # Levi table: rho_P^Q and rho_P pair alike with every a in P - Q
+            for a in small - large:
+                got = pairing(rho, rs.simple_coroots[a - 1])
+                assert got == tables[small][a], (sorted(small), sorted(large), a)
