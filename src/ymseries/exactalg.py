@@ -9,16 +9,18 @@ numerator and denominator, so this module provides exactly three value types:
 
 All values are immutable and all arithmetic is exact.  Long products use
 Kronecker substitution: both operands are packed into one integer each and
-multiplied once.  The general RatFun constructor cancels with a
-fraction-free subresultant gcd, so intermediate coefficient growth stays
-bounded without ever leaving the integers.
+multiplied once.
 
-The closed products and alternating sums of the package need no gcd: every
-denominator they meet is (up to a leftover factor) a product of cyclotomic
-polynomials Phi_d.  cyclotomic_quotient builds a closed product from Phi_d
-multiplicities and cancels them by subtraction; signed_sum sums over one
+Rational functions have one arithmetic, signed_sum: RatFun's sum, product
+and quotient are signed_sum terms.  Every denominator the package meets is
+a product of cyclotomic polynomials Phi_d, so signed_sum sums over one
 common denominator, kept as Phi_d multiplicities, and divides each Phi_d
-out of the summed numerator while it divides.
+out of the summed numerator while it divides; it needs no gcd.
+cyclotomic_quotient builds a closed product from Phi_d multiplicities and
+cancels them by subtraction.  Only the RatFun constructor takes a gcd, a
+fraction-free subresultant gcd that keeps coefficient growth bounded
+without leaving the integers, for values parsed or built by a caller and
+for a signed_sum whose denominator has a non-cyclotomic factor.
 """
 
 from __future__ import annotations
@@ -297,7 +299,9 @@ class RatFun:
     positive (monomials are written in increasing degree, so this is the
     leading coefficient of the displayed form), the polynomial gcd of num
     and den is 1, and gcd(content(num), content(den)) is 1.  Equal functions
-    therefore have identical representations.
+    therefore have identical representations.  The constructor cancels
+    with poly_gcd; +, -, * and / go through signed_sum, which needs none
+    on cyclotomic denominators.
     """
 
     __slots__ = ("num", "den")
@@ -342,15 +346,7 @@ class RatFun:
         return self.num.is_zero
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        g = poly_gcd(self.den, other.den)
-        d1 = other.den.divexact(g)
-        num = self.num * d1 + other.num * self.den.divexact(g)
-        den = self.den * d1
-        return RatFun(num, den)
+        return signed_sum(((1, self, 0, ()), (1, other, 0, ())))
 
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den, _normalized=True)
@@ -359,18 +355,16 @@ class RatFun:
         return self + (-other)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
-        if self.is_zero or other.is_zero:
-            return RatFun.zero()
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        num = self.num.divexact(g1) * other.num.divexact(g2)
-        den = self.den.divexact(g2) * other.den.divexact(g1)
-        return RatFun(num, den)
+        return signed_sum(((1, (self, other), 0, ()),))
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero:
             raise ZeroDenominator("division by the zero function")
-        return self * RatFun(other.den, other.num)
+        # swapping a canonical pair keeps it canonical up to the sign
+        num, den = other.den, other.num
+        if next(c for c in den.coeffs if c) < 0:
+            num, den = -num, -den
+        return self * RatFun(num, den, _normalized=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
@@ -752,14 +746,16 @@ def signed_sum(terms) -> RatFun:
 
     Each term is a tuple (sign, factor, e, ks) with sign an integer (+1 or
     -1 in every alternating series, any integer multiplier otherwise),
-    factor a RatFun, e a natural number and ks an iterable of positive
-    exponents; a repeated k contributes its factor once per occurrence.
-    Every alternating series of the package goes through here.
+    factor a RatFun or a tuple of RatFuns standing for their product, e a
+    natural number and ks an iterable of positive exponents; a repeated k
+    contributes its factor once per occurrence.  Every alternating series,
+    and every RatFun sum, product and quotient, goes through here.
 
     The sum is taken over one common denominator.  Each term's denominator
     is kept as a map {d: multiplicity} of the cyclotomic factors Phi_d: those
-    of factor.den, found by trial division (any non-cyclotomic remainder is
-    one opaque factor), and Phi_d for every divisor d of each k, since
+    of each factor's den, found by trial division (any non-cyclotomic
+    remainder is one opaque factor) and added over a product's factors,
+    whose numerators multiply, and Phi_d for every divisor d of each k, since
     1 - t**k is the product of those.  The common denominator takes the
     largest multiplicity of each factor, and the numerators are summed over
     it pairwise (_sum_over_common).  Each Phi_d is then divided out of the
@@ -772,14 +768,22 @@ def signed_sum(terms) -> RatFun:
     for sign, factor, e, ks in terms:
         if e < 0:
             raise ValueError("negative exponent")
-        mult = dict(_den_factors(factor.den))
+        if isinstance(factor, RatFun):
+            num = factor.num
+            mult = dict(_den_factors(factor.den))
+        else:
+            num, mult = Poly.one(), {}
+            for f in factor:
+                num = num * f.num
+                for key, m in _den_factors(f.den):
+                    mult[key] = mult.get(key, 0) + m
         for k in ks:
             if k < 1:
                 raise ValueError(f"denominator exponent {k} is not positive")
             for d in _divisors(k):
                 mult[d] = mult.get(d, 0) + 1
-        if not factor.is_zero:
-            parts.append((sign, factor.num, e, mult))
+        if not num.is_zero:
+            parts.append((sign, num, e, mult))
     total, common = _sum_over_common(parts) if parts else (Poly.zero(), {})
     if total.is_zero or not all(isinstance(key, int) for key in common):
         return RatFun(total, _expand(common))

@@ -41,7 +41,7 @@ FAMILIES = (UNITARY, SPECIAL_UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC, SPIN_ODD, SPI
 # families whose pi_1 is Z/2, carried as a Stiefel-Whitney bit
 SO_LIKE = (SO_ODD, SO_EVEN)
 # families with trivial pi_1
-SIMPLY_CONNECTED = (SYMPLECTIC, SPIN_ODD, SPIN_EVEN)
+SIMPLY_CONNECTED = (SPECIAL_UNITARY, SYMPLECTIC, SPIN_ODD, SPIN_EVEN)
 
 
 class UnsupportedRank(InputError):
@@ -91,9 +91,9 @@ class GroupSpec:
 class TopClass:
     """Topological class of a bundle: an element of pi_1 of the group.
 
-    For u/su this is the degree (any integer), for so-odd/so-even the
-    second Stiefel-Whitney bit (0 or 1), and for sp/spin families the only
-    value 0.
+    For u this is the degree (any integer), for so-odd/so-even the second
+    Stiefel-Whitney bit (0 or 1), and for the simply connected su, sp and
+    spin families the only value 0.
     """
 
     value: int = 0
@@ -294,7 +294,7 @@ def pi1_representative(g: GroupSpec, c: int) -> tuple:
     """
     validate_topclass(g, c)
     n = g.n
-    if g.family in (UNITARY, SPECIAL_UNITARY):
+    if g.family == UNITARY:
         return _vec(n, {0: c})
     if g.family in SO_LIKE:
         return _vec(n, {n - 1: c})
@@ -304,17 +304,19 @@ def pi1_representative(g: GroupSpec, c: int) -> tuple:
 def weight_on_pi1(g: GroupSpec, i: int, c: int) -> Fraction:
     """Class of the i-th fundamental weight on c in Q/Z, as a value in [0,1).
 
-    i is 1-based.  For u the value is -i*c/n mod 1 (the weights kill the
+    i is a 1-based simple root index, at most n - 1 for u and n for the
+    other families.  For u the value is -i*c/n mod 1 (the weights kill the
     central direction); for so-odd it is c/2 at i = n and 0 below; for
     so-even it is -c/2 at i = n-1 and c/2 at i = n; symplectic and spin
     groups have trivial pi_1.
     """
     if g.family == SPECIAL_UNITARY:
         raise UnsupportedFamily("su classes are handled through the u series")
-    if not 1 <= i <= g.n:
-        raise ValueError(f"simple root index {i} out of range 1..{g.n}")
-    validate_topclass(g, c)
     n = g.n
+    last = n - 1 if g.family == UNITARY else n
+    if not 1 <= i <= last:
+        raise ValueError(f"simple root index {i} out of range 1..{last}")
+    validate_topclass(g, c)
     if g.family == UNITARY:
         return Fraction(-i * c, n) % 1
     if g.family == SO_ODD:

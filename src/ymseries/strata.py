@@ -9,10 +9,12 @@ bound, evaluates the complex codimension
 
     d_mu = sum over positive roots a with a(mu) > 0 of (a(mu) + ell - 1),
 
-assembles each stratum's equivariant series as a product of unitary
-central-stratum series and a flat tail, and checks the stratification
-identity: the gauge series of the bundle equals the codimension-weighted
-sum of the stratum series, as a truncated power series.
+names each stratum's Levi factors as (family, n, class) triples
+(stratum_factors: a unitary factor per block and, for a zero tail, the
+family's flat factor), and checks the stratification identity: the gauge
+series of the bundle equals the codimension-weighted sum of the stratum
+series, as a truncated power series.  A stratum's series is the product of
+closedforms.flat_series over its triples, one signed_sum product term.
 
 Codimensions are integer arithmetic: mu is scaled by L, the lcm of its
 block sizes, so L * mu is an integer vector.  The enumeration places
@@ -32,9 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .closedforms import so_even_flat, so_odd_flat, sp_flat, zagier_un
+from .closedforms import flat_series
 from .errors import ExactnessError, InputError
-from .exactalg import CoeffVector, RatFun, series_expand
+from .exactalg import CoeffVector, RatFun, series_expand, signed_sum
 from .gaugeseries import betti_degrees, bg_orientable
 from .rootsys import (
     SO_EVEN,
@@ -310,89 +312,45 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
     return sorted(found, key=lambda pd: (pd[1],) + pd[0].key())
 
 
-@dataclass(frozen=True)
-class StratumDecomposition:
-    """Symbolic product shape of one stratum component.
+def stratum_factors(g: GroupSpec, mu: AtiyahBottPoint, component: str | None = None) -> tuple:
+    """The Levi factors of the stratum of mu as (family, n, class) triples.
 
-    factors is an ordered tuple of tagged factors:
-      ("u_central", n, k)    central unitary stratum of rank n, degree k
-      ("flat_sp", m)         flat symplectic tail
-      ("flat_so_odd", m, w2) flat odd-orthogonal tail on the bundle w2
-      ("flat_so_even", m, w2)
-    component_tag is "single" for an unsplit point, else "plus"/"minus"
-    naming the ambient bundle the component lives on.
-    """
-
-    factors: tuple
-    component_tag: str = "single"
-
-
-def stratum_decomposition(
-    g: GroupSpec, mu: AtiyahBottPoint, component: str | None = None
-) -> StratumDecomposition:
-    """Product shape of the stratum of mu (one bundle component).
-
-    Unitary blocks enter with the family's sign convention on the label
-    (+k for unitary and symplectic groups, -k for orthogonal ones); a
-    zero-tail block contributes the family's flat factor.  For split
-    orthogonal points `component` picks the ambient bundle: "plus" for
-    trivial w2, "minus" for the nontrivial one; the tail's own class is
-    then w2 + k_1 + ... + k_{r-1} mod 2.
+    The stratum's series is the product of flat_series(GroupSpec(family, n),
+    class, ell) over the triples.  Each block is a unitary factor whose
+    degree is its label, with the family's sign convention (+k for unitary
+    and symplectic groups, -k for orthogonal ones); a zero-tail block is
+    instead the family's flat factor.  For split orthogonal points
+    `component` picks the ambient bundle: "plus" for trivial w2, "minus"
+    for the nontrivial one; the tail's own class is then
+    w2 + k_1 + ... + k_{r-1} mod 2.
     """
     if mu.family != g.family or sum(mu.composition) != g.n:
         raise InvalidPoint("point does not belong to this group")
-    fam = g.family
-    labels = mu.labels
-    if fam in (UNITARY, SYMPLECTIC):
-        if component is not None:
-            raise InvalidPoint("only split orthogonal points take a component")
-        body = list(zip(mu.composition, labels))
-        factors = []
-        if fam == SYMPLECTIC and mu.tail_kind == TAIL_ZERO:
-            factors.append(("flat_sp", mu.composition[-1]))
-            body = body[:-1]
-        return StratumDecomposition(
-            tuple(("u_central", p, k) for p, k in body) + tuple(factors)
-        )
-    if mu.is_split:
-        if component not in ("plus", "minus"):
-            raise AmbiguousComponent("split point: pass component='plus' or 'minus'")
-        ambient = 0 if component == "plus" else 1
-        blocks = tuple(
-            ("u_central", p, -k) for p, k in zip(mu.composition[:-1], labels[:-1])
-        )
-        tail_w2 = (ambient + sum(labels[:-1])) % 2
-        kind = "flat_so_odd" if fam == SO_ODD else "flat_so_even"
-        return StratumDecomposition(
-            blocks + ((kind, mu.composition[-1], tail_w2),), component
-        )
-    if component is not None:
+    fam, comp, labels = g.family, mu.composition, mu.labels
+    unitary_signs = fam in (UNITARY, SYMPLECTIC)
+    if unitary_signs and component is not None:
+        raise InvalidPoint("only split orthogonal points take a component")
+    if mu.is_split and component not in ("plus", "minus"):
+        raise AmbiguousComponent("split point: pass component='plus' or 'minus'")
+    if not mu.is_split and component is not None:
         raise AmbiguousComponent("unsplit point: no component to choose")
-    return StratumDecomposition(
-        tuple(("u_central", p, -k) for p, k in zip(mu.composition, labels))
-    )
-
-
-def _factor_series(factor: tuple, ell: int) -> RatFun:
-    """The closed-form series of one tagged decomposition factor."""
-    kind = factor[0]
-    if kind == "u_central":
-        return zagier_un(factor[1], factor[2], ell)
-    if kind == "flat_sp":
-        return sp_flat(factor[1], ell)
-    if kind == "flat_so_odd":
-        return so_odd_flat(factor[1], ell, factor[2])
-    return so_even_flat(factor[1], ell, factor[2])
+    sign = 1 if unitary_signs else -1
+    blocks = tuple((UNITARY, p, sign * k) for p, k in zip(comp, labels))
+    if mu.tail_kind != TAIL_ZERO:
+        return blocks
+    # the tail's own label is 0
+    tail_class = 0 if fam == SYMPLECTIC else ((component == "minus") + sum(labels)) % 2
+    return blocks[:-1] + ((fam, comp[-1], tail_class),)
 
 
 def stratum_series(
     g: GroupSpec, mu: AtiyahBottPoint, ell: int, component: str | None = None
 ) -> RatFun:
-    """Equivariant series of the stratum of mu: its decomposition, evaluated."""
-    out = RatFun.one()
-    for factor in stratum_decomposition(g, mu, component).factors:
-        out = out * _factor_series(factor, ell)
-    return out
+    """Equivariant series of the stratum of mu: the product of its factors' flat series."""
+    factors = tuple(
+        flat_series(GroupSpec(fam, n), c, ell) for fam, n, c in stratum_factors(g, mu, component)
+    )
+    return signed_sum([(1, factors, 0, ())])
 
 
 def _mul_truncated(a: list, b: list, order: int) -> list:
@@ -448,13 +406,13 @@ def _truncated_stratum_series(g: GroupSpec, c: int, ell: int, points, degree: in
     used = []
     orders = {}
     for pt, d in points:
-        factors = stratum_decomposition(g, pt, component if pt.is_split else None).factors
+        factors = stratum_factors(g, pt, component if pt.is_split else None)
         used.append((pt, d, factors))
         for factor in factors:
             orders[factor] = max(orders.get(factor, 0), degree - 2 * d)
     expanded = {
-        factor: list(series_expand(_factor_series(factor, ell), order).coeffs)
-        for factor, order in orders.items()
+        (fam, n, c): list(series_expand(flat_series(GroupSpec(fam, n), c, ell), order).coeffs)
+        for (fam, n, c), order in orders.items()
     }
     for pt, d, factors in used:
         order = degree - 2 * d

@@ -189,6 +189,10 @@ BAD_INPUTS = {
     "rank 0": ["poincare", "--group", "sp", "--rank", "0", "--genus", "2"],
     "genus 0": ["poincare", "--group", "sp", "--rank", "1", "--genus", "0"],
     "su rank 1": ["poincare", "--group", "su", "--rank", "1", "--genus", "2"],
+    "su degree 5": [
+        "poincare", "--group", "su", "--rank", "2", "--degree", "5", "--genus", "2",
+        "--format", "json",
+    ],
     "series order -1": ["series", "--group", "u", "--rank", "2", "--genus", "2", "--order", "-1"],
     "recursion genus 0": ["verify-recursion", "--group", "sp", "--rank", "1", "--genus", "0"],
     "recursion order -2": [
@@ -222,6 +226,7 @@ BAD_INPUT_ERRORS = {
     "rank 0": "sp requires n >= 1, got 0",
     "genus 0": "need genus ell >= 1, got ell = 0",
     "su rank 1": "su requires n >= 2, got 1",
+    "su degree 5": "SU(2) is simply connected, got class 5",
     "series order -1": "order must be nonnegative",
     "recursion genus 0": "need genus ell >= 1, got ell = 0",
     "recursion order -2": "order must be nonnegative",

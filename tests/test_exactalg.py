@@ -227,6 +227,54 @@ class TestRatFunArith:
                 assert (f / g) * g == f
 
 
+def rand_ratfun(rng):
+    return RatFun(rand_poly(rng, 5), rand_den(rng))
+
+
+class TestOperatorsMatchConstructor:
+    """+, -, * and / against the gcd constructor on cross-multiplied Polys."""
+
+    def test_randomized(self):
+        rng = random.Random(1818)
+        for _ in range(80):
+            f, g = rand_ratfun(rng), rand_ratfun(rng)
+            a, b, c, d = f.num, f.den, g.num, g.den
+            cases = [(f + g, a * d + c * b, b * d), (f - g, a * d - c * b, b * d)]
+            cases.append((f * g, a * c, b * d))
+            if g.is_zero:
+                with pytest.raises(ZeroDenominator):
+                    f / g
+            else:
+                cases.append((f / g, a * d, b * c))
+            for got, num, den in cases:
+                expect = RatFun(num, den)
+                assert got.num == expect.num and got.den == expect.den, (f, g)
+
+    def test_cyclotomic_operands_take_no_gcd(self, monkeypatch):
+        rng = random.Random(1919)
+        pairs = []
+        for _ in range(30):
+            # no t^shift on g, whose numerator is the quotient's denominator
+            f, g = (
+                hand_ratfun(
+                    [(rng.randint(1, 6), rng.randint(0, 2))],
+                    [(rng.randint(1, 8), rng.randint(1, 2))],
+                    shift,
+                )
+                for shift in (rng.randint(0, 3), 0)
+            )
+            pairs.append((f, g, [f.num * g.den + g.num * f.den, f.den * g.den]))
+        calls = count_gcds(monkeypatch)
+        # -g has a negative numerator, so its reciprocal's sign is flipped
+        results = [(f + g, f * g, f / g, f / -g) for f, g, _ in pairs]
+        assert calls == []
+        for (f, g, (num, den)), (total, product, quotient, negated) in zip(pairs, results):
+            assert total == RatFun(num, den)
+            assert product == RatFun(f.num * g.num, f.den * g.den)
+            assert quotient == RatFun(f.num * g.den, f.den * g.num)
+            assert negated == RatFun(-f.num * g.den, f.den * g.num)
+
+
 def den_of(ks):
     den = Poly.one()
     for k in ks:
@@ -235,11 +283,19 @@ def den_of(ks):
 
 
 def per_term_signed_sum(terms):
-    """The former body of signed_sum: one RatFun multiply and add per term."""
-    total = RatFun.zero()
+    """The sum by cross-multiplying the Polys: each term's numerator times
+    every other term's denominator, cancelled once by the gcd constructor."""
+    nums, dens = [], []
     for sign, factor, e, ks in terms:
-        total += factor * RatFun(Poly.t_power(e, sign), den_of(ks))
-    return total
+        nums.append(factor.num * Poly.t_power(e, sign))
+        dens.append(factor.den * den_of(ks))
+    total, common = Poly.zero(), Poly.one()
+    for i, num in enumerate(nums):
+        for j, den in enumerate(dens):
+            if j != i:
+                num = num * den
+        total, common = total + num, common * dens[i]
+    return RatFun(total, common)
 
 
 def rand_den(rng):
@@ -284,6 +340,18 @@ class TestSignedSum:
             Poly.t_power(2), one_minus_t(6)
         )
         assert got == expect
+
+    def test_product_factors(self):
+        rng = random.Random(1717)
+        for _ in range(30):
+            fs = [RatFun(rand_poly(rng, 4), rand_den(rng)) for _ in range(rng.randint(0, 3))]
+            num, den = Poly.one(), Poly.one()
+            for f in fs:
+                num, den = num * f.num, den * f.den
+            e, ks = rng.randint(0, 4), tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 2)))
+            got = signed_sum([(-2, tuple(fs), e, ks)])
+            expect = RatFun(num * Poly.t_power(e, -2), den * den_of(ks))
+            assert got.num == expect.num and got.den == expect.den
 
     def test_random_terms_match_per_term_loop(self):
         rng = random.Random(4242)

@@ -206,24 +206,48 @@ from ymseries import cli, exactalg
 calls = []
 real = exactalg.poly_gcd
 exactalg.poly_gcd = lambda a, b: calls.append(1) or real(a, b)
+from test_acceptance import (
+    RECURSION_CONFIGS, test_criterion_2_exceptional_isomorphisms as criterion_2,
+)
+from ymseries.closedforms import flat_series
+from ymseries.inversion import build_parabolic_poset, default_gauge_assignment, invert_abstract
+from ymseries.rootsys import GroupSpec
+from ymseries.strata import enumerate_ab_points, stratum_series, verify_recursion
 for argv in (["sp", "--rank", "5"], ["so-odd", "--rank", "5", "--w2", "1"],
              ["so-even", "--rank", "5", "--w2", "1"], ["u", "--rank", "6", "--degree", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["poincare", "--group", *argv, "--genus", "2", "--engine", "both"])
     assert code == 0, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    criterion_2()
+# criterion 5's stratum series
+for fam, n, classes in RECURSION_CONFIGS:
+    g = GroupSpec(fam, n)
+    for c in classes:
+        for pt, _ in enumerate_ab_points(g, c, 2, 20):
+            stratum_series(g, pt, 2, ("plus" if c % 2 == 0 else "minus") if pt.is_split else None)
+assert verify_recursion(GroupSpec("so-even", 4), 1, 2, 80).holds
+poset = build_parabolic_poset(GroupSpec("so-odd", 3), 2)
+assert invert_abstract(poset, default_gauge_assignment(poset), 1, 40)[1].is_zero
+for n in range(2, 9):
+    for engine in ("specialized", "general"):
+        flat_series(GroupSpec("su", n), 0, 2, engine)
 print(len(calls))
 """
 
 
 def test_flat_engines_run_without_gcd():
-    """Both engines on the flat-engines bundles, in a fresh process so that no
-    cached series hides a call, make no poly_gcd call."""
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    """No poly_gcd call, in a fresh process so that no cached series hides
+    one, on: both engines for the flat-engines bundles, criterion 2, criterion
+    5's stratum series, a criterion-4 recursion, a criterion-6 inversion and
+    SU(2)-SU(8) through both engines."""
+    tests = os.path.dirname(__file__)
+    src = os.path.join(tests, "..", "src")
     proc = subprocess.run(
         [sys.executable, "-c", FLAT_ENGINES_GCD_COUNT],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

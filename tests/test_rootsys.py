@@ -223,7 +223,9 @@ class TestWeightOnPi1:
         # weights kill the center, so the class is -i*k/n mod 1
         assert weight_on_pi1(GroupSpec("u", 3), 1, 2) == F(1, 3)
         assert weight_on_pi1(GroupSpec("u", 3), 2, 2) == F(2, 3)
-        assert weight_on_pi1(GroupSpec("u", 3), 3, 2) == 0
+        # U(3) has two simple roots
+        with pytest.raises(ValueError):
+            weight_on_pi1(GroupSpec("u", 3), 3, 2)
 
     def test_u_matches_weight_evaluation(self):
         # agreement with the explicit pairing against the representative of c
@@ -246,7 +248,7 @@ class TestWeightOnPi1:
 
     def test_additive_mod_z(self):
         g = GroupSpec("u", 4)
-        for i in range(1, 5):
+        for i in range(1, 4):
             for a in range(-2, 3):
                 for b in range(-2, 3):
                     lhs = weight_on_pi1(g, i, a + b)
@@ -274,3 +276,10 @@ def test_topclass_validation():
         validate_topclass(GroupSpec("so-even", 2), 2)
     with pytest.raises(ValueError):
         validate_topclass(GroupSpec("sp", 1), TopClass(1))
+
+
+@pytest.mark.parametrize("c", [1, -1, 5])
+def test_su_is_simply_connected(c):
+    assert validate_topclass(GroupSpec("su", 2), 0) == 0
+    with pytest.raises(InputError, match=f"SU\\(2\\) is simply connected, got class {c}$"):
+        validate_topclass(GroupSpec("su", 2), c)

@@ -14,6 +14,7 @@ from ymseries.strata import (
     InvalidPoint,
     codim,
     enumerate_ab_points,
+    stratum_factors,
     stratum_series,
     verify_recursion,
 )
@@ -168,6 +169,40 @@ class TestStratumSeries:
         minus = stratum_series(g, pt, 2, component="minus")
         assert ratfun_eq(plus, zagier_un(1, -1, 2) * so_odd_flat(1, 2, 1))
         assert ratfun_eq(minus, zagier_un(1, -1, 2) * so_odd_flat(1, 2, 0))
+
+
+class TestStratumFactors:
+    def test_product_of_levi_factors(self):
+        pt = AtiyahBottPoint("so-even", (2, 2), (1, 0), "zero_block")
+        g = GroupSpec("so-even", 4)
+        assert stratum_factors(g, pt, "minus") == (("u", 2, -1), ("so-even", 2, 0))
+        assert stratum_factors(g, pt, "plus") == (("u", 2, -1), ("so-even", 2, 1))
+        pt = AtiyahBottPoint("sp", (1, 2), (3, 0), "zero_block")
+        assert stratum_factors(GroupSpec("sp", 3), pt) == (("u", 1, 3), ("sp", 2, 0))
+
+    @pytest.mark.parametrize("fam,n,c", [row for row in GRID if row[0].startswith("so")])
+    def test_split_tail_class(self, fam, n, c):
+        """A split point's tail is the flat series of class w2 + sum k_j mod 2,
+        on each component, after the unitary blocks of degree -k_j."""
+        g = GroupSpec(fam, n)
+        split = [pt for pt, _ in enumerate_ab_points(g, c, 2, 16) if pt.is_split]
+        assert split
+        for pt in split:
+            for w2, component in enumerate(("plus", "minus")):
+                *blocks, tail = stratum_factors(g, pt, component)
+                body = zip(pt.composition[:-1], pt.labels[:-1])
+                assert blocks == [("u", p, -k) for p, k in body]
+                assert tail == (fam, pt.composition[-1], (w2 + sum(pt.labels[:-1])) % 2)
+
+    def test_component_errors(self):
+        pt = AtiyahBottPoint("u", (1, 1), (1, 0))
+        with pytest.raises(InvalidPoint, match="only split orthogonal points take a component"):
+            stratum_factors(GroupSpec("u", 2), pt, "plus")
+        pt = AtiyahBottPoint("so-odd", (1, 1), (2, 1))
+        with pytest.raises(AmbiguousComponent, match="unsplit point: no component to choose"):
+            stratum_factors(GroupSpec("so-odd", 2), pt, "minus")
+        with pytest.raises(InvalidPoint, match="point does not belong to this group"):
+            stratum_factors(GroupSpec("so-odd", 3), pt)
 
 
 class TestRecursion:
