@@ -14,13 +14,13 @@ Exit status, decided in main from the two bases in ymseries.errors:
   0  success
   1  a verification failed
   2  an InputError: the input is outside what the verb accepts ("error: ...")
-  3  an ExactnessError: an exact invariant did not hold, a fault in the
-     program ("internal error: ...")
-Any other exception is a bug and keeps its traceback.  Diagnostics go to
-stderr; results to stdout.  A verb run with --genus below 2 adds one
-"note:" line on stderr, since the stratification presumes genus >= 2.  The
-default truncation degree for verification verbs is 40, overridable by
---order or the environment variable YM_TRUNCATION_DEFAULT.
+  3  a fault in the program: an ExactnessError, an exact invariant that did
+     not hold ("internal error: ..."), or any other exception, a bug, which
+     is followed by its traceback
+Diagnostics go to stderr; results to stdout.  A verb run with --genus
+below 2 adds one "note:" line on stderr, since the stratification presumes
+genus >= 2.  The default truncation degree for verification verbs is 40,
+overridable by --order or the environment variable YM_TRUNCATION_DEFAULT.
 """
 
 from __future__ import annotations
@@ -333,6 +333,14 @@ def main(argv=None) -> int:
         return 2
     except ExactnessError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # imported here, as only a bug reaches this, so that no verb pays
+        # for the import at startup
+        import traceback
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
     if getattr(args, "genus", 2) < 2:
         print(f"note: the stratification presumes genus >= 2, got {args.genus}", file=sys.stderr)

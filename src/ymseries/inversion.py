@@ -9,13 +9,16 @@ one-dimensional geometric sum
 
 tensored over the simple roots of a parabolic step.  cone_sum_closed is
 the product of the closed forms, cone_sum_truncated evaluates the same
-product by direct lattice enumeration; comparing them is a property test.
+product by direct lattice enumeration, counting the lattice points at each
+exponent; comparing them is a property test.
 
 The inversion theorem states that a gauge-series assignment a0 on a poset
 of standard parabolics is recovered from the signed combination b0 (the
 semistable series) by a cone-weighted lattice sum over topological types.
 invert_abstract computes b0 from its closed formula and re-sums the
-defining relation by explicit lattice enumeration as the forward check.
+defining relation by explicit lattice enumeration as the forward check;
+every quantity that walk reads at a lattice point is an integer affine form
+in the point's coordinates, over one common denominator.
 The poset comes from levidata: its elements are the cut sets of the
 parabolics in enumerate_parabolics, each with its LeviProfile.
 parabolic_terms is the one generator of the closed formula's signed
@@ -25,10 +28,13 @@ element.  The forward check reads rho_P from root data instead
 (levidata.relative_rho), so the round trip compares the tables with the
 root system.
 verify_langlands tests the two alternating-sum identities on which the
-inversion rests, at off-wall rational sample points of the type-A poset
+inversion rests, at off-wall sample points of the type-A poset
 of any rank.  In standard coordinates that check needs no linear algebra:
 its projections are differences of block averages, its root functionals
 are coordinate differences and its relative coweights are partial sums.
+Every indicator is the sign of a linear functional, so each sample is
+scaled by a positive integer to an integer vector whose block averages
+are integers, and the check runs on integers.
 """
 
 from __future__ import annotations
@@ -36,8 +42,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import ceil
+from functools import lru_cache
+from itertools import accumulate, product
+from math import ceil, lcm
+from types import MappingProxyType
 
 from .errors import ExactnessError, InputError
 from .exactalg import CoeffVector, RatFun, cyclotomic_quotient, series_expand, signed_sum
@@ -88,25 +96,26 @@ def cone_sum_closed(spec: ConeSumSpec) -> RatFun:
 
 
 def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
-    """The same product summed by direct lattice enumeration up to t^order."""
+    """The same product summed by direct lattice enumeration up to t^order.
+
+    counts[e] is the number of lattice points of the factors placed so far
+    at exponent e; placing factor (p, x) moves each of them to every
+    admissible m, at e + p (x + m) <= order.
+    """
     if order < 0:
         raise InputError("order must be nonnegative")
-    coeffs = [0] * (order + 1)
-    # integers m with x + m > 0, x the factor's class: the smallest
-    # admissible value of p*(x+m) is p*<x>
-    firsts = [int(p * frac_part(x)) for p, x in zip(spec.weights, spec.classes)]
-
-    def rec(idx, exponent):
-        if idx == len(spec.weights):
-            coeffs[exponent] += 1
-            return
-        p = spec.weights[idx]
-        e = exponent + firsts[idx]
-        while e <= order:
-            rec(idx + 1, e)
-            e += p
-    rec(0, 0)
-    return CoeffVector(order, tuple(coeffs))
+    counts = [1] + [0] * order
+    for p, x in zip(spec.weights, spec.classes):
+        # integers m with x + m > 0: the smallest admissible value of
+        # p*(x+m) is p*<x>
+        first = int(p * frac_part(x))
+        placed = [0] * (order + 1)
+        for e, c in enumerate(counts):
+            if c:
+                for f in range(e + first, order + 1, p):
+                    placed[f] += c
+        counts = placed
+    return CoeffVector(order, tuple(counts))
 
 
 # -- exact linear algebra helpers ---------------------------------------
@@ -124,13 +133,17 @@ def _block_average(h, levi: frozenset) -> list:
 
     The blocks are the runs of coordinates joined by the simple roots
     e_i - e_{i+1}, i in levi; this is the orthogonal projection onto the
-    vectors constant on those blocks.
+    vectors constant on those blocks.  A mean is an int when its block sum
+    divides evenly and a Fraction otherwise, so the result is exact either
+    way.
     """
     out, start = [], 0
     for i in range(len(h)):
         if i not in levi:
-            block = h[start : i + 1]
-            out += [sum(block, F(0)) / len(block)] * len(block)
+            size = i + 1 - start
+            total = sum(h[start : i + 1])
+            mean, rem = divmod(total, size)
+            out += [mean if rem == 0 else F(total) / size] * size
             start = i + 1
     return out
 
@@ -179,6 +192,11 @@ class _TypeAPoset:
 
 
 def _langlands_identities_at(poset: _TypeAPoset, small, large, h) -> bool:
+    # every indicator is the sign of a linear functional, so h may be scaled
+    # by any positive integer: this scale makes h integral with each block
+    # sum a multiple of its block length, so every average is an int
+    scale = lcm(*range(1, len(h) + 1)) * lcm(*(x.denominator for x in h))
+    h = [int(x * scale) for x in h]
     between = [q for q in poset.subsets if small <= q <= large]
     # project_relative, with each block average computed once per sample
     avg = {q: _block_average(h, q) for q in between}
@@ -198,11 +216,18 @@ def _langlands_identities_at(poset: _TypeAPoset, small, large, h) -> bool:
 
 
 def random_relative_point(rank: int, small, large, rng, poset=None) -> tuple:
-    """A random rational point of a_small^large (zero when it is trivial)."""
+    """A random integer point of a_small^large (zero when it is trivial).
+
+    It is the projection of a / b, a in -9..9 and b in 1..4 per coordinate,
+    scaled by 12 lcm(1, ..., rank + 1): the scaled draw is integral and
+    every block sum is a multiple of its block length, so the projection is
+    integral too.
+    """
     poset = poset or _TypeAPoset(rank)
     small, large = frozenset(small), frozenset(large)
+    scale = 12 * lcm(*range(1, rank + 2))
     for _ in range(MAX_DRAWS):
-        v = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank + 1)]
+        v = [rng.randint(-9, 9) * scale // rng.randint(1, 4) for _ in range(rank + 1)]
         h = poset.project_relative(v, small, large)
         if small == large or any(h):
             return h
@@ -295,7 +320,8 @@ def default_gauge_assignment(poset: ParabolicPoset) -> dict:
     return {cut: bg_orientable(prof.betti, poset.ell) for cut, prof in poset.profiles.items()}
 
 
-def _relative_weights(rs, q_cut: frozenset) -> dict:
+@lru_cache(maxsize=None)
+def _relative_weights(rs, q_cut: frozenset) -> MappingProxyType:
     """{a: fundamental weight of the Levi cut by q_cut, dual to coroot a}.
 
     a runs over the Levi simple indices (those not in q_cut).  Each weight
@@ -303,12 +329,13 @@ def _relative_weights(rs, q_cut: frozenset) -> dict:
     centre: it is dual_weights of the Levi's simple roots and coroots.
     Only these weights induce the correct classes in Q/Z on topological
     types of Levi bundles: the ambient weights vanish on the wrong centre.
+    The result is cached, so it is a read-only view.
     """
     levi = [a for a in range(1, len(rs.simple_roots) + 1) if a not in q_cut]
     weights = dual_weights(
         [rs.simple_roots[a - 1] for a in levi], [rs.simple_coroots[a - 1] for a in levi]
     )
-    return dict(zip(levi, weights))
+    return MappingProxyType(dict(zip(levi, weights)))
 
 
 def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: dict):
@@ -363,9 +390,11 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
     the sum of b0(P, type) t^{n_P + 4 rho_P(slope)} over topological types
     of P-Levi bundles inducing the given class, restricted to types whose
     slope vector lies in P's open chamber.  Types are enumerated as actual
-    lattice points rep + sum m_a coroot_a; the enumeration box is finite
+    lattice points x = rep + sum m_a coroot_a; the enumeration box is finite
     because on the chamber every fundamental-coweight coordinate
     x_a + m_a is nonnegative and the exponent is n_P + sum p_a (x_a + m_a).
+    Every quantity read at a point is affine in m, so each is built once
+    per P as an integer form over one common denominator.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
@@ -389,8 +418,10 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
         rho = relative_rho(rs, p_cut, top)
         p_weights = [4 * pairing(rho, v) for v in coroots]
         base_vals = [pairing(ambient[a - 1], rep) for a in idxs]
-        lo = [ceil(-x) for x in base_vals]
-        hi = [((order - n_p) / w - x).__floor__() for w, x in zip(p_weights, base_vals)]
+        box = [
+            range(ceil(-x), ((order - n_p) / w - x).__floor__() + 1)
+            for w, x in zip(p_weights, base_vals)
+        ]
         rel_weights = _relative_weights(rs, p_cut)
         # each relative weight is delta on the Levi coroots and zero on the
         # Levi centre, so v - sum_a <w_a, v> a^v is v's centre part; it is
@@ -400,34 +431,48 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
             _shifted(v, levi_coroots, [-pairing(w, v) for w in rel_weights.values()])
             for v in [rep] + coroots
         ]
+        # each quantity read at x is affine in m: the chamber values
+        # <alpha_a, center(x)>, the exponent n_P + 4 <rho_P, x> and the
+        # class keys <w_a, x>
+        forms = (
+            [_affine(rs.simple_roots[a - 1], center_rep, center_coroots) for a in idxs]
+            + [(n_p + 4 * pairing(rho, rep), p_weights)]
+            + [_affine(w, rep, coroots) for w in rel_weights.values()]
+        )
+        den = lcm(*(c.denominator for c0, cs in forms for c in (c0, *cs)))
+        forms = [(int(c0 * den), [int(c * den) for c in cs]) for c0, cs in forms]
+        chamber, exponent, keys = forms[: len(idxs)], forms[len(idxs)], forms[len(idxs) + 1 :]
         b0_cache: dict = {}
-
-        def visit(pos, m_vec):
-            if pos == len(idxs):
-                x = _shifted(rep, coroots, m_vec)
-                center_part = _shifted(center_rep, center_coroots, m_vec)
-                if any(pairing(rs.simple_roots[a - 1], center_part) <= 0 for a in idxs):
-                    return
-                exponent = F(n_p) + 4 * pairing(rho, x)
-                if exponent.denominator != 1 or exponent < 0:
-                    raise ExactnessError(f"lattice exponent {exponent}")
-                e = int(exponent)
-                if e > order:
-                    return
-                key = tuple(pairing(w, x) % 1 for w in rel_weights.values())
-                if key not in b0_cache:
-                    classes = dict(zip(rel_weights, key))
-                    b0_cache[key] = signed_sum(parabolic_terms(poset, a0, p_cut, classes))
-                for i, c in enumerate(series_expand(b0_cache[key], order - e).coeffs):
-                    rhs[e + i] += c
-                return
-            for m in range(lo[pos], hi[pos] + 1):
-                visit(pos + 1, m_vec + (m,))
-
-        visit(0, ())
+        for m in product(*box):
+            if any(_affine_at(form, m) <= 0 for form in chamber):
+                continue
+            scaled_e = _affine_at(exponent, m)
+            e, rem = divmod(scaled_e, den)
+            if rem or e < 0:
+                raise ExactnessError(f"lattice exponent {F(scaled_e, den)}")
+            if e > order:
+                continue
+            key = tuple(F(_affine_at(form, m) % den, den) for form in keys)
+            if key not in b0_cache:
+                classes = dict(zip(rel_weights, key))
+                b0_cache[key] = signed_sum(parabolic_terms(poset, a0, p_cut, classes))
+            for i, c in enumerate(series_expand(b0_cache[key], order - e).coeffs):
+                rhs[e + i] += c
 
     lhs = series_expand(a0[top], order)
     return CoeffVector(order, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
+
+
+def _affine(covector, base, steps) -> tuple:
+    """<covector, base + sum m_b steps_b> as (its value at m = 0, its change
+    per unit of each m_b)."""
+    return pairing(covector, base), [pairing(covector, v) for v in steps]
+
+
+def _affine_at(form, m) -> int:
+    """The affine form (c0, [c_1, ..., c_k]) at m: c0 + sum c_b m_b."""
+    c0, cs = form
+    return c0 + sum(c * mb for c, mb in zip(cs, m))
 
 
 def _shifted(base, vectors, coeffs) -> tuple:

@@ -227,10 +227,10 @@ def test_criterion_6_appendix_properties():
         assert verify_langlands(rank, samples=per_pair, seed=97), rank
     trips = 0
     for fam, ns, classes in (  # classes None: every unitary degree class mod n
-        ("u", (1, 2, 3, 4), None),
-        ("sp", (1, 2, 3, 4), (0,)),
-        ("so-odd", (1, 2, 3, 4), (0, 1)),
-        ("so-even", (2, 3, 4), (0, 1)),
+        ("u", (1, 2, 3, 4, 5), None),
+        ("sp", (1, 2, 3, 4, 5), (0,)),
+        ("so-odd", (1, 2, 3, 4, 5), (0, 1)),
+        ("so-even", (2, 3, 4, 5), (0, 1)),
     ):
         for n in ns:
             g = GroupSpec(fam, n)
@@ -244,7 +244,7 @@ def test_criterion_6_appendix_properties():
                 trips += 1
     print("\ncriterion 6: PASS - cone sums (200 specs), alternating identities "
           "(ranks 1-4, >= 1000 samples per rank), inversion round trips against both "
-          f"engines ({trips} bundles: u, sp, so-odd, so-even at n <= 4)")
+          f"engines ({trips} bundles: u, sp, so-odd, so-even at n <= 5)")
 
 
 def test_criterion_7_levi_tables():

@@ -297,14 +297,18 @@ class TestExitCodes:
         )
         assert (code, out, err) == (3, "", "internal error: coefficient of t^0 is 1/2\n")
 
-    def test_other_exceptions_propagate(self, monkeypatch):
-        # a ValueError outside InputError is a bug: it keeps its traceback
+    def test_other_exceptions_exit_3(self, capsys, monkeypatch):
+        # a ValueError outside InputError is a bug: exit 3 with its traceback
         def buggy(*args, **kwargs):
             raise ValueError("not an exact division")
 
         monkeypatch.setattr(cli, "flat_series", buggy)
-        with pytest.raises(ValueError, match="not an exact division"):
-            main(["series", "--group", "u", "--rank", "1", "--genus", "2", "--order", "4"])
+        code, out, err = run(
+            capsys, "series", "--group", "u", "--rank", "1", "--genus", "2", "--order", "4",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ValueError: not an exact division\nTraceback")
+        assert err.endswith("ValueError: not an exact division\n")
 
     @pytest.mark.parametrize(
         "argv,stdout",

@@ -2,16 +2,26 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil, floor, lcm
 
 import pytest
 
 from ymseries.closedforms import flat_series, sp_flat, zagier_un
 from ymseries import inversion
 from ymseries.errors import ExactnessError, InputError
-from ymseries.exactalg import RatFun, one_minus_t, ratfun_eq, series_expand
+from ymseries.exactalg import (
+    CoeffVector,
+    Poly,
+    RatFun,
+    one_minus_t,
+    ratfun_eq,
+    series_expand,
+    signed_sum,
+)
 from ymseries.inversion import (
     ConeSumSpec,
     WallPoint,
+    _difference,
     _TypeAPoset,
     build_parabolic_poset,
     closed_inverse,
@@ -23,7 +33,7 @@ from ymseries.inversion import (
     random_relative_point,
     verify_langlands,
 )
-from ymseries.levidata import ParabolicIndex, levi_profile
+from ymseries.levidata import ParabolicIndex, levi_profile, relative_rho
 from ymseries.rootsys import (
     UNITARY,
     GroupSpec,
@@ -31,7 +41,9 @@ from ymseries.rootsys import (
     _rref,
     _solve,
     build_root_system,
+    frac_part,
     pairing,
+    pi1_representative,
 )
 
 F = Fraction
@@ -146,6 +158,115 @@ def indicator_or_wall(fn, *args):
         return "wall"
 
 
+# -- oracles: the appendix checks as they were written point by point on
+# Fractions, before they ran on integers
+
+
+def point_by_point_cone_sum(spec, order):
+    """Reference: one recursion step per lattice point of the cone."""
+    coeffs = [0] * (order + 1)
+    firsts = [int(p * frac_part(x)) for p, x in zip(spec.weights, spec.classes)]
+
+    def rec(idx, exponent):
+        if idx == len(spec.weights):
+            coeffs[exponent] += 1
+            return
+        e = exponent + firsts[idx]
+        while e <= order:
+            rec(idx + 1, e)
+            e += spec.weights[idx]
+
+    rec(0, 0)
+    return CoeffVector(order, tuple(coeffs))
+
+
+def fraction_block_average(h, levi):
+    """Reference: h with each coordinate replaced by its block's Fraction mean."""
+    out, start = [], 0
+    for i in range(len(h)):
+        if i not in levi:
+            block = h[start : i + 1]
+            out += [sum(block, F(0)) / len(block)] * len(block)
+            start = i + 1
+    return out
+
+
+def fraction_identities_at(poset, small, large, h):
+    """Reference: both Langlands identities at h, on Fraction averages."""
+    between = [q for q in poset.subsets if small <= q <= large]
+    avg = {q: fraction_block_average(h, q) for q in between}
+    total_qr = total_pq = 0
+    for q in between:
+        hq = tuple(a - b for a, b in zip(avg[small], avg[q]))
+        h_q = tuple(a - b for a, b in zip(avg[q], avg[large]))
+        if poset.tau(small, q, hq) and poset.tau_hat(q, large, h_q):
+            total_qr += (-1) ** (len(large) - len(q))
+        if poset.tau_hat(small, q, hq) and poset.tau(q, large, h_q):
+            total_pq += (-1) ** (len(q) - len(small))
+    expect = 1 if small == large else 0
+    return total_qr == expect and total_pq == expect
+
+
+def fraction_relative_point(rank, small, large, rng):
+    """Reference: the projection of one draw of Fractions a / b."""
+    v = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank + 1)]
+    return tuple(
+        a - b for a, b in zip(fraction_block_average(v, small), fraction_block_average(v, large))
+    )
+
+
+def box_walk_residual(poset, a0, b0_top, topclass, order):
+    """Reference: the forward relation re-summed one lattice point at a
+    time, each point built with _shifted and read with pairing."""
+    rs = build_root_system(poset.group)
+    rep = pi1_representative(poset.group, topclass)
+    top = frozenset()
+    rhs = list(series_expand(b0_top, order).coeffs)
+    for p_cut in poset.elements:
+        n_p = 2 * poset.profiles[p_cut].dim_u * (poset.ell - 1)
+        if p_cut == top or n_p > order:
+            continue
+        idxs = sorted(p_cut)
+        coroots = [rs.simple_coroots[a - 1] for a in idxs]
+        rho = relative_rho(rs, p_cut, top)
+        p_weights = [4 * pairing(rho, v) for v in coroots]
+        base_vals = [pairing(rs.fundamental_weights[a - 1], rep) for a in idxs]
+        box = [
+            range(ceil(-x), floor((order - n_p) / w - x) + 1) for w, x in zip(p_weights, base_vals)
+        ]
+        rel_weights = inversion._relative_weights(rs, p_cut)
+        levi_coroots = [rs.simple_coroots[a - 1] for a in rel_weights]
+        b0_cache = {}
+        for m in product(*box):
+            x = inversion._shifted(rep, coroots, m)
+            center = inversion._shifted(
+                x, levi_coroots, [-pairing(w, x) for w in rel_weights.values()]
+            )
+            if any(pairing(rs.simple_roots[a - 1], center) <= 0 for a in idxs):
+                continue
+            exponent = n_p + 4 * pairing(rho, x)
+            assert exponent.denominator == 1 and exponent >= 0
+            if exponent > order:
+                continue
+            key = tuple(pairing(w, x) % 1 for w in rel_weights.values())
+            if key not in b0_cache:
+                classes = dict(zip(rel_weights, key))
+                b0_cache[key] = signed_sum(inversion.parabolic_terms(poset, a0, p_cut, classes))
+            for i, c in enumerate(series_expand(b0_cache[key], order - int(exponent)).coeffs):
+                rhs[int(exponent) + i] += c
+    lhs = series_expand(a0[top], order)
+    return CoeffVector(order, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
+
+
+def bundles(max_n):
+    """(group, class) for every family and class with n <= max_n."""
+    for fam, lo in (("u", 1), ("sp", 1), ("so-odd", 1), ("so-even", 2)):
+        for n in range(lo, max_n + 1):
+            classes = range(n) if fam == "u" else (0, 1) if fam.startswith("so") else (0,)
+            for c in classes:
+                yield GroupSpec(fam, n), c
+
+
 class TestConeSum:
     def test_closed_half_class(self):
         f = cone_sum_closed(ConeSumSpec((2,), (F(1, 2),)))
@@ -170,6 +291,27 @@ class TestConeSum:
     def test_truncated_matches_closed_product(self):
         spec = ConeSumSpec((2, 3), (F(1, 2), F(1, 3)))
         assert cone_sum_truncated(spec, 10) == series_expand(cone_sum_closed(spec), 10)
+
+    def test_counts_match_point_by_point_recursion(self):
+        rng = random.Random(31)
+        specs = [
+            (ConeSumSpec((), ()), 3),
+            (ConeSumSpec((3,), (F(1, 3),)), 0),  # order 0
+            (ConeSumSpec((2, 5), (F(0), F(-3))), 0),
+            (ConeSumSpec((9, 2), (F(0), F(1, 2))), 6),  # p > order, class 0
+            (ConeSumSpec((4, 7), (F(5), F(9, 7))), 3),  # every first exponent > order
+        ]
+        for _ in range(300):
+            weights, classes = [], []
+            for _ in range(rng.randint(1, 4)):
+                p = rng.randint(1, 12)
+                den = rng.choice([d for d in range(1, 13) if p % d == 0])
+                # classes outside [0, 1) too: only x mod Z matters
+                classes.append(F(rng.randint(-2 * den, 2 * den), den))
+                weights.append(p)
+            specs.append((ConeSumSpec(tuple(weights), tuple(classes)), rng.randint(0, 40)))
+        for spec, order in specs:
+            assert cone_sum_truncated(spec, order) == point_by_point_cone_sum(spec, order), spec
 
     def test_non_integral_rejected(self):
         with pytest.raises(InputError, match=r"p\*<x> = 2/3 not integral"):
@@ -196,6 +338,51 @@ class TestLanglands:
     def test_random_samples(self, rank):
         # rank 5 has 211 proper nested pairs, so it draws fewer per pair
         assert verify_langlands(rank, samples=12 if rank < 5 else 4, seed=3)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_random_point_is_scaled_fraction_draw(self, rank):
+        # the same draws, scaled by 12 lcm(1..rank+1), so every seeded
+        # sample is a positive multiple of the one the Fraction draw gives
+        scale = 12 * lcm(*range(1, rank + 2))
+        for seed, (small, large) in enumerate(nested_pairs(rank)):
+            expect = fraction_relative_point(rank, small, large, random.Random(seed))
+            if small != large and not any(expect):
+                continue  # the integer draw would redraw
+            got = random_relative_point(rank, small, large, random.Random(seed))
+            assert all(type(x) is int for x in got)
+            assert got == tuple(scale * x for x in expect)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_integer_identities_match_fraction_reference(self, rank, monkeypatch):
+        rng = random.Random(70 + rank)
+        poset = _TypeAPoset(rank)
+        real_average = inversion._block_average
+
+        def integer_average(h, levi):
+            out = real_average(h, levi)
+            assert all(type(x) is int for x in out), (h, levi)
+            return out
+
+        monkeypatch.setattr(inversion, "_block_average", integer_average)
+        outcomes = set()
+        pairs = list(nested_pairs(rank))
+        for small, large in rng.sample(pairs, min(len(pairs), 60)):
+            # the origin and small integer draws put samples on walls
+            walled = [F(rng.randint(-1, 1)) for _ in range(rank + 1)]
+            walled = _difference(
+                fraction_block_average(walled, small), fraction_block_average(walled, large)
+            )
+            samples = [fraction_relative_point(rank, small, large, rng) for _ in range(2)]
+            for h in samples + [walled, (F(0),) * (rank + 1)]:
+                expect = indicator_or_wall(fraction_identities_at, poset, small, large, h)
+                den, k = lcm(*(x.denominator for x in h)), rng.randint(2, 30)
+                for copy in (h, [k * x for x in h], [int(x * den) for x in h]):
+                    got = indicator_or_wall(
+                        inversion._langlands_identities_at, poset, small, large, copy
+                    )
+                    assert got == expect, (small, large, copy)
+                outcomes.add(expect)
+        assert outcomes == {True, "wall"}
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_closed_forms_match_gram_reference(self, rank):
@@ -366,6 +553,32 @@ class TestInvertAbstract:
         for engine in ("specialized", "general"):
             assert ratfun_eq(b0[frozenset()], flat_series(g, w2, 2, engine)), engine
         assert residual.is_zero
+
+    def test_residual_matches_box_walk(self):
+        checked = 0
+        for g, c in bundles(3):
+            poset = build_parabolic_poset(g, 2)
+            a0 = default_gauge_assignment(poset)
+            b0_top = closed_inverse(poset, a0, c)[frozenset()]
+            got = inversion.forward_residual(poset, a0, b0_top, c, 24)
+            assert got == box_walk_residual(poset, a0, b0_top, c, 24), (g, c)
+            checked += 1
+        assert checked == 19
+
+    @pytest.mark.parametrize("fam,n,c", [("so-odd", 3, 1), ("u", 3, 2)])
+    def test_perturbed_residual_matches_box_walk(self, fam, n, c):
+        # a wrong b0 at the group element, and an a0 that no longer matches
+        # the b0 inverted from it, both leave a nonzero residual
+        poset = build_parabolic_poset(GroupSpec(fam, n), 2)
+        a0 = default_gauge_assignment(poset)
+        b0_top = closed_inverse(poset, a0, c)[frozenset()]
+        proper = [q for q in poset.elements if q]
+        maximal = min(proper, key=lambda q: poset.profiles[q].dim_u)
+        perturbed = {**a0, maximal: a0[maximal] * RatFun(one_minus_t(1), Poly.one())}
+        for args in ((a0, b0_top + RatFun.t_power(5)), (perturbed, b0_top)):
+            got = inversion.forward_residual(poset, *args, c, 24)
+            assert not got.is_zero
+            assert got == box_walk_residual(poset, *args, c, 24)
 
     @pytest.mark.parametrize("fam", ["su", "spin-odd", "spin-even"])
     def test_poset_unsupported_families(self, fam):
