@@ -4,18 +4,21 @@ Two independent routes to the same values live here.
 
 The specialized route transcribes, family by family, the closed alternating
 sums over compositions of n: the unitary series (Zagier's solution of the
-rank-n recursion), and its symplectic and orthogonal counterparts.  Each
-function builds its formula exactly as printed, term by term, so the code
-doubles as the auditable transcription.  Both routes hand their signed terms
-to exactalg.signed_sum, the one accumulator of every alternating series.
+rank-n recursion), and its symplectic and orthogonal counterparts; SU(n)
+is the degree-zero unitary series with the central torus factor divided
+out, once, in flat_series.  Each function builds its formula exactly as
+printed, term by term, so the code doubles as the auditable transcription.
+Both routes hand their signed terms to exactalg.signed_sum, the one
+accumulator of every alternating series.
 
-The general route (lr_general) evaluates the abstract inversion of the
-stratification recursion at the group element: a single signed sum over all
-standard parabolics, with exponents driven by the Levi case tables and the
-fundamental-weight classes on pi_1.  Its terms come from
-inversion.parabolic_terms, the generator the closed inversion uses at every
-element of the parabolic poset.  Agreement of the two routes on every
-family is one of the package's acceptance gates.
+The general route (lr_general, on a group, a bundle class and a genus)
+evaluates the abstract inversion of the stratification recursion at the
+group element: a single signed sum over all standard parabolics, each
+named by its cut set of simple roots, with exponents driven by the Levi
+case tables and the fundamental-weight classes on pi_1.  Its terms come
+from inversion.parabolic_terms, the generator the closed inversion uses at
+every element of the parabolic poset.  Agreement of the two routes on
+every family is one of the package's acceptance gates.
 
 Conventions: the bracket <x> is the representative of x mod Z in the
 half-open interval (0, 1], so <0> = 1.  The indicator eps(r) = [r > 1]
@@ -26,7 +29,6 @@ literally 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,18 +53,6 @@ from .rootsys import (
 )
 
 F = Fraction
-
-
-@dataclass(frozen=True)
-class FlatSeriesRequest:
-    """A bundle of class topclass over the orientable surface of genus ell."""
-
-    group: GroupSpec
-    topclass: int
-    ell: int
-
-    def __post_init__(self):
-        validate_topclass(self.group, self.topclass)
 
 
 def _check_rank_and_genus(n: int, least_n: int, ell: int):
@@ -127,9 +117,9 @@ def _su_torus(ell: int) -> RatFun:
 
 def sun_flat(n: int, ell: int) -> RatFun:
     """Flat series for SU(n): the degree-zero U(n) series with the central
-    torus factor (1+t)^{2 ell} / (1-t^2) divided out."""
+    torus factor (1+t)^{2 ell} / (1-t^2) divided out, as flat_series does."""
     _check_rank_and_genus(n, 2, ell)
-    return zagier_un(n, 0, ell) / _su_torus(ell)
+    return flat_series(GroupSpec(SPECIAL_UNITARY, n), 0, ell)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +238,9 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
     return signed_sum(terms())
 
 
-def lr_general(req: FlatSeriesRequest) -> RatFun:
-    """The general engine: the closed inversion b0 at the group element.
+def lr_general(g: GroupSpec, c: int, ell: int) -> RatFun:
+    """The general engine: the closed inversion b0 at the group element,
+    for the bundle of class c over the orientable surface of genus ell.
 
     It is the signed sum over all standard parabolics, each named by its
     cut set I of simple-root indices, of
@@ -262,13 +253,14 @@ def lr_general(req: FlatSeriesRequest) -> RatFun:
     class c (rootsys.weight_on_pi1).  The terms come from
     inversion.parabolic_terms at the empty cut set, the generator that
     gives the closed inversion at every poset element; every exponent is
-    read from the Levi case tables.  Denominator exponents must be positive
+    read from the Levi case tables.  c must be a class of g
+    (rootsys.validate_topclass).  Denominator exponents must be positive
     integers and the total twist a natural number; violations raise
     ExactnessError.
     """
-    g, c = req.group, req.topclass
-    _check_rank_and_genus(g.n, 1, req.ell)
-    poset = build_parabolic_poset(g, req.ell)
+    validate_topclass(g, c)
+    _check_rank_and_genus(g.n, 1, ell)
+    poset = build_parabolic_poset(g, ell)
     classes = {a: weight_on_pi1(g, a, c) for a in frozenset().union(*poset.elements)}
     a0 = default_gauge_assignment(poset)
     return signed_sum(parabolic_terms(poset, a0, frozenset(), classes))
@@ -293,7 +285,7 @@ def flat_series(g: GroupSpec, c: int, ell: int, engine: str = "specialized") -> 
     if fam in _SPIN_ALIASES:
         return flat_series(GroupSpec(_SPIN_ALIASES[fam], n), 0, ell, engine)
     if engine == "general":
-        return lr_general(FlatSeriesRequest(g, c, ell))
+        return lr_general(g, c, ell)
     if fam == UNITARY:
         return zagier_un(n, c, ell)
     if fam == SYMPLECTIC:

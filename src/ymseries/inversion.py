@@ -19,8 +19,9 @@ invert_abstract computes b0 from its closed formula and re-sums the
 defining relation by explicit lattice enumeration as the forward check;
 every quantity that walk reads at a lattice point is an integer affine form
 in the point's coordinates, over one common denominator.
-The poset comes from levidata: its elements are the cut sets of the
-parabolics in enumerate_parabolics, each with its LeviProfile.
+The poset comes from levidata: its elements are the cut sets that
+enumerate_parabolics lists, the one name of a standard parabolic, each
+mapped to its levi_profile.
 parabolic_terms is the one generator of the closed formula's signed
 terms, at any element and for any classes; it reads every exponent from
 the Levi tables, and closedforms.lr_general is its sum at the group
@@ -310,9 +311,8 @@ class ParabolicPoset:
 
 def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
     """All standard parabolics of g, each with its Levi case table."""
-    profiles = [levi_profile(g, idx) for idx in enumerate_parabolics(g)]
-    by_cut = {frozenset(prof.simple_indices): prof for prof in profiles}
-    return ParabolicPoset(group=g, ell=ell, elements=tuple(by_cut), profiles=by_cut)
+    profiles = {cut: levi_profile(g, cut) for cut in enumerate_parabolics(g)}
+    return ParabolicPoset(group=g, ell=ell, elements=tuple(profiles), profiles=profiles)
 
 
 def default_gauge_assignment(poset: ParabolicPoset) -> dict:

@@ -1,15 +1,18 @@
 """Standard parabolic subgroups of the classical groups as combinatorial data.
 
-A subset I of the simple roots determines a parabolic subgroup and its Levi
-factor.  For the classical families a subset is the same thing as a
-composition (n_1, ..., n_r) of n together with family-specific membership
-flags for the last node(s) of the Dynkin diagram:
+A standard parabolic subgroup is named by the set I of simple roots it cuts,
+a frozenset of 1-based simple-root indices: the group itself is the empty
+set and the Borel is all of them.  Its Levi factor is read off a
+composition (n_1, ..., n_r) of n derived from I, whose cut positions are the
+chain nodes of the Dynkin diagram in I:
 
-  u                 composition only; Levi is a product of unitary blocks
-  so-odd / sp       one flag (is the short/long end node in I?); when it is
-                    not, the last block is an orthogonal/symplectic tail
-  so-even           two flags for the fork nodes; both in I forces a last
-                    block of size 1, any other combination forces size >= 2
+  u                 every node is a chain node; the Levi is a product of
+                    unitary blocks
+  so-odd / sp       chain nodes 1..n-1; when the end node n is not in I, the
+                    last block is an orthogonal/symplectic tail
+  so-even           chain nodes 1..n-2, and n-1 is a cut position when both
+                    fork nodes n-1 and n are in I (a last block of size 1);
+                    when neither is, the last block is an orthogonal tail
 
 For each parabolic this module produces the data the series formulas
 consume: the complex dimension of the unipotent radical, the excess of the
@@ -42,19 +45,7 @@ F = Fraction
 
 
 class InadmissibleCase(InputError):
-    """Composition and tail flags violate the family's case constraints."""
-
-
-@dataclass(frozen=True)
-class ParabolicIndex:
-    """Composition of n with the family's end-node membership flags."""
-
-    composition: tuple
-    flags: tuple = ()
-
-    def __post_init__(self):
-        if not self.composition or any(p < 1 for p in self.composition):
-            raise InadmissibleCase("composition parts must be positive")
+    """A cut set names a simple root the group does not have."""
 
 
 @dataclass(frozen=True)
@@ -83,55 +74,31 @@ def _compositions(n: int):
     ]
 
 
-def enumerate_parabolics(g: GroupSpec):
-    """All admissible ParabolicIndex values for g.
+def enumerate_parabolics(g: GroupSpec) -> list:
+    """The cut sets I of all standard parabolics of g.
 
-    They come ordered by (composition length, composition, flags), since
-    the compositions and each one's flags are generated in that order.
+    They come ordered by the composition each induces (length, then parts)
+    and, within one composition, by end nodes: () then (n,) for so-odd and
+    sp; for so-even (n,) alone when the last block has size 1 (both fork
+    nodes cut), otherwise (), (n,), (n-1,).
     The count is always 2**|Delta|: one subset of the simple roots each.
     """
     n, fam = g.n, g.family
-    comps = _compositions(n)
-    out = []
-    if fam == UNITARY:
-        for c in comps:
-            out.append(ParabolicIndex(c, ()))
-    elif fam in (SO_ODD, SYMPLECTIC):
-        for c in comps:
-            for flag in (False, True):
-                out.append(ParabolicIndex(c, (flag,)))
-    elif fam == SO_EVEN:
-        for c in comps:
-            if c[-1] == 1:
-                out.append(ParabolicIndex(c, (True, True)))
-            else:
-                for flags in ((False, False), (False, True), (True, False)):
-                    out.append(ParabolicIndex(c, flags))
-    else:
+    if fam not in (UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC):
         raise UnsupportedFamily(f"standard parabolics are not defined for family {fam!r}")
+    out = []
+    for comp in _compositions(n):
+        if fam == UNITARY:
+            ends = [()]
+        elif fam != SO_EVEN:
+            ends = [(), (n,)]
+        elif comp[-1] == 1:
+            ends = [(n,)]
+        else:
+            ends = [(), (n,), (n - 1,)]
+        cuts = _cut_positions(comp)
+        out.extend(frozenset(cuts + list(end)) for end in ends)
     return out
-
-
-def _check_admissible(g: GroupSpec, idx: ParabolicIndex):
-    n, fam = g.n, g.family
-    comp, flags = idx.composition, idx.flags
-    if sum(comp) != n:
-        raise InadmissibleCase(f"composition {comp} does not sum to {n}")
-    if fam == UNITARY:
-        if flags != ():
-            raise InadmissibleCase("unitary parabolics carry no flags")
-    elif fam in (SO_ODD, SYMPLECTIC):
-        if len(flags) != 1:
-            raise InadmissibleCase("so-odd/sp parabolics carry one flag")
-    elif fam == SO_EVEN:
-        if len(flags) != 2:
-            raise InadmissibleCase("so-even parabolics carry two flags")
-        if flags == (True, True) and comp[-1] != 1:
-            raise InadmissibleCase("both fork nodes in I forces a last block of size 1")
-        if flags != (True, True) and comp[-1] < 2:
-            raise InadmissibleCase("a missing fork node forces a last block of size >= 2")
-    else:
-        raise UnsupportedFamily(f"parabolic admissibility is not defined for family {fam!r}")
 
 
 def _pair_sum(comp) -> int:
@@ -149,28 +116,36 @@ def _adjacent_pairings(comp, upto):
 
 
 @lru_cache(maxsize=None)
-def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
-    """Case table for the parabolic determined by idx inside g.
+def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
+    """Case table for the standard parabolic of g that cuts the simple roots in cut.
 
-    Both arguments and the result are frozen, so each profile is built once;
-    an inadmissible idx raises on every call.
+    The composition's cut positions are the chain nodes in cut, plus n - 1
+    on so-even when both fork nodes are in cut.  Both arguments and the
+    result are frozen, so each profile is built once; a cut set that is not
+    inside 1..rank raises on every call.
     """
-    _check_admissible(g, idx)
     n, fam = g.n, g.family
-    comp = idx.composition
+    if fam not in (UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC):
+        raise UnsupportedFamily(f"Levi profiles are not defined for family {fam!r}")
+    rank = n - 1 if fam == UNITARY else n
+    if cut and not 1 <= min(cut) <= max(cut) <= rank:
+        raise InadmissibleCase(f"cut set {sorted(cut)} is not inside 1..{rank}")
+    indices = sorted(cut)
+    chain_end = n - 1 if fam == SO_EVEN else n
+    cuts = [i for i in indices if i < chain_end]
+    both_forks = fam == SO_EVEN and n - 1 in cut and n in cut
+    if both_forks:
+        cuts.append(n - 1)
+    comp = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
     r = len(comp)
-    cuts = _cut_positions(comp)
     if fam == UNITARY:
         blocks, tail = comp, None
-        indices = cuts
         pairings = _adjacent_pairings(comp, r - 1)
         dim_u = _pair_sum(comp)
         excess = r - 1
     elif fam in (SO_ODD, SYMPLECTIC):
-        last_in = idx.flags[0]
-        if last_in:
+        if n in cut:
             blocks, tail = comp, None
-            indices = cuts + [n]
             boundary = F(comp[-1]) if fam == SO_ODD else F(comp[-1] + 1, 2)
             pairings = _adjacent_pairings(comp, r - 1) + [boundary]
             dim_u = _pair_sum(comp) + n * (n + 1) // 2
@@ -178,7 +153,6 @@ def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
         else:
             m = comp[-1]
             blocks, tail = comp[:-1], (fam, m)
-            indices = cuts
             pairings = _adjacent_pairings(comp, r - 2)
             if r > 1:
                 if fam == SO_ODD:
@@ -187,32 +161,26 @@ def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
                     pairings.append(F(comp[-2] + 1, 2) + m)
             dim_u = _pair_sum(comp) + (n * (n + 1) - m * (m + 1)) // 2
             excess = r - 1
-    elif fam == SO_EVEN:
-        in_nm1, in_n = idx.flags
-        if in_nm1 and in_n:
+    else:  # so-even
+        if both_forks:
             blocks, tail = comp, None
-            indices = cuts[: r - 2] + [n - 1, n] if r >= 2 else [n - 1, n]
             boundary = F(comp[-2] + 1, 2)
             pairings = _adjacent_pairings(comp, r - 2) + [boundary, boundary]
             dim_u = _pair_sum(comp) + n * (n - 1) // 2
             excess = r
-        elif in_nm1 != in_n:
+        elif n - 1 in cut or n in cut:
             blocks, tail = comp, None
-            indices = cuts + [n - 1 if in_nm1 else n]
             pairings = _adjacent_pairings(comp, r - 1) + [F(comp[-1] - 1)]
             dim_u = _pair_sum(comp) + n * (n - 1) // 2
             excess = r
         else:
             m = comp[-1]
             blocks, tail = comp[:-1], (SO_EVEN, m)
-            indices = cuts
             pairings = _adjacent_pairings(comp, r - 2)
             if r > 1:
                 pairings.append(F(comp[-2] + 2 * m - 1, 2))
             dim_u = _pair_sum(comp) + (n * (n - 1) - m * (m - 1)) // 2
             excess = r - 1
-    else:
-        raise UnsupportedFamily(f"Levi profiles are not defined for family {fam!r}")
     profiles = [unitary_block_profile(b) for b in blocks]
     if tail is not None:
         profiles.append(tail_profile(*tail))
@@ -230,11 +198,12 @@ def levi_profile(g: GroupSpec, idx: ParabolicIndex) -> LeviProfile:
 # -- recomputation from root data ---------------------------------------
 #
 # Used by the consistency tests: the table values above must agree exactly
-# with what the root system says.  The same root-support rule gives
-# inversion.forward_residual the rho_P of its lattice walk; the closed
-# inversion reads its pair weights from the tables.  Root supports are read
-# off RootSystem.positive_coefficients, which is computed from the simple
-# roots and stays independent of the case tables.
+# with what the root system says.  This reference reads nothing from the
+# tables: it takes the cut set I and reads root supports off
+# RootSystem.positive_coefficients, which is computed from the simple roots.
+# The same root-support rule gives inversion.forward_residual the rho_P of
+# its lattice walk; the closed inversion reads its pair weights from the
+# tables.
 
 
 def _roots_between(rs, small_cut: frozenset, large_cut: frozenset) -> list:
@@ -257,14 +226,14 @@ def relative_rho(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
     return tuple(F(sum(beta[j] for beta in roots), 2) for j in range(rs.n))
 
 
-def dim_u_from_roots(g: GroupSpec, idx: ParabolicIndex) -> int:
-    """|R+ of g| minus |R+ of the Levi|, straight from the root system."""
-    cut = frozenset(levi_profile(g, idx).simple_indices)
+def dim_u_from_roots(g: GroupSpec, cut: frozenset) -> int:
+    """|R+ of g| minus |R+ of the Levi of the cut set, from the root system alone."""
     return len(_roots_between(build_root_system(g), cut, frozenset()))
 
 
-def rho_pairings_from_roots(g: GroupSpec, idx: ParabolicIndex) -> dict:
-    """Pairings of half the sum of unipotent-radical roots with I's coroots.
+def rho_pairings_from_roots(g: GroupSpec, cut: frozenset) -> dict:
+    """{a: pairing of half the sum of unipotent-radical roots with coroot a},
+    over a in the cut set I, from the root system alone.
 
     The radical is the set of positive roots outside the Levi, i.e. with
     support meeting I.  (A positive pairing with some coroot of I does not
@@ -272,9 +241,8 @@ def rho_pairings_from_roots(g: GroupSpec, idx: ParabolicIndex) -> dict:
     e.g. 2*theta_2 for Sp(3) with I = {alpha_1, alpha_3}.)
     """
     rs = build_root_system(g)
-    cut = levi_profile(g, idx).simple_indices
-    rho = relative_rho(rs, frozenset(cut), frozenset())
-    return {i: pairing(rho, rs.simple_coroots[i - 1]) for i in cut}
+    rho = relative_rho(rs, cut, frozenset())
+    return {i: pairing(rho, rs.simple_coroots[i - 1]) for i in sorted(cut)}
 
 
 def levi_profile_to_json(prof: LeviProfile) -> dict:

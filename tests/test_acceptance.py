@@ -14,7 +14,6 @@ import pytest
 
 from reference_series import REFERENCE_CASES
 from ymseries.closedforms import (
-    FlatSeriesRequest,
     flat_series,
     lr_general,
     so_even_flat,
@@ -96,7 +95,7 @@ def topclasses(fam, n):
 @lru_cache(maxsize=None)
 def engine_series(fam, n, c, ell):
     """The general engine's flat series; criteria 3 and 5 share each value."""
-    return lr_general(FlatSeriesRequest(GroupSpec(fam, n), c, ell))
+    return lr_general(GroupSpec(fam, n), c, ell)
 
 
 def load_golden(name):
@@ -252,13 +251,13 @@ def test_criterion_7_levi_tables():
     for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
         for n in range(lo, 8):
             g = GroupSpec(fam, n)
-            for idx in enumerate_parabolics(g):
-                prof = levi_profile(g, idx)
-                assert prof.dim_u == dim_u_from_roots(g, idx), (fam, n, idx)
+            for cut in enumerate_parabolics(g):
+                prof = levi_profile(g, cut)
+                assert prof.dim_u == dim_u_from_roots(g, cut), (fam, n, cut)
                 # the sign (-1)^|I| of the parabolic sum relies on this
-                assert prof.center_excess == len(prof.simple_indices), (fam, n, idx)
+                assert prof.center_excess == len(prof.simple_indices), (fam, n, cut)
                 table = dict(zip(prof.simple_indices, prof.rho_pairings))
-                assert table == rho_pairings_from_roots(g, idx), (fam, n, idx)
+                assert table == rho_pairings_from_roots(g, cut), (fam, n, cut)
                 count += 1
     print(f"\ncriterion 7: PASS - Levi tables match root data ({count} parabolics)")
 

@@ -5,7 +5,6 @@ import pytest
 
 from reference_series import REFERENCE_CASES, one_plus_t
 from ymseries.closedforms import (
-    FlatSeriesRequest,
     flat_series,
     frac_part,
     lr_general,
@@ -15,6 +14,7 @@ from ymseries.closedforms import (
     sun_flat,
     zagier_un,
 )
+from ymseries.errors import InputError
 from ymseries.exactalg import (
     RatFun,
     one_minus_t,
@@ -133,28 +133,31 @@ class TestExceptionalIsomorphisms:
 
 class TestGeneralEngine:
     def test_sp1(self):
-        req = FlatSeriesRequest(GroupSpec("sp", 1), 0, 2)
-        assert ratfun_eq(lr_general(req), sp_flat(1, 2))
+        assert ratfun_eq(lr_general(GroupSpec("sp", 1), 0, 2), sp_flat(1, 2))
 
     def test_so3_trivial_bundle(self):
-        req = FlatSeriesRequest(GroupSpec("so-odd", 1), 0, 2)
-        assert ratfun_eq(lr_general(req), REFERENCE_CASES["so3_plus"](2))
+        assert ratfun_eq(lr_general(GroupSpec("so-odd", 1), 0, 2), REFERENCE_CASES["so3_plus"](2))
 
     def test_u2_k1(self):
-        req = FlatSeriesRequest(GroupSpec("u", 2), 1, 2)
-        assert ratfun_eq(lr_general(req), zagier_un(2, 1, 2))
+        assert ratfun_eq(lr_general(GroupSpec("u", 2), 1, 2), zagier_un(2, 1, 2))
 
     # the full n <= 4, ell in {1,2,3} sweep runs in the acceptance suite
     @pytest.mark.parametrize("fam,n,cs", [("u", 3, (0, 1, 2)), ("sp", 2, (0,)),
                                           ("so-odd", 2, (0, 1)), ("so-even", 2, (0, 1))])
     def test_engine_agrees_spot(self, fam, n, cs):
         for c in cs:
-            req = FlatSeriesRequest(GroupSpec(fam, n), c, 2)
-            assert ratfun_eq(lr_general(req), flat_series(GroupSpec(fam, n), c, 2))
+            g = GroupSpec(fam, n)
+            assert ratfun_eq(lr_general(g, c, 2), flat_series(g, c, 2))
 
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamily):
-            lr_general(FlatSeriesRequest(GroupSpec("su", 2), 0, 2))
+            lr_general(GroupSpec("su", 2), 0, 2)
+
+    @pytest.mark.parametrize("g,c,message", [(GroupSpec("sp", 1), 1, "simply connected"),
+                                             (GroupSpec("so-odd", 2), 2, "w2 bit")])
+    def test_class_outside_pi1_rejected(self, g, c, message):
+        with pytest.raises(InputError, match=message):
+            lr_general(g, c, 2)
 
     def test_flat_series_general_aliases(self):
         assert ratfun_eq(flat_series(GroupSpec("su", 2), 0, 2, engine="general"), sun_flat(2, 2))

@@ -15,7 +15,7 @@ from ymseries.gaugeseries import (
     tail_profile,
     unitary_block_profile,
 )
-from ymseries.levidata import ParabolicIndex, levi_profile
+from ymseries.levidata import levi_profile
 from ymseries.rootsys import FAMILIES, GroupSpec
 
 
@@ -98,19 +98,19 @@ class TestPositivityAndProducts:
 
 class TestBgLevi:
     def test_two_torus_blocks(self):
-        prof = levi_profile(GroupSpec("u", 2), ParabolicIndex((1, 1), ()))
+        prof = levi_profile(GroupSpec("u", 2), frozenset({1}))
         ell = 2
         torus = bg_orientable(unitary_block_profile(1), ell)
         assert bg_orientable(prof.betti, ell) == torus * torus
 
     def test_full_group(self):
         g = GroupSpec("sp", 2)
-        prof = levi_profile(g, ParabolicIndex((2,), (False,)))
+        prof = levi_profile(g, frozenset())
         assert bg_orientable(prof.betti, 3) == bg_orientable(betti_degrees(g), 3)
 
     def test_mixed_factor(self):
         g = GroupSpec("sp", 2)
-        prof = levi_profile(g, ParabolicIndex((1, 1), (False,)))
+        prof = levi_profile(g, frozenset({1}))
         ell = 2
         expect = bg_orientable(unitary_block_profile(1), ell) * bg_orientable(
             betti_degrees(GroupSpec("sp", 1)), ell

@@ -33,7 +33,7 @@ from ymseries.inversion import (
     random_relative_point,
     verify_langlands,
 )
-from ymseries.levidata import ParabolicIndex, levi_profile, relative_rho
+from ymseries.levidata import levi_profile, relative_rho
 from ymseries.rootsys import (
     UNITARY,
     GroupSpec,
@@ -589,11 +589,11 @@ class TestInvertAbstract:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_poset_profiles_match_former_cutset_map(self, fam, n):
         def former_index_for_cutset(g, cut):
-            # the cut-set to composition map the poset used before it read
-            # enumerate_parabolics
+            # the cut-set to (composition, flags) map the poset used before
+            # it read enumerate_parabolics
             flags = () if g.family == "u" else (g.n in cut,)
             bounds = [0] + sorted(c for c in cut if c < g.n) + [g.n]
-            return ParabolicIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])), flags)
+            return tuple(b - a for a, b in zip(bounds, bounds[1:])), flags
 
         g = GroupSpec(fam, n)
         poset = build_parabolic_poset(g, 2)
@@ -605,7 +605,14 @@ class TestInvertAbstract:
         assert set(poset.elements) == subsets
         assert set(poset.profiles) == subsets
         for cut in poset.elements:
-            assert poset.profiles[cut] == levi_profile(g, former_index_for_cutset(g, cut)), cut
+            prof = poset.profiles[cut]
+            assert prof is levi_profile(g, cut), cut
+            comp, flags = former_index_for_cutset(g, cut)
+            # a tail exactly when the end node is not cut; u has none
+            assert (prof.tail is None) == (flags in ((), (True,))), cut
+            tail = () if prof.tail is None else (prof.tail[1],)
+            assert prof.unitary_blocks + tail == comp, cut
+            assert prof.simple_indices == tuple(sorted(cut)), cut
 
 
 class TestParabolicTerms:

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from former_parabolics import former_cut_sets, former_parabolics
+from ymseries import levidata
+from ymseries.errors import InputError
 from ymseries.levidata import (
     InadmissibleCase,
-    ParabolicIndex,
     _compositions,
     dim_u_from_roots,
     enumerate_parabolics,
@@ -20,29 +22,22 @@ F = Fraction
 ALL_FAMILIES = [("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)]
 
 
+def cuts(*indices):
+    return frozenset(indices)
+
+
 class TestEnumerate:
     def test_u2(self):
-        idxs = enumerate_parabolics(GroupSpec("u", 2))
-        assert [i.composition for i in idxs] == [(2,), (1, 1)]
+        assert enumerate_parabolics(GroupSpec("u", 2)) == [cuts(), cuts(1)]
 
     def test_sp2(self):
-        idxs = enumerate_parabolics(GroupSpec("sp", 2))
-        assert len(idxs) == 4
-        assert {(i.composition, i.flags) for i in idxs} == {
-            ((2,), (False,)),
-            ((2,), (True,)),
-            ((1, 1), (False,)),
-            ((1, 1), (True,)),
-        }
+        # compositions (2,) then (1, 1), each without then with node 2
+        assert enumerate_parabolics(GroupSpec("sp", 2)) == [cuts(), cuts(2), cuts(1), cuts(1, 2)]
 
     def test_so4(self):
-        idxs = enumerate_parabolics(GroupSpec("so-even", 2))
-        assert {(i.composition, i.flags) for i in idxs} == {
-            ((1, 1), (True, True)),
-            ((2,), (False, False)),
-            ((2,), (False, True)),
-            ((2,), (True, False)),
-        }
+        # (2,) with neither, the second, the first fork node; (1, 1) with both
+        got = enumerate_parabolics(GroupSpec("so-even", 2))
+        assert got == [cuts(), cuts(2), cuts(1), cuts(1, 2)]
 
     def test_counts_are_powers_of_two(self):
         # one parabolic per subset of the simple roots
@@ -73,60 +68,93 @@ class TestEnumerate:
 
         for n in range(12):
             assert _compositions(n) == sorted_compositions(n), n
-        def former_key(idx):
-            return (len(idx.composition), idx.composition, idx.flags)
+        # the former enumerator, kept as the oracle of the order
+        def former_key(named):
+            comp, flags = named
+            return (len(comp), comp, flags)
 
         for fam, lo in ALL_FAMILIES:
             for n in range(lo, 9):
-                idxs = enumerate_parabolics(GroupSpec(fam, n))
-                assert idxs == sorted(idxs, key=former_key), (fam, n)
+                named = former_parabolics(GroupSpec(fam, n))
+                assert named == sorted(named, key=former_key), (fam, n)
+
+    def test_every_subset_once_in_former_order(self):
+        for fam, lo in ALL_FAMILIES:
+            for n in range(lo, 9):
+                g = GroupSpec(fam, n)
+                rank = n - 1 if fam == "u" else n
+                got = enumerate_parabolics(g)
+                assert got == former_cut_sets(g), (fam, n)
+                subsets = {
+                    frozenset(i + 1 for i in range(rank) if mask >> i & 1)
+                    for mask in range(2**rank)
+                }
+                assert len(got) == len(subsets) and set(got) == subsets, (fam, n)
 
 
 class TestLeviProfile:
     def test_sp3_case1(self):
-        prof = levi_profile(GroupSpec("sp", 3), ParabolicIndex((1, 2), (True,)))
+        prof = levi_profile(GroupSpec("sp", 3), cuts(1, 3))
+        assert prof.unitary_blocks == (1, 2) and prof.tail is None
         assert prof.dim_u == 1 * 2 + 3 * 4 // 2
         assert prof.center_excess == 2
         assert dict(zip(prof.simple_indices, prof.rho_pairings)) == {1: F(3, 2), 3: F(3, 2)}
 
     def test_so5_full_group(self):
-        prof = levi_profile(GroupSpec("so-odd", 2), ParabolicIndex((2,), (False,)))
+        prof = levi_profile(GroupSpec("so-odd", 2), cuts())
         assert prof.dim_u == 0
         assert prof.center_excess == 0
         assert prof.rho_pairings == ()
         assert prof.tail == ("so-odd", 2)
 
     def test_so7_case2(self):
-        prof = levi_profile(GroupSpec("so-odd", 3), ParabolicIndex((1, 2), (False,)))
+        prof = levi_profile(GroupSpec("so-odd", 3), cuts(1))
+        assert prof.unitary_blocks == (1,) and prof.tail == ("so-odd", 2)
         assert prof.dim_u == 1 * 2 + (3 * 4 - 2 * 3) // 2
         assert prof.center_excess == 1
         assert dict(zip(prof.simple_indices, prof.rho_pairings)) == {1: F(5, 2)}
 
     def test_betti_of_levi(self):
-        prof = levi_profile(GroupSpec("sp", 2), ParabolicIndex((1, 1), (False,)))
+        prof = levi_profile(GroupSpec("sp", 2), cuts(1))
         # U(1) x Sp(1): degrees (1) and (2)
         assert prof.betti.degrees == (1, 2)
         assert prof.betti.center_count == 1
 
     def test_admissibility(self):
-        with pytest.raises(InadmissibleCase):
-            levi_profile(GroupSpec("so-even", 2), ParabolicIndex((2,), (True, True)))
-        with pytest.raises(InadmissibleCase):
-            levi_profile(GroupSpec("so-even", 3), ParabolicIndex((2, 1), (False, False)))
-        with pytest.raises(InadmissibleCase):
-            levi_profile(GroupSpec("u", 2), ParabolicIndex((3,), ()))
+        # a cut set must lie inside 1..rank, the only constraint left
+        for fam, lo in ALL_FAMILIES:
+            for n in range(lo, 5):
+                g = GroupSpec(fam, n)
+                rank = n - 1 if fam == "u" else n
+                for bad in (cuts(0), cuts(rank + 1), cuts(1, rank + 1), cuts(0, rank)):
+                    with pytest.raises(InadmissibleCase):
+                        levi_profile(g, bad)
+        assert issubclass(InadmissibleCase, InputError)
 
     def test_profile_built_once_and_inadmissible_raises_every_call(self):
         g = GroupSpec("so-even", 4)
-        for idx in enumerate_parabolics(g):
-            assert levi_profile(g, idx) is levi_profile(GroupSpec("so-even", 4), idx)
-        bad = ParabolicIndex((3, 1), (False, False))
+        for cut in enumerate_parabolics(g):
+            assert levi_profile(g, cut) is levi_profile(GroupSpec("so-even", 4), cut)
+        for bad in (cuts(0), cuts(5)):
+            for _ in range(3):
+                with pytest.raises(InadmissibleCase):
+                    levi_profile(g, bad)
         for _ in range(3):
             with pytest.raises(InadmissibleCase):
-                levi_profile(g, bad)
+                levi_profile(GroupSpec("u", 4), cuts(4))
+
+    def test_composition_from_cut_set(self):
+        # so-even: n - 1 is a cut position only with both fork nodes in I
+        g = GroupSpec("so-even", 4)
+        assert levi_profile(g, cuts(1, 3, 4)).unitary_blocks == (1, 2, 1)
+        assert levi_profile(g, cuts(1, 3)).unitary_blocks == (1, 3)
+        assert levi_profile(g, cuts(1, 4)).unitary_blocks == (1, 3)
+        prof = levi_profile(g, cuts(1))
+        assert (prof.unitary_blocks, prof.tail) == ((1,), ("so-even", 3))
+        assert levi_profile(GroupSpec("u", 4), cuts(1, 3)).unitary_blocks == (1, 2, 1)
 
     def test_json(self):
-        prof = levi_profile(GroupSpec("sp", 3), ParabolicIndex((1, 2), (True,)))
+        prof = levi_profile(GroupSpec("sp", 3), cuts(1, 3))
         data = levi_profile_to_json(prof)
         assert data["rho_pairings"] == ["3/2", "3/2"]
         assert data["dim_u"] == 8
@@ -137,11 +165,27 @@ class TestRootDataConsistency:
     @pytest.mark.parametrize("fam,n", [("u", 3), ("so-odd", 3), ("so-even", 3), ("sp", 3)])
     def test_dim_u_and_pairings(self, fam, n):
         g = GroupSpec(fam, n)
-        for idx in enumerate_parabolics(g):
-            prof = levi_profile(g, idx)
-            assert prof.dim_u == dim_u_from_roots(g, idx), (fam, n, idx)
-            recomputed = rho_pairings_from_roots(g, idx)
-            assert recomputed == dict(zip(prof.simple_indices, prof.rho_pairings)), (fam, n, idx)
+        for cut in enumerate_parabolics(g):
+            prof = levi_profile(g, cut)
+            assert prof.dim_u == dim_u_from_roots(g, cut), (fam, n, cut)
+            recomputed = rho_pairings_from_roots(g, cut)
+            assert recomputed == dict(zip(prof.simple_indices, prof.rho_pairings)), (fam, n, cut)
+
+    def test_reference_reads_no_table(self, monkeypatch):
+        groups = [GroupSpec(fam, n) for fam, lo in ALL_FAMILIES for n in range(lo, 5)]
+        expected = {}
+        for g in groups:
+            for cut in enumerate_parabolics(g):
+                prof = levi_profile(g, cut)
+                expected[g, cut] = (prof.dim_u, dict(zip(prof.simple_indices, prof.rho_pairings)))
+
+        def no_table(*args):
+            raise AssertionError("the root-data reference read a Levi table")
+
+        monkeypatch.setattr(levidata, "levi_profile", no_table)
+        for (g, cut), (dim_u, table) in expected.items():
+            assert dim_u_from_roots(g, cut) == dim_u, (g, cut)
+            assert rho_pairings_from_roots(g, cut) == table, (g, cut)
 
     @pytest.mark.parametrize(
         "fam,n",
@@ -165,10 +209,9 @@ class TestRootDataConsistency:
         g = GroupSpec(fam, n)
         rs = build_root_system(g)
         tables = {}
-        for idx in enumerate_parabolics(g):
-            prof = levi_profile(g, idx)
-            table = dict(zip(prof.simple_indices, prof.rho_pairings))
-            tables[frozenset(prof.simple_indices)] = table
+        for cut in enumerate_parabolics(g):
+            prof = levi_profile(g, cut)
+            tables[cut] = dict(zip(prof.simple_indices, prof.rho_pairings))
         rank = len(rs.simple_roots)
         cuts = [
             frozenset(i + 1 for i in range(rank) if mask >> i & 1) for mask in range(2**rank)
