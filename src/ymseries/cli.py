@@ -64,12 +64,14 @@ def _group(args) -> GroupSpec:
 
 
 def _topclass(args, g: GroupSpec) -> int:
-    if g.family in ("u", "su"):
-        c = args.degree if args.degree is not None else 0
-    elif g.family in ("so-odd", "so-even"):
-        c = args.w2
-    else:
-        c = 0
+    """The bundle class from --degree or --w2; a nonzero flag another family
+    cannot use is an InputError, as a nonzero su degree is."""
+    unitary, orthogonal = g.family in ("u", "su"), g.family in ("so-odd", "so-even")
+    if args.degree and not unitary:
+        raise InputError(f"{g.describe()} takes no --degree, got {args.degree}")
+    if args.w2 and not orthogonal:
+        raise InputError(f"{g.describe()} takes no --w2, got {args.w2}")
+    c = (args.degree or 0) if unitary else args.w2
     validate_topclass(g, c)
     return c
 
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_group_flags(p, genus=True):
+    def add_group_flags(p, genus=True, topclass=True):
         p.add_argument(
             "--group",
             required=True,
@@ -261,8 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, required=True, help="the rank parameter n")
         if genus:
             p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--degree", type=int, default=None, help="bundle degree (u only)")
-        p.add_argument("--w2", type=int, default=0, choices=[0, 1], help="orthogonal bundle class")
+        if topclass:
+            p.add_argument("--degree", type=int, default=None, help="bundle degree (u only)")
+            p.add_argument(
+                "--w2", type=int, default=0, choices=[0, 1], help="orthogonal bundle class"
+            )
 
     p = sub.add_parser("poincare", help="closed-form flat/central series")
     add_group_flags(p)
@@ -276,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_series)
 
+    # a stratum's class is read off its --labels
     p = sub.add_parser("stratum", help="series of one stratum")
-    add_group_flags(p)
+    add_group_flags(p, topclass=False)
     p.add_argument("--composition", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--tail", choices=["none", "zero", "minus"], default="none")
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_strata_list)
 
     p = sub.add_parser("components", help="nonorientable component classification")
-    add_group_flags(p, genus=False)
+    add_group_flags(p, genus=False, topclass=False)
     p.add_argument("--surface-i", type=int, choices=[1, 2], required=True)
     p.add_argument("--composition", required=True)
     p.add_argument("--labels", required=True)

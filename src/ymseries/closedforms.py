@@ -15,7 +15,8 @@ The general route (lr_general, on a group, a bundle class and a genus)
 evaluates the abstract inversion of the stratification recursion at the
 group element: a single signed sum over all standard parabolics, each
 named by its cut set of simple roots, with exponents driven by the Levi
-case tables and the fundamental-weight classes on pi_1.  Its terms come
+profiles, read off the root system, and the fundamental-weight classes
+on pi_1.  Its terms come
 from inversion.parabolic_terms, the generator the closed inversion uses at
 every element of the parabolic poset.  Agreement of the two routes on
 every family is one of the package's acceptance gates.
@@ -253,10 +254,10 @@ def lr_general(g: GroupSpec, c: int, ell: int) -> RatFun:
     class c (rootsys.weight_on_pi1).  The terms come from
     inversion.parabolic_terms at the empty cut set, the generator that
     gives the closed inversion at every poset element; every exponent is
-    read from the Levi case tables.  c must be a class of g
-    (rootsys.validate_topclass).  Denominator exponents must be positive
-    integers and the total twist a natural number; violations raise
-    ExactnessError.
+    read from the Levi profiles (levidata.levi_profile).  c must be a
+    class of g (rootsys.validate_topclass).  Denominator exponents must be
+    positive integers and the total twist a natural number; violations
+    raise ExactnessError.
     """
     validate_topclass(g, c)
     _check_rank_and_genus(g.n, 1, ell)

@@ -24,10 +24,13 @@ enumerate_parabolics lists, the one name of a standard parabolic, each
 mapped to its levi_profile.
 parabolic_terms is the one generator of the closed formula's signed
 terms, at any element and for any classes; it reads every exponent from
-the Levi tables, and closedforms.lr_general is its sum at the group
-element.  The forward check reads rho_P from root data instead
-(levidata.relative_rho), so the round trip compares the tables with the
-root system.
+the Levi profiles, and closedforms.lr_general is its sum at the group
+element.  The profiles and the forward check's rho_P
+(levidata.relative_rho) come from one source, the root-support rule of
+levidata; the round trip checks the closed formula and the lattice
+geometry against each other, and criterion 7 of the acceptance suite
+checks the profiles against the former case tables.  The group's
+fundamental weights are the relative weights at the empty cut set.
 verify_langlands tests the two alternating-sum identities on which the
 inversion rests, at off-wall sample points of the type-A poset
 of any rank.  In standard coordinates that check needs no linear algebra:
@@ -310,7 +313,7 @@ class ParabolicPoset:
 
 
 def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
-    """All standard parabolics of g, each with its Levi case table."""
+    """All standard parabolics of g, each with its Levi profile."""
     profiles = {cut: levi_profile(g, cut) for cut in enumerate_parabolics(g)}
     return ParabolicPoset(group=g, ell=ell, elements=tuple(profiles), profiles=profiles)
 
@@ -349,7 +352,7 @@ def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: 
     the product over a in p_cut - q_cut, with x_a = classes[a] and
     p_a = 4 <rho_P^Q, a^v>.  As rho_P^Q = rho_P - rho_Q and rho_Q pairs to
     zero with every simple coroot of Q's Levi, p_a = 4 <rho_P, a^v>: the
-    entry of P's Levi table at a.  A p_a that is not a positive integer, or
+    entry of P's Levi profile at a.  A p_a that is not a positive integer, or
     a total twist that is not an integer, raises ExactnessError.
     """
     q_dim_u = poset.profiles[q_cut].dim_u
@@ -401,8 +404,9 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
     g = poset.group
     rs = build_root_system(g)
     rep = pi1_representative(g, topclass)
-    ambient = rs.fundamental_weights
     top = frozenset()
+    # the relative weights of the whole group are its fundamental weights
+    ambient = _relative_weights(rs, top)
     rhs = [0] * (order + 1)
 
     for p_cut in poset.elements:
@@ -417,7 +421,7 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
         rho = relative_rho(rs, p_cut, top)
         p_weights = [4 * pairing(rho, v) for v in coroots]
-        base_vals = [pairing(ambient[a - 1], rep) for a in idxs]
+        base_vals = [pairing(ambient[a], rep) for a in idxs]
         box = [
             range(ceil(-x), ((order - n_p) / w - x).__floor__() + 1)
             for w, x in zip(p_weights, base_vals)

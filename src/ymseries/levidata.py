@@ -15,10 +15,12 @@ chain nodes of the Dynkin diagram in I:
                     when neither is, the last block is an orthogonal tail
 
 For each parabolic this module produces the data the series formulas
-consume: the complex dimension of the unipotent radical, the excess of the
-Levi's central dimension over the group's, the pairings of the half-sum of
-unipotent-radical roots against the coroots indexed by I, and the Betti
-degree profile of the Levi for its gauge series.
+consume.  The Levi's blocks, tail and Betti degree profile (for its gauge
+series) come from the composition.  The complex dimension of the unipotent
+radical and the pairings of the half-sum of its roots against the coroots
+indexed by I come from the root system alone: the radical is the set of
+positive roots whose support meets I.  That one rule is the only source of
+Levi data; the forward lattice walk of the inversion reads it too.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .rootsys import (
     GroupSpec,
     UnsupportedFamily,
     build_root_system,
-    pairing,
 )
 
 F = Fraction
@@ -55,7 +56,6 @@ class LeviProfile:
     unitary_blocks: tuple
     tail: tuple | None  # (family, m) or None
     dim_u: int
-    center_excess: int
     simple_indices: tuple  # 1-based indices of the simple roots in I
     rho_pairings: tuple  # Fractions, aligned with simple_indices
     betti: DegreeProfile
@@ -111,18 +111,16 @@ def _cut_positions(comp):
     return list(accumulate(comp[:-1]))
 
 
-def _adjacent_pairings(comp, upto):
-    return [F(comp[i] + comp[i + 1], 2) for i in range(upto)]
-
-
 @lru_cache(maxsize=None)
 def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
-    """Case table for the standard parabolic of g that cuts the simple roots in cut.
+    """Levi data of the standard parabolic of g that cuts the simple roots in cut.
 
     The composition's cut positions are the chain nodes in cut, plus n - 1
-    on so-even when both fork nodes are in cut.  Both arguments and the
-    result are frozen, so each profile is built once; a cut set that is not
-    inside 1..rank raises on every call.
+    on so-even when both fork nodes are in cut; outside u, its last block
+    is an orthogonal or symplectic tail unless an end node is in cut.
+    dim_u and the rho_P pairings come from the root system (_radical).
+    Both arguments and the result are frozen, so each profile is built
+    once; a cut set that is not inside 1..rank raises on every call.
     """
     n, fam = g.n, g.family
     if fam not in (UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC):
@@ -133,102 +131,66 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
     indices = sorted(cut)
     chain_end = n - 1 if fam == SO_EVEN else n
     cuts = [i for i in indices if i < chain_end]
-    both_forks = fam == SO_EVEN and n - 1 in cut and n in cut
-    if both_forks:
+    if fam == SO_EVEN and n - 1 in cut and n in cut:
         cuts.append(n - 1)
     comp = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
-    r = len(comp)
-    if fam == UNITARY:
+    if fam == UNITARY or n in cut or (fam == SO_EVEN and n - 1 in cut):
         blocks, tail = comp, None
-        pairings = _adjacent_pairings(comp, r - 1)
-        dim_u = _pair_sum(comp)
-        excess = r - 1
-    elif fam in (SO_ODD, SYMPLECTIC):
-        if n in cut:
-            blocks, tail = comp, None
-            boundary = F(comp[-1]) if fam == SO_ODD else F(comp[-1] + 1, 2)
-            pairings = _adjacent_pairings(comp, r - 1) + [boundary]
-            dim_u = _pair_sum(comp) + n * (n + 1) // 2
-            excess = r
-        else:
-            m = comp[-1]
-            blocks, tail = comp[:-1], (fam, m)
-            pairings = _adjacent_pairings(comp, r - 2)
-            if r > 1:
-                if fam == SO_ODD:
-                    pairings.append(F(comp[-2], 2) + m)
-                else:
-                    pairings.append(F(comp[-2] + 1, 2) + m)
-            dim_u = _pair_sum(comp) + (n * (n + 1) - m * (m + 1)) // 2
-            excess = r - 1
-    else:  # so-even
-        if both_forks:
-            blocks, tail = comp, None
-            boundary = F(comp[-2] + 1, 2)
-            pairings = _adjacent_pairings(comp, r - 2) + [boundary, boundary]
-            dim_u = _pair_sum(comp) + n * (n - 1) // 2
-            excess = r
-        elif n - 1 in cut or n in cut:
-            blocks, tail = comp, None
-            pairings = _adjacent_pairings(comp, r - 1) + [F(comp[-1] - 1)]
-            dim_u = _pair_sum(comp) + n * (n - 1) // 2
-            excess = r
-        else:
-            m = comp[-1]
-            blocks, tail = comp[:-1], (SO_EVEN, m)
-            pairings = _adjacent_pairings(comp, r - 2)
-            if r > 1:
-                pairings.append(F(comp[-2] + 2 * m - 1, 2))
-            dim_u = _pair_sum(comp) + (n * (n - 1) - m * (m - 1)) // 2
-            excess = r - 1
+    else:
+        blocks, tail = comp[:-1], (fam, comp[-1])
     profiles = [unitary_block_profile(b) for b in blocks]
     if tail is not None:
         profiles.append(tail_profile(*tail))
+    rs = build_root_system(g)
+    dim_u, two_rho = _radical(rs, cut, frozenset())
     return LeviProfile(
         unitary_blocks=tuple(blocks),
         tail=tail,
         dim_u=dim_u,
-        center_excess=excess,
         simple_indices=tuple(indices),
-        rho_pairings=tuple(pairings),
+        rho_pairings=_rho_pairings(rs, two_rho, indices),
         betti=concat_profiles(profiles),
     )
 
 
-# -- recomputation from root data ---------------------------------------
+# -- Levi data from root data -------------------------------------------
 #
-# Used by the consistency tests: the table values above must agree exactly
-# with what the root system says.  This reference reads nothing from the
-# tables: it takes the cut set I and reads root supports off
-# RootSystem.positive_coefficients, which is computed from the simple roots.
-# The same root-support rule gives inversion.forward_residual the rho_P of
-# its lattice walk; the closed inversion reads its pair weights from the
-# tables.
+# One rule gives every radical: a positive root lies in the Levi of a
+# standard parabolic exactly when its support avoids the parabolic's cut
+# set.  levi_profile, the forward lattice walk of inversion.forward_residual
+# (relative_rho) and the bench's root-data cases (dim_u_from_roots,
+# rho_pairings_from_roots) all read it, in integers, off the support
+# bitmasks that build_root_system computes once per group.
 
 
-def _roots_between(rs, small_cut: frozenset, large_cut: frozenset) -> list:
-    """Positive roots in the Levi cut by large_cut, outside the one cut by small_cut.
+def _radical(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
+    """(count, integer sum) of the positive roots in the Levi cut by
+    large_cut, outside the one cut by small_cut."""
+    small = sum(1 << a for a in small_cut)
+    large = sum(1 << a for a in large_cut)
+    roots = [
+        beta
+        for beta, support in zip(rs.positive_roots, rs.positive_supports)
+        if support & small and not support & large
+    ]
+    return len(roots), tuple(map(sum, zip(*roots))) or (0,) * rs.n
 
-    A positive root lies in the Levi of a standard parabolic exactly when
-    its support avoids the parabolic's cut set of simple-root indices.
-    """
-    out = []
-    for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
-        support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
-        if support & small_cut and not support & large_cut:
-            out.append(beta)
-    return out
+
+def _rho_pairings(rs, two_rho, indices) -> tuple:
+    """<two_rho / 2, a^v> for a in indices, as Fractions."""
+    return tuple(
+        F(sum(x * y for x, y in zip(two_rho, rs.simple_coroots[a - 1])), 2) for a in indices
+    )
 
 
 def relative_rho(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
     """Half the sum of the positive roots in the large Levi outside the small one."""
-    roots = _roots_between(rs, small_cut, large_cut)
-    return tuple(F(sum(beta[j] for beta in roots), 2) for j in range(rs.n))
+    return tuple(F(x, 2) for x in _radical(rs, small_cut, large_cut)[1])
 
 
 def dim_u_from_roots(g: GroupSpec, cut: frozenset) -> int:
     """|R+ of g| minus |R+ of the Levi of the cut set, from the root system alone."""
-    return len(_roots_between(build_root_system(g), cut, frozenset()))
+    return _radical(build_root_system(g), cut, frozenset())[0]
 
 
 def rho_pairings_from_roots(g: GroupSpec, cut: frozenset) -> dict:
@@ -241,8 +203,8 @@ def rho_pairings_from_roots(g: GroupSpec, cut: frozenset) -> dict:
     e.g. 2*theta_2 for Sp(3) with I = {alpha_1, alpha_3}.)
     """
     rs = build_root_system(g)
-    rho = relative_rho(rs, cut, frozenset())
-    return {i: pairing(rho, rs.simple_coroots[i - 1]) for i in sorted(cut)}
+    indices = sorted(cut)
+    return dict(zip(indices, _rho_pairings(rs, _radical(rs, cut, frozenset())[1], indices)))
 
 
 def levi_profile_to_json(prof: LeviProfile) -> dict:
@@ -250,7 +212,7 @@ def levi_profile_to_json(prof: LeviProfile) -> dict:
         "unitary_blocks": list(prof.unitary_blocks),
         "tail": list(prof.tail) if prof.tail else None,
         "dim_u": prof.dim_u,
-        "center_excess": prof.center_excess,
+        "center_excess": len(prof.simple_indices),
         "simple_indices": list(prof.simple_indices),
         "rho_pairings": [str(x) for x in prof.rho_pairings],
         "betti_degrees": list(prof.betti.degrees),

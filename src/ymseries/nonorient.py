@@ -308,47 +308,3 @@ def decomposition_render(report: ComponentReport) -> str:
         else:
             lines.append(body)
     return "\n".join(lines)
-
-
-def tau_fixed_unrealized(g: GroupSpec, i: int, bound: int):
-    """Diagnostic: tau-fixed quantized chamber vectors carrying no stratum.
-
-    Candidates have block values a_j / n_j with positive integer numerators
-    (strictly decreasing, optionally followed by a zero block where the
-    family allows one); the realized ones are exactly those with every
-    a_j + n_j even (symplectic) or a_j even (orthogonal).  Returns the
-    unrealized candidates as chamber-value block lists, numerators bounded
-    by the given bound.  Listing only; nothing downstream consumes this.
-    """
-    fam, n = g.family, g.n
-    if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
-        raise UnsupportedFamily(f"tau-fixed chamber vectors are not defined for family {fam!r}")
-    out = []
-
-    def realized(part, numerator):
-        if fam == SYMPLECTIC:
-            return (numerator + part) % 2 == 0
-        return numerator % 2 == 0
-
-    def rec(blocks, remaining):
-        # blocks: list of (size, numerator) with value numerator/size
-        if blocks:
-            allow_tail = not (fam == SO_EVEN and n % 2 == 0 and remaining < 2)
-            if remaining == 0 or allow_tail:
-                candidate = blocks + ([(remaining, 0)] if remaining else [])
-                untailed = fam == SO_EVEN and n % 2 == 1 and candidate[-1][1] != 0
-                if not untailed and not all(realized(p, a) for p, a in candidate if a != 0):
-                    out.append(tuple((p, F(a, p)) for p, a in candidate))
-        for part in range(1, remaining + 1):
-            prev = F(blocks[-1][1], blocks[-1][0]) if blocks else None
-            for a in range(1, bound + 1):
-                val = F(a, part)
-                if prev is not None and val >= prev:
-                    continue
-                if fam == SYMPLECTIC and val <= 0:
-                    continue
-                rec(blocks + [(part, a)], remaining - part)
-
-    rec([], n)
-    dedup = sorted(set(out))
-    return dedup

@@ -9,14 +9,17 @@ are tuples of Fractions.
 
 Two rules build everything from the simple roots and coroots:
 - the positive roots come by height from the root-string rule
-  (_positive_roots), each with its simple-root coefficients;
+  (_positive_roots), each with its simple-root coefficients.  The root
+  system (build_root_system) keeps of those coefficients only each root's
+  support, as a bitmask; levidata reads every Levi's unipotent radical
+  and rho_P off the supports, the one source of Levi data;
 - the weights dual to a set of simple coroots are the solution of the
-  Cartan system in the span of those simple roots (dual_weights).  Given
-  all simple roots they are the fundamental weights of the group, given a
-  Levi's they are its relative weights.  Either way they vanish on the
-  centre, and evaluated on a representative of a class in pi_1 they produce
-  the rational class mod Z that drives the twist exponents of the closed
-  series formulas.
+  Cartan system in the span of those simple roots (dual_weights), solved
+  on demand.  Given all simple roots they are the fundamental weights of
+  the group, given a Levi's they are its relative weights.  Either way
+  they vanish on the centre, and evaluated on a representative of a class
+  in pi_1 they produce the rational class mod Z that drives the twist
+  exponents of the closed series formulas.
 """
 
 from __future__ import annotations
@@ -117,10 +120,9 @@ class RootSystem:
     simple_roots: tuple
     positive_roots: tuple
     simple_coroots: tuple
-    fundamental_weights: tuple
-    # coefficients of each positive root in the simple roots, aligned with
-    # positive_roots
-    positive_coefficients: tuple
+    # the support of each positive root as a bitmask, aligned with
+    # positive_roots: bit a is set when the 1-based simple root a occurs in it
+    positive_supports: tuple
 
 
 def pairing(covector, vector) -> Fraction:
@@ -264,10 +266,11 @@ def dual_weights(simple_roots, simple_coroots) -> list:
 
 @lru_cache(maxsize=None)
 def build_root_system(g: GroupSpec) -> RootSystem:
-    """Simple roots, positive roots, coroots and fundamental weights of g.
+    """Simple roots, positive roots with their supports, and coroots of g.
 
     Built once per group and shared, which is safe because every field is
-    immutable.
+    immutable.  Everything is integer data; weights come from dual_weights
+    on demand.
     """
     simple_roots, simple_coroots = _simple_data(g)
     positive = _positive_roots(simple_roots, simple_coroots)
@@ -276,8 +279,9 @@ def build_root_system(g: GroupSpec) -> RootSystem:
         simple_roots=tuple(simple_roots),
         positive_roots=tuple(beta for beta, _ in positive),
         simple_coroots=tuple(simple_coroots),
-        fundamental_weights=tuple(dual_weights(simple_roots, simple_coroots)),
-        positive_coefficients=tuple(coeffs for _, coeffs in positive),
+        positive_supports=tuple(
+            sum(1 << b for b, c in enumerate(coeffs, 1) if c) for _, coeffs in positive
+        ),
     )
 
 
@@ -328,16 +332,3 @@ def weight_on_pi1(g: GroupSpec, i: int, c: int) -> Fraction:
             return Fraction(c, 2) % 1
         return Fraction(0)
     return Fraction(0)
-
-
-def root_system_to_json(rs: RootSystem) -> dict:
-    def enc(vectors):
-        return [[str(x) for x in v] for v in vectors]
-
-    return {
-        "n": rs.n,
-        "simple_roots": enc(rs.simple_roots),
-        "positive_roots": enc(rs.positive_roots),
-        "simple_coroots": enc(rs.simple_coroots),
-        "fundamental_weights": enc(rs.fundamental_weights),
-    }

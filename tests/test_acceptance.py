@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import pytest
 
+from levi_case_table import case_table
 from reference_series import REFERENCE_CASES
 from ymseries.closedforms import (
     flat_series,
@@ -36,10 +37,11 @@ from ymseries.levidata import (
     dim_u_from_roots,
     enumerate_parabolics,
     levi_profile,
+    levi_profile_to_json,
     rho_pairings_from_roots,
 )
 from ymseries.nonorient import classify_components, enumerate_nonorientable_points
-from ymseries.rootsys import GroupSpec
+from ymseries.rootsys import GroupSpec, build_root_system
 from ymseries.strata import enumerate_ab_points, stratum_series, verify_recursion
 
 F = Fraction
@@ -251,15 +253,26 @@ def test_criterion_7_levi_tables():
     for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
         for n in range(lo, 8):
             g = GroupSpec(fam, n)
+            positive = len(build_root_system(g).positive_roots)
             for cut in enumerate_parabolics(g):
                 prof = levi_profile(g, cut)
-                assert prof.dim_u == dim_u_from_roots(g, cut), (fam, n, cut)
+                dim_u, excess, table = case_table(g, cut)
+                assert prof.dim_u == dim_u == dim_u_from_roots(g, cut), (fam, n, cut)
                 # the sign (-1)^|I| of the parabolic sum relies on this
-                assert prof.center_excess == len(prof.simple_indices), (fam, n, cut)
-                table = dict(zip(prof.simple_indices, prof.rho_pairings))
-                assert table == rho_pairings_from_roots(g, cut), (fam, n, cut)
+                assert excess == len(prof.simple_indices), (fam, n, cut)
+                assert levi_profile_to_json(prof)["center_excess"] == excess, (fam, n, cut)
+                pairings = dict(zip(prof.simple_indices, prof.rho_pairings))
+                assert pairings == table == rho_pairings_from_roots(g, cut), (fam, n, cut)
+                # the Levi's Betti data against the root system: one degree
+                # per torus dimension, degree d adding d - 1 positive roots
+                # of the Levi, and one degree-1 generator per central dimension
+                degrees = prof.betti.degrees
+                assert sum(d - 1 for d in degrees) == positive - prof.dim_u, (fam, n, cut)
+                assert len(degrees) == n, (fam, n, cut)
+                assert prof.betti.center_count == len(cut) + (fam == "u"), (fam, n, cut)
                 count += 1
-    print(f"\ncriterion 7: PASS - Levi tables match root data ({count} parabolics)")
+    print(f"\ncriterion 7: PASS - Levi profiles match the former case tables and root data, "
+          f"Betti data matches the root system ({count} parabolics)")
 
 
 def _expected_report(fam, n, pt):

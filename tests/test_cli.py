@@ -184,6 +184,25 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stratum", "--group", "sp", "--rank", "2", "--genus", "2", "--composition", "1,1",
+         "--labels", "2,1", "--w2", "1"],
+        ["stratum", "--group", "u", "--rank", "2", "--genus", "2", "--composition", "1,1",
+         "--labels", "1,0", "--degree", "1"],
+        ["components", "--group", "so-odd", "--rank", "3", "--surface-i", "1",
+         "--composition", "1,2", "--labels", "1,0", "--w2", "1"],
+    ],
+    ids=["stratum --w2", "stratum --degree", "components --w2"],
+)
+def test_labelled_verbs_take_no_class_flags(argv):
+    # stratum and components read the class off --labels
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # each exits 2 with "error: " on stderr and nothing on stdout
 BAD_INPUTS = {
     "rank 0": ["poincare", "--group", "sp", "--rank", "0", "--genus", "2"],
@@ -192,6 +211,16 @@ BAD_INPUTS = {
     "su degree 5": [
         "poincare", "--group", "su", "--rank", "2", "--degree", "5", "--genus", "2",
         "--format", "json",
+    ],
+    "spin-odd w2 1": [
+        "poincare", "--group", "spin-odd", "--rank", "3", "--genus", "2", "--w2", "1",
+    ],
+    "sp degree 5": ["poincare", "--group", "sp", "--rank", "2", "--genus", "2", "--degree", "5"],
+    "so-odd degree -1": [
+        "series", "--group", "so-odd", "--rank", "2", "--genus", "2", "--degree", "-1",
+    ],
+    "u w2 1": [
+        "verify-recursion", "--group", "u", "--rank", "2", "--genus", "2", "--w2", "1",
     ],
     "series order -1": ["series", "--group", "u", "--rank", "2", "--genus", "2", "--order", "-1"],
     "recursion genus 0": ["verify-recursion", "--group", "sp", "--rank", "1", "--genus", "0"],
@@ -227,6 +256,10 @@ BAD_INPUT_ERRORS = {
     "genus 0": "need genus ell >= 1, got ell = 0",
     "su rank 1": "su requires n >= 2, got 1",
     "su degree 5": "SU(2) is simply connected, got class 5",
+    "spin-odd w2 1": "Spin(7) takes no --w2, got 1",
+    "sp degree 5": "Sp(2) takes no --degree, got 5",
+    "so-odd degree -1": "SO(5) takes no --degree, got -1",
+    "u w2 1": "U(2) takes no --w2, got 1",
     "series order -1": "order must be nonnegative",
     "recursion genus 0": "need genus ell >= 1, got ell = 0",
     "recursion order -2": "order must be nonnegative",

@@ -41,6 +41,7 @@ from ymseries.rootsys import (
     _rref,
     _solve,
     build_root_system,
+    dual_weights,
     frac_part,
     pairing,
     pi1_representative,
@@ -219,6 +220,7 @@ def box_walk_residual(poset, a0, b0_top, topclass, order):
     """Reference: the forward relation re-summed one lattice point at a
     time, each point built with _shifted and read with pairing."""
     rs = build_root_system(poset.group)
+    weights = dual_weights(rs.simple_roots, rs.simple_coroots)
     rep = pi1_representative(poset.group, topclass)
     top = frozenset()
     rhs = list(series_expand(b0_top, order).coeffs)
@@ -230,7 +232,7 @@ def box_walk_residual(poset, a0, b0_top, topclass, order):
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
         rho = relative_rho(rs, p_cut, top)
         p_weights = [4 * pairing(rho, v) for v in coroots]
-        base_vals = [pairing(rs.fundamental_weights[a - 1], rep) for a in idxs]
+        base_vals = [pairing(weights[a - 1], rep) for a in idxs]
         box = [
             range(ceil(-x), floor((order - n_p) / w - x) + 1) for w, x in zip(p_weights, base_vals)
         ]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from former_parabolics import former_cut_sets, former_parabolics
+from levi_case_table import case_table
 from ymseries import levidata
 from ymseries.errors import InputError
 from ymseries.levidata import (
@@ -15,7 +16,7 @@ from ymseries.levidata import (
     relative_rho,
     rho_pairings_from_roots,
 )
-from ymseries.rootsys import GroupSpec, build_root_system, pairing
+from ymseries.rootsys import GroupSpec, _positive_roots, build_root_system, pairing
 
 F = Fraction
 
@@ -97,13 +98,13 @@ class TestLeviProfile:
         prof = levi_profile(GroupSpec("sp", 3), cuts(1, 3))
         assert prof.unitary_blocks == (1, 2) and prof.tail is None
         assert prof.dim_u == 1 * 2 + 3 * 4 // 2
-        assert prof.center_excess == 2
+        assert levi_profile_to_json(prof)["center_excess"] == 2
         assert dict(zip(prof.simple_indices, prof.rho_pairings)) == {1: F(3, 2), 3: F(3, 2)}
 
     def test_so5_full_group(self):
         prof = levi_profile(GroupSpec("so-odd", 2), cuts())
         assert prof.dim_u == 0
-        assert prof.center_excess == 0
+        assert levi_profile_to_json(prof)["center_excess"] == 0
         assert prof.rho_pairings == ()
         assert prof.tail == ("so-odd", 2)
 
@@ -111,12 +112,13 @@ class TestLeviProfile:
         prof = levi_profile(GroupSpec("so-odd", 3), cuts(1))
         assert prof.unitary_blocks == (1,) and prof.tail == ("so-odd", 2)
         assert prof.dim_u == 1 * 2 + (3 * 4 - 2 * 3) // 2
-        assert prof.center_excess == 1
+        assert levi_profile_to_json(prof)["center_excess"] == 1
         assert dict(zip(prof.simple_indices, prof.rho_pairings)) == {1: F(5, 2)}
 
     def test_betti_of_levi(self):
         prof = levi_profile(GroupSpec("sp", 2), cuts(1))
         # U(1) x Sp(1): degrees (1) and (2)
+        assert prof.unitary_blocks == (1,) and prof.tail == ("sp", 1)
         assert prof.betti.degrees == (1, 2)
         assert prof.betti.center_count == 1
 
@@ -167,23 +169,23 @@ class TestRootDataConsistency:
         g = GroupSpec(fam, n)
         for cut in enumerate_parabolics(g):
             prof = levi_profile(g, cut)
-            assert prof.dim_u == dim_u_from_roots(g, cut), (fam, n, cut)
+            dim_u, _, table = case_table(g, cut)
+            assert prof.dim_u == dim_u == dim_u_from_roots(g, cut), (fam, n, cut)
             recomputed = rho_pairings_from_roots(g, cut)
-            assert recomputed == dict(zip(prof.simple_indices, prof.rho_pairings)), (fam, n, cut)
+            pairings = dict(zip(prof.simple_indices, prof.rho_pairings))
+            assert recomputed == pairings == table, (fam, n, cut)
 
     def test_reference_reads_no_table(self, monkeypatch):
         groups = [GroupSpec(fam, n) for fam, lo in ALL_FAMILIES for n in range(lo, 5)]
-        expected = {}
-        for g in groups:
-            for cut in enumerate_parabolics(g):
-                prof = levi_profile(g, cut)
-                expected[g, cut] = (prof.dim_u, dict(zip(prof.simple_indices, prof.rho_pairings)))
+        expected = {
+            (g, cut): case_table(g, cut) for g in groups for cut in enumerate_parabolics(g)
+        }
 
         def no_table(*args):
-            raise AssertionError("the root-data reference read a Levi table")
+            raise AssertionError("the root-data reference read a Levi profile")
 
         monkeypatch.setattr(levidata, "levi_profile", no_table)
-        for (g, cut), (dim_u, table) in expected.items():
+        for (g, cut), (dim_u, _, table) in expected.items():
             assert dim_u_from_roots(g, cut) == dim_u, (g, cut)
             assert rho_pairings_from_roots(g, cut) == table, (g, cut)
 
@@ -197,7 +199,7 @@ class TestRootDataConsistency:
             # the half-sum inversion computed before it moved here
             dim = len(rs.positive_roots[0]) if rs.positive_roots else 0
             total = [F(0)] * dim
-            for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
+            for beta, coeffs in _positive_roots(rs.simple_roots, rs.simple_coroots):
                 support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
                 if support & large_cut:
                     continue
@@ -208,10 +210,7 @@ class TestRootDataConsistency:
 
         g = GroupSpec(fam, n)
         rs = build_root_system(g)
-        tables = {}
-        for cut in enumerate_parabolics(g):
-            prof = levi_profile(g, cut)
-            tables[cut] = dict(zip(prof.simple_indices, prof.rho_pairings))
+        tables = {cut: case_table(g, cut)[2] for cut in enumerate_parabolics(g)}
         rank = len(rs.simple_roots)
         cuts = [
             frozenset(i + 1 for i in range(rank) if mask >> i & 1) for mask in range(2**rank)
@@ -225,7 +224,8 @@ class TestRootDataConsistency:
                 # rank 0: no roots, so the former sum had no coordinates
                 assert rho == (F(0),) * rs.n
             # the pair weights the inversion reads from the small parabolic's
-            # Levi table: rho_P^Q and rho_P pair alike with every a in P - Q
+            # Levi profile, here from the former case table: rho_P^Q and
+            # rho_P pair alike with every a in P - Q
             for a in small - large:
                 got = pairing(rho, rs.simple_coroots[a - 1])
                 assert got == tables[small][a], (sorted(small), sorted(large), a)

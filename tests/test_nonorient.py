@@ -13,7 +13,6 @@ from ymseries.nonorient import (
     classify_components,
     decomposition_render,
     enumerate_nonorientable_points,
-    tau_fixed_unrealized,
 )
 from ymseries.rootsys import GroupSpec
 from ymseries.strata import _tail_shapes
@@ -253,16 +252,3 @@ class TestRender:
         pt = NonorientablePoint("sp", (2,), (0,), True, 1)
         rep = classify_components(GroupSpec("sp", 2), pt)
         assert decomposition_render(rep) == "M(Sp(2))"
-
-
-class TestDiagnostic:
-    def test_sp_unrealized_half_integer_blocks(self):
-        # a size-two block of value 1/2 is quantized but carries no stratum
-        out = tau_fixed_unrealized(GroupSpec("sp", 2), 1, 3)
-        assert ((2, F(1, 2)),) in out
-
-    def test_realized_points_absent(self):
-        out = tau_fixed_unrealized(GroupSpec("sp", 1), 1, 4)
-        # odd integer values 2k - 1 are realized, even ones are not
-        assert ((1, F(1)),) not in out
-        assert ((1, F(2)),) in out

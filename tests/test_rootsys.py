@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from ymseries import rootsys
+from ymseries.closedforms import lr_general
 from ymseries.errors import InputError
+from ymseries.levidata import enumerate_parabolics, levi_profile
 from ymseries.rootsys import (
     FAMILIES,
     DimensionMismatch,
@@ -17,7 +20,6 @@ from ymseries.rootsys import (
     build_root_system,
     dual_weights,
     pairing,
-    root_system_to_json,
     validate_topclass,
     weight_on_pi1,
 )
@@ -27,6 +29,10 @@ F = Fraction
 
 def V(*xs):
     return tuple(F(x) for x in xs)
+
+
+def fundamental_weights(rs):
+    return tuple(dual_weights(rs.simple_roots, rs.simple_coroots))
 
 
 def every_group(max_n):
@@ -101,9 +107,14 @@ class TestBuildRootSystem:
                 rs = build_root_system(g)
                 # built once per group and shared
                 assert rs is build_root_system(GroupSpec(g.family, g.n))
-                assert len(rs.positive_roots) == count
-                assert len(rs.positive_coefficients) == count
-                for beta, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
+                assert len(rs.positive_roots) == len(rs.positive_supports) == count
+                pairs = _positive_roots(rs.simple_roots, rs.simple_coroots)
+                assert tuple(beta for beta, _ in pairs) == rs.positive_roots
+                rank = len(rs.simple_roots)
+                for (beta, coeffs), support in zip(pairs, rs.positive_supports):
+                    # bit a of the support is set for each simple root a in beta
+                    in_support = [a for a in range(rank + 2) if support >> a & 1]
+                    assert in_support == [i + 1 for i, c in enumerate(coeffs) if c], (fam, n, beta)
                     assert all(c.denominator == 1 and c >= 0 for c in coeffs), (fam, n, beta)
                     expanded = tuple(
                         sum((c * alpha[i] for c, alpha in zip(coeffs, rs.simple_roots)), F(0))
@@ -130,7 +141,7 @@ class TestBuildRootSystem:
         }
         for fam, (lo, top) in expected.items():
             for n in range(lo, 9):
-                coeffs = build_root_system(GroupSpec(fam, n)).positive_coefficients
+                coeffs = [c for _, c in _positive_roots(*_simple_data(GroupSpec(fam, n)))]
                 height = max(map(sum, coeffs))
                 assert [c for c in coeffs if sum(c) == height] == [top(n)], (fam, n)
 
@@ -138,24 +149,47 @@ class TestBuildRootSystem:
         for fam, lo in (("u", 1), ("su", 2), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
             for n in range(lo, 7):
                 rs = build_root_system(GroupSpec(fam, n))
-                for i, w in enumerate(rs.fundamental_weights):
+                for i, w in enumerate(fundamental_weights(rs)):
                     for j, cv in enumerate(rs.simple_coroots):
                         assert pairing(w, cv) == int(i == j), (fam, n, i, j)
 
     def test_so_odd_weight_table(self):
         # the last fundamental weight of SO(2n+1) is half the sum of thetas
-        rs = build_root_system(GroupSpec("so-odd", 3))
-        assert rs.fundamental_weights[-1] == V(F(1, 2), F(1, 2), F(1, 2))
-        assert rs.fundamental_weights[0] == V(1, 0, 0)
+        weights = fundamental_weights(build_root_system(GroupSpec("so-odd", 3)))
+        assert weights[-1] == V(F(1, 2), F(1, 2), F(1, 2))
+        assert weights[0] == V(1, 0, 0)
 
     def test_so_even_weight_table(self):
-        rs = build_root_system(GroupSpec("so-even", 3))
-        assert rs.fundamental_weights[1] == V(F(1, 2), F(1, 2), F(-1, 2))
-        assert rs.fundamental_weights[2] == V(F(1, 2), F(1, 2), F(1, 2))
+        weights = fundamental_weights(build_root_system(GroupSpec("so-even", 3)))
+        assert weights[1] == V(F(1, 2), F(1, 2), F(-1, 2))
+        assert weights[2] == V(F(1, 2), F(1, 2), F(1, 2))
 
     def test_sp_weight_table(self):
-        rs = build_root_system(GroupSpec("sp", 3))
-        assert rs.fundamental_weights == (V(1, 0, 0), V(1, 1, 0), V(1, 1, 1))
+        weights = fundamental_weights(build_root_system(GroupSpec("sp", 3)))
+        assert weights == (V(1, 0, 0), V(1, 1, 0), V(1, 1, 1))
+
+    def test_root_data_needs_no_elimination(self, monkeypatch):
+        # root systems, Levi profiles and the general engine are integer
+        # data alone: none of them solves a linear system
+        def no_elimination(*args):
+            raise AssertionError("root data reached the elimination helper")
+
+        monkeypatch.setattr(rootsys, "_rref", no_elimination)
+        build_root_system.cache_clear()
+        levi_profile.cache_clear()
+        for g in every_group(6):
+            build_root_system(g)
+            if g.family in ("u", "so-odd", "so-even", "sp"):
+                for cut in enumerate_parabolics(g):
+                    levi_profile(g, cut)
+        # the flat-engines bundles of the benchmark
+        for g, c in (
+            (GroupSpec("sp", 5), 0),
+            (GroupSpec("so-odd", 5), 1),
+            (GroupSpec("so-even", 5), 1),
+            (GroupSpec("u", 6), 1),
+        ):
+            lr_general(g, c, 2)
 
     def test_rank_validation(self):
         with pytest.raises(UnsupportedRank):
@@ -189,7 +223,7 @@ class TestPairing:
 
     def test_weight_duality_u3(self):
         rs = build_root_system(GroupSpec("u", 3))
-        assert pairing(rs.fundamental_weights[0], rs.simple_coroots[1]) == 0
+        assert pairing(fundamental_weights(rs)[0], rs.simple_coroots[1]) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -233,11 +267,11 @@ class TestWeightOnPi1:
 
         for n in range(1, 6):
             g = GroupSpec("u", n)
-            rs = build_root_system(g)
+            weights = fundamental_weights(build_root_system(g))
             for k in range(-3, 4):
                 rep = pi1_representative(g, k)
                 for i in range(1, n):
-                    val = pairing(rs.fundamental_weights[i - 1], rep)
+                    val = pairing(weights[i - 1], rep)
                     assert (val - weight_on_pi1(g, i, k)).denominator == 1
 
     def test_so_even(self):
@@ -261,12 +295,6 @@ class TestWeightOnPi1:
 
     def test_sp_trivial(self):
         assert weight_on_pi1(GroupSpec("sp", 2), 1, 0) == 0
-
-
-def test_json_export():
-    data = root_system_to_json(build_root_system(GroupSpec("so-odd", 2)))
-    assert data["n"] == 2
-    assert ["1/2", "1/2"] in data["fundamental_weights"]
 
 
 def test_topclass_validation():
