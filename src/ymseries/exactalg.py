@@ -8,29 +8,41 @@ numerator and denominator, so this module provides exactly three value types:
   CoeffVector truncated power-series coefficients of a RatFun
 
 All values are immutable and all arithmetic is exact.  Long products use
-Kronecker substitution: both operands are packed into one integer each and
-multiplied once.
+Kronecker substitution: a polynomial is packed into one integer, its value
+at t = 2**(8*width), with each coefficient in a width-byte slot.  The
+evaluation is a ring map, so products and sums of packed values are packed
+products and sums; a result unpacks when each of its coefficients fits a
+signed slot.  _pack and _unpack are the one pair of helpers for it.
 
 Rational functions have one arithmetic, signed_sum: RatFun's sum, product
 and quotient are signed_sum terms.  Every denominator the package meets is
 a product of cyclotomic polynomials Phi_d, so signed_sum sums over one
 common denominator, kept as Phi_d multiplicities, and divides each Phi_d
-out of the summed numerator while it divides; it needs no gcd.
-cyclotomic_quotient builds a closed product from Phi_d multiplicities and
-cancels them by subtraction.  Only the RatFun constructor takes a gcd, a
-fraction-free subresultant gcd that keeps coefficient growth bounded
-without leaving the integers, for values parsed or built by a caller and
-for a signed_sum whose denominator has a non-cyclotomic factor.
+out of the summed numerator while it divides; it needs no gcd.  The sum
+runs over a balanced tree of packed integers, unpacked once at the root.
+The slot width comes from a bound on every coefficient of the summed
+numerator: since |ab|_inf <= |a|_1 |b|_inf, term i adds at most |sign_i|
+|num_i|_1 times the l1 norms of its cofactor's factors.  Each Phi_d is
+divided out by binomial strides: by the Mobius rule Phi_d = prod_{e | d}
+(1 - t**e)**mu(d/e), so the numerator is multiplied by each 1 - t**e with
+mu = -1 and then divided by each with mu = +1, each division a running
+sum along the residues mod e whose nonzero top-e tail means Phi_d does not
+divide.  The same rule builds Phi_d.  cyclotomic_quotient builds a closed
+product from Phi_d multiplicities and cancels them by subtraction, and
+every product of Phi_d is one packed product.  Only the RatFun constructor
+takes a gcd, a fraction-free subresultant gcd that keeps coefficient growth
+bounded without leaving the integers, for values parsed or built by a
+caller and for a signed_sum whose denominator has a non-cyclotomic factor.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from math import gcd
+from itertools import accumulate
+from math import gcd, prod
+from operator import sub
 
 from .errors import ExactnessError, InputError
 
@@ -205,34 +217,48 @@ class Poly:
 _KRONECKER_MIN = 16
 
 
+def _width(bound: int) -> int:
+    """Bytes per slot for signed coefficients of absolute value at most bound.
+
+    The slot keeps one bit above the bound for the sign.
+    """
+    return (bound.bit_length() + 8) // 8
+
+
 def _slot_bias(slots: int, width: int) -> int:
     """2**(8*width - 1) in each of `slots` slots of `width` bytes."""
     return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
 
 
-def _kronecker_pack(cs, width: int) -> int:
+def _pack(cs, width: int) -> int:
     """sum cs[i] * 2**(8*width*i), each |cs[i]| < 2**(8*width - 1)."""
     half = 1 << (8 * width - 1)
     packed = b"".join((c + half).to_bytes(width, "little") for c in cs)
     return int.from_bytes(packed, "little") - _slot_bias(len(cs), width)
 
 
+def _unpack(value: int, width: int) -> list:
+    """The coefficients cs with value == _pack(cs, width), the top one nonzero.
+
+    Each |cs[i]| must be below 2**(8*width - 1).  Adding half a slot to
+    every slot makes each slot a nonnegative digit, so the bytes of the sum
+    are the slots, read back with the half removed.  A top coefficient in
+    slot n puts |value| in [2**(8*width*n - 1), 2**(8*width*(n+1) - 1)),
+    so the bit length of value gives the slot count.  Zero unpacks to [0].
+    """
+    slots = abs(value).bit_length() // (8 * width) + 1
+    data = (value + _slot_bias(slots, width)).to_bytes(slots * width, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, len(data), width)]
+
+
 def _kronecker_mul(a: tuple, b: tuple) -> list:
     """Coefficients of a * b by Kronecker substitution t = 2**(8*width).
 
-    No coefficient of the product exceeds min(len)*max|a|*max|b| in size;
-    the slot width leaves one bit above that for the sign.  Adding half a
-    slot to every slot of the product makes each slot a nonnegative digit,
-    so the bytes of the sum are the slots, read back with the half removed.
+    No coefficient of the product exceeds min(len)*max|a|*max|b| in size.
     """
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    width = (bound.bit_length() + 8) // 8
-    slots = len(a) + len(b) - 1
-    product = _kronecker_pack(a, width) * _kronecker_pack(b, width)
-    data = (product + _slot_bias(slots, width)).to_bytes(slots * width, "little")
-    half = 1 << (8 * width - 1)
-    slot = range(0, len(data), width)
-    return [int.from_bytes(data[i : i + width], "little") - half for i in slot]
+    width = _width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+    return _unpack(_pack(a, width) * _pack(b, width), width)
 
 
 def _pseudo_rem(a: Poly, b: Poly) -> Poly:
@@ -444,11 +470,6 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
     return CoeffVector(order, tuple(out))
 
 
-def series_nonnegative(f: RatFun, order: int) -> bool:
-    """True when all series coefficients through t**order are >= 0."""
-    return all(c >= 0 for c in series_expand(f, order).coeffs)
-
-
 # -- rendering and parsing ----------------------------------------------
 
 
@@ -595,46 +616,82 @@ def _plus_divisors(a: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> Poly:
-    """Phi_d normalised to constant term 1, so Phi_1 = 1 - t.
-
-    Built by exact division of 1 - t**d by Phi_e over the proper divisors e
-    of d; hence the product of Phi_e over all divisors e of n is 1 - t**n.
-    """
-    phi = one_minus_t(d)
-    for e in _divisors(d)[:-1]:
-        phi = phi.divexact(_cyclotomic(e))
-    return phi
-
-
-def _phi_divides(p: Poly, d: int) -> bool:
-    """Whether Phi_d divides p.
-
-    Phi_d divides t**d - 1, so it divides p exactly when it divides p
-    reduced mod t**d - 1, whose coefficients are p's summed by index mod d.
-    """
-    cs = p.coeffs
-    folded = Poly([sum(cs[i::d]) for i in range(min(d, len(cs)))])
-    try:
-        folded.divexact(_cyclotomic(d))
-    except ValueError:
-        return False
-    return True
+def _primes(d: int) -> tuple:
+    """The distinct prime factors of d, ascending."""
+    primes, rest, p = [], d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    return tuple(primes)
 
 
 @lru_cache(maxsize=None)
 def _totient(d: int) -> int:
     """Euler's phi(d), the degree of Phi_d."""
-    phi, rest, p = d, d, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            phi -= phi // p
-        p += 1
-    if rest > 1:
-        phi -= phi // rest
+    phi = d
+    for p in _primes(d):
+        phi -= phi // p
     return phi
+
+
+@lru_cache(maxsize=None)
+def _mobius_strides(d: int) -> tuple:
+    """(up, down) with Phi_d = prod (1 - t**e) over up / prod (1 - t**e) over down.
+
+    Phi_d = prod_{e | d} (1 - t**e)**mu(d/e), and mu(d/e) is nonzero only
+    when d/e is a product of distinct primes of d: +1 for an even number of
+    them (up), -1 for an odd number (down).
+    """
+    up, down = (d,), ()
+    for p in _primes(d):
+        up, down = up + tuple(e // p for e in down), down + tuple(e // p for e in up)
+    return up, down
+
+
+def _strided(cs: list, up, down):
+    """cs * prod (1 - t**e) over up / prod (1 - t**e) over down, or None.
+
+    None when that quotient is not a polynomial.  Multiplying by 1 - t**e
+    subtracts cs shifted by e.  Dividing by it undoes that: the quotient's
+    coefficients are running sums of cs along each residue class mod e.
+    Taken over all of cs, the sums end in a top-e tail that is zero exactly
+    when 1 - t**e divides, and the rest is the quotient.  Every product
+    comes before every division, so when the whole quotient is a
+    polynomial each division is exact, and when it is not, one fails.
+    """
+    for e in up:
+        pad = [0] * e
+        cs = list(map(sub, cs + pad, pad + cs))
+    for e in down:
+        sums = [0] * len(cs)
+        for r in range(e):
+            sums[r::e] = accumulate(cs[r::e])
+        cut = max(len(cs) - e, 0)
+        if any(sums[cut:]):
+            return None
+        cs = sums[:cut]
+    return cs
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> Poly:
+    """Phi_d normalised to constant term 1, so Phi_1 = 1 - t.
+
+    Built by the Mobius rule of _mobius_strides, so the product of Phi_e
+    over all divisors e of n is 1 - t**n.
+    """
+    return Poly(_strided([1], *_mobius_strides(d)))
+
+
+def _phi_quotient(cs: list, d: int):
+    """The coefficients of cs / Phi_d, or None when Phi_d does not divide cs."""
+    up, down = _mobius_strides(d)
+    return _strided(cs, down, up)
 
 
 @lru_cache(maxsize=None)
@@ -648,39 +705,38 @@ def _den_factors(den: Poly) -> tuple:
     pairs is den whatever den is.
     """
     mult = {}
-    rest = den
+    rest = list(den.coeffs)
     d = 1
-    while d <= 2 * rest.degree**2:
-        if _totient(d) <= rest.degree:
-            while _phi_divides(rest, d):
-                rest = rest.divexact(_cyclotomic(d))
+    while d <= 2 * (len(rest) - 1) ** 2:
+        if _totient(d) < len(rest):
+            while (quotient := _phi_quotient(rest, d)) is not None:
+                rest = quotient
                 mult[d] = mult.get(d, 0) + 1
         d += 1
-    if rest != Poly.one():
-        mult[rest] = 1
+    if rest != [1]:
+        mult[Poly(rest)] = 1
     return tuple(mult.items())
+
+
+def _factor(key) -> Poly:
+    """The polynomial a _den_factors key stands for."""
+    return _cyclotomic(key) if isinstance(key, int) else key
+
+
+def _l1(cs) -> int:
+    """The sum of the absolute values of the coefficients."""
+    return sum(map(abs, cs))
 
 
 def _expand(mult: dict) -> Poly:
     """The product of a {key: multiplicity} map of _den_factors keys.
 
-    The factors are multiplied as a balanced tree, the two smallest first,
-    so that the long products reach the Kronecker path of Poly.__mul__.
+    It is one packed product: since |ab|_1 <= |a|_1 |b|_1, the product of
+    the factors' l1 norms bounds every coefficient, and so the slot width.
     """
-    tiebreak = count()
-    heap = []
-    for key, m in mult.items():
-        poly = _cyclotomic(key) if isinstance(key, int) else key
-        heap.extend((poly.degree, next(tiebreak), poly) for _ in range(m))
-    if not heap:
-        return Poly.one()
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        a = heapq.heappop(heap)[2]
-        b = heapq.heappop(heap)[2]
-        product = a * b
-        heapq.heappush(heap, (product.degree, next(tiebreak), product))
-    return heap[0][2]
+    factors = [(_factor(key).coeffs, m) for key, m in mult.items() if m]
+    width = _width(prod(_l1(cs) ** m for cs, m in factors))
+    return Poly(_unpack(prod(_pack(cs, width) ** m for cs, m in factors), width))
 
 
 def _cyclotomic_ratfun(num: Poly, den: dict) -> RatFun:
@@ -721,23 +777,42 @@ def cyclotomic_quotient(plus, minus, shift: int = 0) -> RatFun:
     return _cyclotomic_ratfun(Poly.t_power(shift) * _expand(num), den)
 
 
-def _sum_over_common(parts) -> tuple:
-    """(numerator, denominator map) of the sum of the (sign, num, e, mult) parts.
+def _cofactor(common: dict, mult: dict, width: int, powers: dict) -> int:
+    """prod Phi_key**(common[key] - mult[key]), packed at width.
 
-    The denominator map takes the largest multiplicity of each key.  The
-    parts are summed pairwise as a balanced tree, so each numerator is
-    multiplied by the cofactor of its half's denominator, which stays small
-    until the last levels.
+    powers caches each packed Phi_key**k of one signed_sum call.
+    """
+    out = 1
+    for key, m in common.items():
+        k = m - mult.get(key, 0)
+        if k:
+            power = powers.get((key, k))
+            if power is None:
+                power = powers[key, k] = _pack(_factor(key).coeffs, width) ** k
+            out *= power
+    return out
+
+
+def _sum_over_common(parts, width: int, powers: dict) -> tuple:
+    """(packed numerator, denominator map) of the sum of the (sign, num, e, mult) parts.
+
+    A packed numerator is the polynomial's value at t = 2**(8*width), so
+    the products and sums below are big-integer products and sums; the
+    caller picks width so that the summed numerator unpacks.  The
+    denominator map takes the largest multiplicity of each key.  The parts
+    are summed pairwise as a balanced tree, so each numerator is multiplied
+    by the cofactor of its half's denominator, which stays small until the
+    last levels.
     """
     if len(parts) == 1:
         sign, num, e, mult = parts[0]
-        return Poly((0,) * e + tuple(sign * c for c in num.coeffs)), mult
+        return sign * _pack(num.coeffs, width) << (8 * width * e), mult
     half = len(parts) // 2
-    left, lmult = _sum_over_common(parts[:half])
-    right, rmult = _sum_over_common(parts[half:])
+    left, lmult = _sum_over_common(parts[:half], width, powers)
+    right, rmult = _sum_over_common(parts[half:], width, powers)
     common = {key: max(lmult.get(key, 0), rmult.get(key, 0)) for key in lmult | rmult}
-    left = left * _expand({key: m - lmult.get(key, 0) for key, m in common.items()})
-    right = right * _expand({key: m - rmult.get(key, 0) for key, m in common.items()})
+    left *= _cofactor(common, lmult, width, powers)
+    right *= _cofactor(common, rmult, width, powers)
     return left + right, common
 
 
@@ -758,11 +833,16 @@ def signed_sum(terms) -> RatFun:
     whose numerators multiply, and Phi_d for every divisor d of each k, since
     1 - t**k is the product of those.  The common denominator takes the
     largest multiplicity of each factor, and the numerators are summed over
-    it pairwise (_sum_over_common).  Each Phi_d is then divided out of the
-    summed numerator while it divides and its multiplicity stays positive,
-    which leaves the canonical quotient with no gcd.  A zero sum, or a
-    common denominator with an opaque factor, is handed to the RatFun
-    constructor instead.
+    it pairwise, packed into integers (_sum_over_common) and unpacked once.
+    Term i's share of the summed numerator is sign_i * num_i times its
+    cofactor, the product of the factors it lacks; since |ab|_inf <=
+    |a|_1 |b|_inf and |ab|_1 <= |a|_1 |b|_1, the sum over i of |sign_i|
+    |num_i|_1 prod |factor|_1 over its cofactor bounds every coefficient,
+    and sets the slot width.  Each Phi_d is then divided out of the summed
+    numerator while it divides and its multiplicity stays positive
+    (_phi_quotient), which leaves the canonical quotient with no gcd.  A
+    zero sum, or a common denominator with an opaque factor, is handed to
+    the RatFun constructor instead.
     """
     parts = []
     for sign, factor, e, ks in terms:
@@ -784,12 +864,23 @@ def signed_sum(terms) -> RatFun:
                 mult[d] = mult.get(d, 0) + 1
         if not num.is_zero:
             parts.append((sign, num, e, mult))
-    total, common = _sum_over_common(parts) if parts else (Poly.zero(), {})
-    if total.is_zero or not all(isinstance(key, int) for key in common):
-        return RatFun(total, _expand(common))
+    common = {}
+    for *_, mult in parts:
+        for key, m in mult.items():
+            common[key] = max(common.get(key, 0), m)
+    norms = {key: _l1(_factor(key).coeffs) for key in common}
+    full = prod(norms[key] ** m for key, m in common.items())
+    bound = sum(
+        abs(sign) * _l1(num.coeffs) * full // prod(norms[key] ** m for key, m in mult.items())
+        for sign, num, _, mult in parts
+    )
+    width = _width(bound)
+    total = _sum_over_common(parts, width, {})[0] if parts else 0
+    cs = _unpack(total, width)
+    if not any(cs) or not all(isinstance(key, int) for key in common):
+        return RatFun(Poly(cs), _expand(common))
     for d, m in common.items():
-        while m and _phi_divides(total, d):
-            total = total.divexact(_cyclotomic(d))
-            m -= 1
+        while m and (quotient := _phi_quotient(cs, d)) is not None:
+            cs, m = quotient, m - 1
         common[d] = m
-    return _cyclotomic_ratfun(total, common)
+    return _cyclotomic_ratfun(Poly(cs), common)

@@ -36,7 +36,7 @@ from math import lcm
 
 from .closedforms import flat_series
 from .errors import ExactnessError, InputError
-from .exactalg import CoeffVector, RatFun, series_expand, signed_sum
+from .exactalg import CoeffVector, Poly, RatFun, series_expand, signed_sum
 from .gaugeseries import betti_degrees, bg_orientable
 from .rootsys import (
     SO_EVEN,
@@ -353,16 +353,6 @@ def stratum_series(
     return signed_sum([(1, factors, 0, ())])
 
 
-def _mul_truncated(a: list, b: list, order: int) -> list:
-    """Coefficients of the product of two power series through t**order."""
-    out = [0] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x:
-            for j, y in enumerate(b[: order + 1 - i]):
-                out[i + j] += x * y
-    return out
-
-
 @dataclass(frozen=True)
 class RecursionReport:
     group: GroupSpec
@@ -398,9 +388,12 @@ class RecursionReport:
 def _truncated_stratum_series(g: GroupSpec, c: int, ell: int, points, degree: int):
     """Each point's stratum series through t^(degree - 2 d): (point, d, coefficients).
 
+    The coefficients stop at the last nonzero one.
+
     For a split point the component is the one living on the bundle of
     class c.  Each distinct factor is expanded once, to the largest order a
-    stratum needs it, and the strata multiply truncated coefficient lists.
+    stratum needs it, and each stratum multiplies its factors' expansions
+    as polynomials, cut back to its order after each product.
     """
     component = "plus" if c % 2 == 0 else "minus"
     used = []
@@ -411,15 +404,15 @@ def _truncated_stratum_series(g: GroupSpec, c: int, ell: int, points, degree: in
         for factor in factors:
             orders[factor] = max(orders.get(factor, 0), degree - 2 * d)
     expanded = {
-        (fam, n, c): list(series_expand(flat_series(GroupSpec(fam, n), c, ell), order).coeffs)
+        (fam, n, c): series_expand(flat_series(GroupSpec(fam, n), c, ell), order).coeffs
         for (fam, n, c), order in orders.items()
     }
     for pt, d, factors in used:
         order = degree - 2 * d
-        coeffs = expanded[factors[0]][: order + 1]
-        for factor in factors[1:]:
-            coeffs = _mul_truncated(coeffs, expanded[factor], order)
-        yield pt, d, coeffs
+        product = Poly.one()
+        for factor in factors:
+            product = Poly((product * Poly(expanded[factor][: order + 1])).coeffs[: order + 1])
+        yield pt, d, product.coeffs
 
 
 def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionReport:

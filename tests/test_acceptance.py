@@ -23,7 +23,7 @@ from ymseries.closedforms import (
     sun_flat,
     zagier_un,
 )
-from ymseries.exactalg import parse_ratfun, ratfun_eq, series_expand, series_nonnegative
+from ymseries.exactalg import parse_ratfun, ratfun_eq, series_expand
 from ymseries.inversion import (
     ConeSumSpec,
     build_parabolic_poset,
@@ -84,6 +84,11 @@ RECURSION_CONFIGS = [
     ("so-even", 5, (0, 1)),
     ("sp", 5, (0,)),
 ]
+
+
+def series_nonnegative(f, order):
+    """True when all series coefficients through t**order are >= 0."""
+    return all(c >= 0 for c in series_expand(f, order).coeffs)
 
 
 def topclasses(fam, n):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import former_signed_sum as former
 from reference_series import one_plus_t
 from ymseries.exactalg import (
     CoeffVector,
@@ -31,6 +32,7 @@ from ymseries.exactalg import (
     _divisors,
     _expand,
     _kronecker_mul,
+    _phi_quotient,
     cyclotomic_quotient,
 )
 
@@ -410,6 +412,7 @@ class TestSignedSum:
         for _ in range(40):
             den = RatFun(Poly.one(), rand_den(rng)).den
             assert _expand(dict(_den_factors(den))) == den
+            assert dict(_den_factors(den)) == former.den_factors(den)
         m = dict(_den_factors(one_minus_t(6) * one_minus_t(4) * P(2, 0, 4)))
         assert m == {1: 2, 2: 2, 3: 1, 4: 1, 6: 1, P(2, 0, 4): 1}
         # Phi_6 = 1 - t + t^2, Phi_12 and Phi_30 have index above their degree
@@ -515,6 +518,112 @@ class TestSignedSumCancellation:
         got = signed_sum(terms)
         assert got.num == expect.num and got.den == expect.den
         assert calls
+
+
+def wide_factor(rng, bits, top, opaque):
+    """A RatFun with coefficients of up to bits bits over random factors
+    1 - t^k, 1 + t^k and Phi_k with k <= top, and a non-cyclotomic factor
+    when opaque."""
+    cs = [rng.choice([0, rng.randint(-(2**bits), 2**bits)]) for _ in range(rng.randint(0, 5))]
+    num = Poly(cs + [rng.choice([-1, 1]) * rng.randint(2 ** (bits - 1), 2**bits)])
+    den = Poly.one()
+    for _ in range(rng.randint(0, 3)):
+        den = den * rng.choice([one_minus_t, one_plus_t, _cyclotomic])(rng.randint(1, top))
+    if opaque:
+        den = den * rng.choice([P(1, 3, 1), P(2, 1), P(5, -2), P(3)])
+    return RatFun(num, den)
+
+
+def wide_terms(rng, count, opaque=False, signs=(1, -1, 2, -2, 3, -3)):
+    """Terms with coefficients near 2^300 over factors up to Phi_30, or, when
+    opaque, of a few bits over factors up to Phi_12: an opaque factor sends
+    the sum to the gcd constructor, which is slow on wide coefficients and
+    long denominators."""
+    widths, top = ([2, 8], 12) if opaque else ([2, 63, 299, 300, 301], 30)
+    terms = []
+    for _ in range(count):
+        bits = rng.choice(widths)
+        factor = wide_factor(rng, bits, top, opaque and rng.random() < 0.5)
+        if rng.random() < 0.25:
+            factor = (factor, wide_factor(rng, bits, top, False))
+        ks = tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 3)))
+        terms.append((rng.choice(signs), factor, rng.randint(0, 6), ks))
+    return terms
+
+
+class TestPackedSumMatchesFormer:
+    """The packed tree sum and its stride cancellation against the former
+    dense tree sum and its fold-and-divide cancellation (tests/former_signed_sum.py)."""
+
+    def check(self, terms):
+        got, expect = signed_sum(terms), former.signed_sum(terms)
+        assert got.num == expect.num and got.den == expect.den, terms
+        return got
+
+    def test_random_terms(self):
+        rng = random.Random(2323)
+        for trial in range(80):
+            opaque = trial % 4 == 0
+            self.check(wide_terms(rng, rng.randint(1, 3 if opaque else 6), opaque))
+
+    def test_single_terms(self):
+        rng = random.Random(2424)
+        for trial in range(60):
+            self.check(wide_terms(rng, 1, opaque=trial % 3 == 0))
+
+    def test_negative_totals(self):
+        rng = random.Random(2525)
+        for _ in range(30):
+            got = self.check(wide_terms(rng, rng.randint(1, 4), signs=(-1, -2, -3)))
+            assert not got.is_zero
+
+    def test_sums_cancelling_to_zero(self):
+        rng = random.Random(2626)
+        for trial in range(30):
+            terms = wide_terms(rng, rng.randint(1, 3), opaque=trial % 3 == 0)
+            negated = [(-sign, factor, e, ks) for sign, factor, e, ks in terms]
+            rng.shuffle(negated)
+            got = self.check(terms + negated)
+            assert got.is_zero and got.den == Poly.one()
+
+    def test_coefficients_at_the_slot_bound(self):
+        # one monomial numerator: the width bound is the coefficient itself
+        for bits in range(1, 310, 3):
+            for c in (2**bits - 1, 2**bits, -(2**bits)):
+                self.check([(1, RatFun(Poly.t_power(1, c), one_minus_t(4)), 0, ())])
+                self.check([(-3, RatFun(Poly.const(c)), 2, (6,)), (-3, RatFun.one(), 0, ())])
+
+
+class TestStrides:
+    """Division by Phi_d through binomial strides against Poly.divexact."""
+
+    def test_quotient_matches_divexact(self):
+        rng = random.Random(6060)
+        for d in range(1, 61):
+            phi = former.cyclotomic(d)
+            assert _cyclotomic(d) == phi, d
+            # products of length below d reach the stride e = d with fewer
+            # coefficients than the stride
+            for length in (1, 2, max(1, d - phi.degree - 1), rng.randint(1, 40)):
+                q = Poly(rand_coeffs(rng, length, rng.choice([1, 8, 300])))
+                p = phi * q
+                assert _phi_quotient(list(p.coeffs), d) == list(p.divexact(phi).coeffs), d
+                assert p.divexact(phi) == q
+                # a nonzero remainder of degree below deg Phi_d
+                p = p + Poly(rand_coeffs(rng, rng.randint(1, phi.degree), 8))
+                with pytest.raises(ValueError):
+                    p.divexact(phi)
+                assert _phi_quotient(list(p.coeffs), d) is None, (d, length)
+
+    def test_short_operands_are_not_multiples(self):
+        rng = random.Random(6161)
+        for d in range(1, 61):
+            phi = former.cyclotomic(d)
+            for length in range(1, phi.degree + 1):
+                cs = rand_coeffs(rng, length, 8)
+                with pytest.raises(ValueError):
+                    Poly(cs).divexact(phi)
+                assert _phi_quotient(cs, d) is None, (d, length)
 
 
 class TestRatFunEq:
