@@ -448,7 +448,10 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
     each coefficient is an exact quotient by den(0).  Every series of the
     package is a Poincare series, so a nonzero remainder (a fractional
     coefficient) is a transcription fault upstream and raises ExactnessError
-    instead of being rounded.
+    instead of being rounded.  Cyclotomic denominators are sparse, so the
+    recurrence walks only the terms c t^j of den with j >= 1 and c != 0;
+    when den(0) = 1, as it is for every series of the package, the quotient
+    is the value itself.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
@@ -456,17 +459,22 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
     d0 = den[0]
     if d0 == 0:
         raise PoleAtZero("denominator vanishes at t = 0")
-    num, dc = f.num.coeffs, den.coeffs
+    num = f.num.coeffs
+    terms = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
     out = []
     for k in range(order + 1):
         # every earlier coefficient is an integer, so acc is one too
         acc = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(dc) - 1) + 1):
-            acc -= dc[j] * out[k - j]
-        bk, rem = divmod(acc, d0)
-        if rem:
-            raise ExactnessError(f"coefficient of t^{k} is {Fraction(acc, d0)}")
-        out.append(bk)
+        for j, c in terms:
+            if j > k:
+                break
+            acc -= c * out[k - j]
+        if d0 != 1:
+            bk, rem = divmod(acc, d0)
+            if rem:
+                raise ExactnessError(f"coefficient of t^{k} is {Fraction(acc, d0)}")
+            acc = bk
+        out.append(acc)
     return CoeffVector(order, tuple(out))
 
 

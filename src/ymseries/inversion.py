@@ -49,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import ceil, lcm
+from operator import sub
 from types import MappingProxyType
 
 from .errors import ExactnessError, InputError
@@ -126,7 +127,7 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
 
 
 def _difference(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 # -- Langlands combinatorial identity ------------------------------------
@@ -154,7 +155,7 @@ def _block_average(h, levi: frozenset) -> list:
 
 def _positive(values, what: str) -> bool:
     """All values positive; a zero value means the sample sits on a wall."""
-    if any(v == 0 for v in values):
+    if 0 in values:
         raise WallPoint(f"{what} functional vanishes at the sample")
     return all(v > 0 for v in values)
 
@@ -173,6 +174,10 @@ class _TypeAPoset:
       zero on each large-block, so h is the sum over i in large - small of
       (h_0 + ... + h_i) times the projected coroot of i.  The relative
       fundamental coweights, the dual basis, read off those partial sums.
+    Neither the Levis between a nested pair, with their signs, nor the
+    roots of large - small depend on the sample, so each is computed once
+    per pair and kept on the instance; a check reuses one poset for every
+    sample of every pair.
     """
 
     def __init__(self, rank: int):
@@ -181,36 +186,61 @@ class _TypeAPoset:
             for mask in range(2**rank)
             for s in [[i for i in range(rank) if mask >> i & 1]]
         ]
+        self._plans = {}
+        self._gaps = {}
+
+    def plan(self, small: frozenset, large: frozenset) -> list:
+        """(q, (-1)^|large - q|, (-1)^|q - small|) for each Levi q with
+        small <= q <= large, in the order of subsets."""
+        key = (small, large)
+        if key not in self._plans:
+            self._plans[key] = [
+                (q, (-1) ** (len(large) - len(q)), (-1) ** (len(q) - len(small)))
+                for q in self.subsets
+                if small <= q <= large
+            ]
+        return self._plans[key]
+
+    def gaps(self, small: frozenset, large: frozenset) -> tuple:
+        """The simple roots in large - small, in increasing order."""
+        key = (small, large)
+        if key not in self._gaps:
+            self._gaps[key] = tuple(sorted(large - small))
+        return self._gaps[key]
 
     def project_relative(self, vector, small: frozenset, large: frozenset):
         return _difference(_block_average(vector, small), _block_average(vector, large))
 
     def tau(self, small: frozenset, large: frozenset, h) -> bool:
         """Chamber indicator: alpha(h) > 0 for alpha in large minus small."""
-        return _positive([h[i] - h[i + 1] for i in sorted(large - small)], "root")
+        return _positive([h[i] - h[i + 1] for i in self.gaps(small, large)], "root")
 
     def tau_hat(self, small: frozenset, large: frozenset, h) -> bool:
         """Dual-cone indicator: relative fundamental coweights positive."""
         partial = list(accumulate(h))
-        return _positive([partial[i] for i in sorted(large - small)], "coweight")
+        return _positive([partial[i] for i in self.gaps(small, large)], "coweight")
 
 
 def _langlands_identities_at(poset: _TypeAPoset, small, large, h) -> bool:
+    """Both alternating-sum identities at the sample h of a_small^large.
+
+    The Levis between small and large with their signs, and the roots each
+    indicator reads, come from the poset's per-pair caches; only h's block
+    averages and the indicators are computed per sample.
+    """
     # every indicator is the sign of a linear functional, so h may be scaled
     # by any positive integer: this scale makes h integral with each block
     # sum a multiple of its block length, so every average is an int
     scale = lcm(*range(1, len(h) + 1)) * lcm(*(x.denominator for x in h))
     h = [int(x * scale) for x in h]
-    between = [q for q in poset.subsets if small <= q <= large]
+    plan = poset.plan(small, large)
     # project_relative, with each block average computed once per sample
-    avg = {q: _block_average(h, q) for q in between}
+    avg = {q: _block_average(h, q) for q, _, _ in plan}
     total_qr = 0
     total_pq = 0
-    for q in between:
+    for q, sign_qr, sign_pq in plan:
         hq = _difference(avg[small], avg[q])
         h_q = _difference(avg[q], avg[large])
-        sign_qr = (-1) ** (len(large) - len(q))
-        sign_pq = (-1) ** (len(q) - len(small))
         if poset.tau(small, q, hq) and poset.tau_hat(q, large, h_q):
             total_qr += sign_qr
         if poset.tau_hat(small, q, hq) and poset.tau(q, large, h_q):

@@ -12,7 +12,9 @@ twisted-variety factors its reduced representation variety splits into.
 The point rules (tail shapes, strictly decreasing slopes down to the
 family's floor, and the InvalidPoint error) are shared with `strata`; the
 nonorientable index set only moves the symplectic floor to slope 1/2 and
-forces a zero tail, of any size, on odd-rank even-orthogonal points.
+forces a zero tail, of any size, on odd-rank even-orthogonal points.  The
+enumeration bounds each label by those same rules, so it builds only the
+points it returns; the point constructor still checks each of them.
 
 No numeric series are attached to the twisted factors; the reports are
 structural, to be filled by a series provider if one ever exists.
@@ -46,6 +48,14 @@ from .strata import (
 F = Fraction
 
 _FLAGS_TO_TAIL = {(False, False): TAIL_NONE, (True, False): TAIL_ZERO, (False, True): TAIL_MINUS}
+
+
+def _final_shapes(family: str, n: int, size: int, label: int) -> tuple:
+    """The tail kinds a final block admits on the nonorientable index set."""
+    if family == SO_EVEN and n % 2 == 1:
+        # only tau-fixed vectors end in 0: the zero tail is mandatory, of any size
+        return (TAIL_ZERO,)
+    return _tail_shapes(family, size, label)
 
 
 def chamber_involution(g: GroupSpec, mu) -> tuple:
@@ -98,13 +108,9 @@ class NonorientablePoint:
         if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
             raise UnsupportedFamily(f"nonorientable points are not defined for family {fam!r}")
         tail_kind = _FLAGS_TO_TAIL.get((self.zero_tail, self.minus_last), "zero_tail+minus_last")
-        if fam == SO_EVEN and sum(comp) % 2 == 1:
-            # only tau-fixed vectors end in 0: the zero tail is mandatory, of any size
-            shapes = (TAIL_ZERO,)
-        else:
-            shapes = _tail_shapes(fam, comp[-1], labels[-1])
+        shapes = _final_shapes(fam, sum(comp), comp[-1], labels[-1])
         # symplectic chamber values 2 k_j / n_j - 1 must stay positive
-        floor = F(1, 2) if fam == SYMPLECTIC else F(0)
+        floor = (1, 2) if fam == SYMPLECTIC else (0, 1)
         _check_chamber(fam, comp, labels, tail_kind, shapes, floor)
 
     def chamber_vector(self) -> tuple:
@@ -213,44 +219,53 @@ class ComponentReport:
 def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
     """All index-set points of g over the surface type i with |k_j| <= bound.
 
-    Candidate block data is generated within the label bound, each label
-    below the previous block's slope, and filtered through the point
-    constructor, which owns the family's chamber constraints.
+    Blocks are placed by decreasing slope, and every label is bounded by
+    the chamber rule the point constructor enforces, so each returned point
+    is built once and no other point is built:
+    - a block before the last lies strictly above the family's floor:
+      k/p > 1/2 for symplectic groups, k/p > 0 for orthogonal ones;
+    - the last block takes label 0, a label above the floor or, as a
+      size-one even-orthogonal block, any label of absolute slope below the
+      previous block's; its tail kinds are those _tail_shapes admits, but
+      an odd-rank even-orthogonal point takes only its mandatory zero tail
+      (label 0, of any size).
+    The constructor still checks every point.
     """
     if i not in (1, 2):
         raise InputError("i must be 1 or 2")
     fam, n = g.family, g.n
     if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
         raise UnsupportedFamily(f"nonorientable strata are not defined for family {fam!r}")
-    found = {}
+    found = []
 
-    def try_point(comp, labels, tail_kind):
-        zero_tail, minus_last = tail_kind == TAIL_ZERO, tail_kind == TAIL_MINUS
-        try:
-            pt = NonorientablePoint(fam, tuple(comp), tuple(labels), zero_tail, i, minus_last)
-        except InvalidPoint:
-            return
-        found[(pt.composition, pt.labels, pt.zero_tail, pt.minus_last)] = pt
+    def least_above_floor(part):
+        return part // 2 + 1 if fam == SYMPLECTIC else 1
+
+    def final_labels(part, hi):
+        if hi < 0:
+            return ()
+        if fam == SO_EVEN and n % 2 == 1:
+            return (0,)
+        if fam == SO_EVEN and part == 1:
+            return range(-hi, hi + 1)
+        return (0, *range(least_above_floor(part), hi + 1))
 
     def extend(comp, labels, remaining):
-        if remaining == 0:
-            for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
-                try_point(comp, labels, tail_kind)
-            return
         for part in range(1, remaining + 1):
-            is_final = part == remaining
-            negatives_ok = fam == SO_EVEN and n % 2 == 0 and is_final and part == 1
-            lo = -bound if negatives_ok else 0
             hi = min(bound, _max_label_below(labels[-1], comp[-1], part)) if comp else bound
-            for k in range(hi, lo - 1, -1):
-                extend(comp + [part], labels + [k], remaining - part)
-        # a zero tail may absorb the whole remainder even mid-sequence
-        if fam in (SYMPLECTIC, SO_EVEN):
-            try_point(comp + [remaining], labels + [0], TAIL_ZERO)
+            if part < remaining:
+                for k in range(least_above_floor(part), hi + 1):
+                    extend(comp + (part,), labels + (k,), remaining - part)
+                continue
+            for k in final_labels(part, hi):
+                for tail_kind in _final_shapes(fam, n, part, k):
+                    zero_tail, minus_last = tail_kind == TAIL_ZERO, tail_kind == TAIL_MINUS
+                    pt = NonorientablePoint(fam, comp + (part,), labels + (k,), zero_tail, i, minus_last)
+                    found.append(pt)
 
-    extend([], [], n)
+    extend((), (), n)
     return sorted(
-        found.values(),
+        found,
         key=lambda p: (len(p.composition), p.composition, p.labels, p.minus_last, p.zero_tail),
     )
 

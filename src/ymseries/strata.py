@@ -64,11 +64,6 @@ class AmbiguousComponent(InputError):
     """A split point needs a component choice to have a series."""
 
 
-def _descending(values) -> bool:
-    """True when the values strictly decrease."""
-    return all(a > b for a, b in zip(values, values[1:]))
-
-
 def _tail_shapes(family: str, size: int, label: int) -> tuple:
     """The tail kinds a final block of this size and label admits."""
     if family == UNITARY:
@@ -87,31 +82,44 @@ def _check_blocks(comp, labels):
         raise InvalidPoint("composition and labels must align and be nonempty")
 
 
-def _check_chamber(family, comp, labels, tail_kind, shapes, floor=F(0)):
+def _check_chamber(family, comp, labels, tail_kind, shapes, floor=(0, 1)):
     """The chamber rules shared by orientable and nonorientable points.
 
     tail_kind must be one of the admitted shapes, and the block slopes
-    k_j / n_j must strictly decrease down to the family's floor: a zero
-    block stands in for the floor, a size-one final even-orthogonal block
-    only needs its absolute slope dominated, and unitary slopes have no
-    floor at all.
+    k_j / n_j must strictly decrease down to the family's floor, given as
+    (numerator, denominator): a zero block stands in for the floor, a
+    size-one final even-orthogonal block only needs its absolute slope
+    dominated, and unitary slopes have no floor at all.  Every denominator
+    is positive, so k_i / n_i > k_j / n_j is compared as k_i n_j > k_j n_i;
+    Fractions are built only for the error message.
     """
     if tail_kind not in shapes:
         raise InvalidPoint(
             f"a final block of size {comp[-1]} and label {labels[-1]} admits tail "
             f"{' or '.join(shapes)}, not {tail_kind!r}"
         )
-    slopes = [F(k, p) for k, p in zip(labels, comp)]
+    chain = list(zip(labels, comp))
+    if family != UNITARY:
+        if tail_kind == TAIL_ZERO:
+            chain[-1] = floor
+        elif family == SO_EVEN and comp[-1] == 1:
+            chain[-1] = (abs(labels[-1]), 1)
+        else:
+            chain.append(floor)
+    if not all(k * q > j * p for (k, p), (j, q) in zip(chain, chain[1:])):
+        slopes = ", ".join(str(F(k, p)) for k, p in chain)
+        raise InvalidPoint(f"block slopes must strictly decrease: {slopes}")
+
+
+def _bundle_class(family, labels, tail_kind) -> int | None:
+    """The bundle class of a point's data, as AtiyahBottPoint.bundle_class."""
     if family == UNITARY:
-        chain = slopes
-    elif tail_kind == TAIL_ZERO:
-        chain = slopes[:-1] + [floor]
-    elif family == SO_EVEN and comp[-1] == 1:
-        chain = slopes[:-1] + [abs(slopes[-1])]
-    else:
-        chain = slopes + [floor]
-    if not _descending(chain):
-        raise InvalidPoint(f"block slopes must strictly decrease: {', '.join(map(str, chain))}")
+        return sum(labels)
+    if family == SYMPLECTIC:
+        return 0
+    if tail_kind == TAIL_ZERO:
+        return None  # a split orthogonal point
+    return sum(labels) % 2
 
 
 @dataclass(frozen=True)
@@ -152,13 +160,7 @@ class AtiyahBottPoint:
 
     def bundle_class(self) -> int | None:
         """w2 or degree of the bundle the point belongs to; None when split."""
-        if self.family == UNITARY:
-            return sum(self.labels)
-        if self.family == SYMPLECTIC:
-            return 0
-        if self.is_split:
-            return None
-        return sum(self.labels) % 2
+        return _bundle_class(self.family, self.labels, self.tail_kind)
 
     def key(self):
         return (self.composition, self.labels, self.tail_kind)
@@ -217,7 +219,9 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
     the mean and contributes at least their slope gap); for the other
     families block slopes are bounded by the codimension through the single
     and doubled roots.  Split (zero-tail) orthogonal points meet every
-    bundle class and are always included.  Returns (point, codim) pairs
+    bundle class and are always included; every other leaf's class is read
+    off its labels and tail kind before a point is built, so only kept
+    points are constructed.  Returns (point, codim) pairs
     sorted by codimension and then by the point data.
 
     Blocks are placed by decreasing slope, and the enumeration carries d,
@@ -253,13 +257,14 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
         lo_num = c - n * (codim_bound + 1)
     else:
         den, hi_num, lo_num = 1, codim_bound + 1, 0
+    target = c if unitary else c % 2
     found = []
 
     def finish(comp, labels, d):
         for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
-            pt = AtiyahBottPoint(fam, tuple(comp), tuple(labels), tail_kind)
-            if pt.bundle_class() not in (None, c if unitary else c % 2):
+            if _bundle_class(fam, labels, tail_kind) not in (None, target):
                 continue
+            pt = AtiyahBottPoint(fam, tuple(comp), tuple(labels), tail_kind)
             if codim(g, pt, ell) != d:
                 raise ExactnessError(f"codim({pt}) disagrees with the enumerated {d}")
             found.append((pt, d))

@@ -247,6 +247,14 @@ BAD_INPUTS = {
         "stratum", "--group", "so-odd", "--rank", "2", "--genus", "2",
         "--composition", "2", "--labels", "0", "--tail", "zero",
     ],
+    "components slopes not decreasing": [
+        "components", "--group", "sp", "--rank", "2", "--surface-i", "1",
+        "--composition", "1,1", "--labels", "1,1",
+    ],
+    "stratum slopes not decreasing": [
+        "stratum", "--group", "so-odd", "--rank", "3", "--genus", "2",
+        "--composition", "2,1", "--labels", "1,1",
+    ],
 }
 
 
@@ -270,6 +278,9 @@ BAD_INPUT_ERRORS = {
     "appendix cone samples 0": "--cone-samples must be at least 1, got 0",
     "components of u": "nonorientable points are not defined for family 'u'",
     "split point, no component": "split point: pass component='plus' or 'minus'",
+    # the chamber chain, with the symplectic floor 1/2 and the orthogonal floor 0
+    "components slopes not decreasing": "block slopes must strictly decrease: 1, 1, 1/2",
+    "stratum slopes not decreasing": "block slopes must strictly decrease: 1/2, 1, 0",
 }
 
 

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 import former_signed_sum as former
+from former_series_expand import dense_series_expand
 from reference_series import one_plus_t
 from ymseries.exactalg import (
     CoeffVector,
@@ -689,6 +690,38 @@ class TestSeriesExpand:
         with pytest.raises(ExactnessError) as err:
             series_expand(RatFun(num, den), 5)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("d0", [1, -1, 2, 3])
+    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+    def test_matches_dense_recurrence(self, d0, density):
+        # sparse and dense denominators with den(0) = d0, built unnormalized
+        # so that den(0) = -1 is reached too; for |d0| > 1 a numerator that
+        # is a multiple of den gives an integral series, a random one
+        # usually a fractional coefficient, and both must agree
+        rng = random.Random(1000 * d0 + int(10 * density))
+        outcomes = set()
+        for _ in range(80):
+            tail = [
+                rng.choice([-3, -2, -1, 1, 2, 3]) if rng.random() < density else 0
+                for _ in range(rng.randint(0, 30))
+            ]
+            if tail:
+                tail[-1] = tail[-1] or 1
+            den = Poly([d0] + tail)
+            num = den * rand_poly(rng, 8) if rng.random() < 0.5 else rand_poly(rng, 8)
+            f = RatFun(num, den, _normalized=True)
+            order = rng.randint(0, 50)
+            try:
+                want = dense_series_expand(f, order)
+            except ExactnessError as err:
+                with pytest.raises(ExactnessError) as got:
+                    series_expand(f, order)
+                assert str(got.value) == str(err)
+                outcomes.add("fractional")
+                continue
+            assert series_expand(f, order).coeffs == want
+            outcomes.add("integral")
+        assert outcomes == ({"integral"} if abs(d0) == 1 else {"integral", "fractional"})
 
     def test_negative_coefficients(self):
         # (1 - 2t) / (1 - t) = 1 - t - t^2 - ...

@@ -387,6 +387,30 @@ class TestLanglands:
         assert outcomes == {True, "wall"}
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_shared_plans_match_fraction_reference(self, rank):
+        # one poset serves every nested pair, forwards then backwards, so
+        # each pair reads plans cached by the pairs before it; the reference
+        # gets a fresh poset for every sample
+        rng = random.Random(90 + rank)
+        shared = _TypeAPoset(rank)
+        pairs = list(nested_pairs(rank))
+        outcomes = set()
+        for small, large in pairs + pairs[::-1]:
+            walled = [F(rng.randint(-1, 1)) for _ in range(rank + 1)]
+            walled = _difference(
+                fraction_block_average(walled, small), fraction_block_average(walled, large)
+            )
+            origin = (F(0),) * (rank + 1)
+            for h in (fraction_relative_point(rank, small, large, rng), walled, origin):
+                expect = indicator_or_wall(
+                    fraction_identities_at, _TypeAPoset(rank), small, large, h
+                )
+                got = indicator_or_wall(inversion._langlands_identities_at, shared, small, large, h)
+                assert got == expect, (small, large, h)
+                outcomes.add(expect)
+        assert outcomes == {True, "wall"}
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_closed_forms_match_gram_reference(self, rank):
         # the origin and small integer entries put samples on walls, so
         # the wall raises are compared too

@@ -142,7 +142,7 @@ class TestEnumerate:
         return found
 
     @pytest.mark.parametrize(
-        "fam,n", [(fam, n) for fam, lo in (("sp", 1), ("so-odd", 1), ("so-even", 2)) for n in range(lo, 6)]
+        "fam,n", [(fam, n) for fam, lo in (("sp", 1), ("so-odd", 1), ("so-even", 2)) for n in range(lo, 7)]
     )
     def test_matches_brute_force(self, fam, n):
         g = GroupSpec(fam, n)
@@ -151,6 +151,31 @@ class TestEnumerate:
                 pts = enumerate_nonorientable_points(g, i, bound)
                 assert len(set(pts)) == len(pts)
                 assert set(pts) == self.brute_force_points(g, i, bound), (i, bound)
+
+    @pytest.mark.parametrize(
+        "fam,n", [(fam, n) for fam, lo in (("sp", 1), ("so-odd", 1), ("so-even", 2)) for n in range(lo, 6)]
+    )
+    def test_builds_each_point_once(self, fam, n, monkeypatch):
+        # the walk admits only chamber points, so no constructor call raises
+        # and none makes a duplicate
+        calls = []
+        check = NonorientablePoint.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(NonorientablePoint, "__post_init__", counted)
+        g = GroupSpec(fam, n)
+        for i in (1, 2):
+            calls.clear()
+            pts = enumerate_nonorientable_points(g, i, 3)
+            assert pts and len(calls) == len(pts), i
+
+    @pytest.mark.parametrize("fam,n", [("sp", 2), ("so-odd", 2), ("so-even", 3), ("so-even", 4)])
+    def test_negative_bound_admits_no_label(self, fam, n):
+        # |k_j| <= bound holds for no label, not even a zero tail's 0
+        assert enumerate_nonorientable_points(GroupSpec(fam, n), 1, -1) == []
 
 
 class TestClassify:

@@ -140,6 +140,26 @@ class TestEnumerate:
         ds = [d for _, d in pts]
         assert ds == sorted(ds) and all(d <= 12 for d in ds)
 
+    @pytest.mark.parametrize(
+        "fam,n", [("so-odd", 3), ("so-even", 4), ("so-odd", 4), ("so-even", 5), ("so-odd", 5), ("so-even", 6)]
+    )
+    def test_builds_only_points_of_the_class(self, fam, n, monkeypatch):
+        # SO(7) to SO(12): a leaf of the other w2 is dropped before it is built
+        calls = []
+        check = AtiyahBottPoint.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(AtiyahBottPoint, "__post_init__", counted)
+        g = GroupSpec(fam, n)
+        for w2 in (0, 1):
+            calls.clear()
+            pts = enumerate_ab_points(g, w2, 2, 30)
+            assert pts and len(calls) == len(pts), w2
+            assert all(p.bundle_class() in (None, w2) for p, _ in pts)
+
 
 class TestStratumSeries:
     def test_sp2_two_unitary_blocks(self):
