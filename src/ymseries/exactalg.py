@@ -29,10 +29,15 @@ mu = -1 and then divided by each with mu = +1, each division a running
 sum along the residues mod e whose nonzero top-e tail means Phi_d does not
 divide.  The same rule builds Phi_d.  cyclotomic_quotient builds a closed
 product from Phi_d multiplicities and cancels them by subtraction, and
-every product of Phi_d is one packed product.  Only the RatFun constructor
-takes a gcd, a fraction-free subresultant gcd that keeps coefficient growth
-bounded without leaving the integers, for values parsed or built by a
-caller and for a signed_sum whose denominator has a non-cyclotomic factor.
+every product of Phi_d is one packed product.  Each canonical value built
+from Phi_d multiplicities records them for its denominator, so signed_sum
+reads a denominator's map back and trial-divides only those parsed or
+built by a caller.  truncated_sum adds products of truncated power series
+on one packed integer, cutting each product by a centred remainder.  Only
+the RatFun constructor takes a gcd, a fraction-free subresultant gcd that
+keeps coefficient growth bounded without leaving the integers, for values
+parsed or built by a caller and for a signed_sum whose denominator has a
+non-cyclotomic factor.
 """
 
 from __future__ import annotations
@@ -478,6 +483,67 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
     return CoeffVector(order, tuple(out))
 
 
+def truncated_sum(terms, order: int) -> CoeffVector:
+    """sum of t**shift * prod factors over the terms, modulo t**(order+1).
+
+    Each term is a pair (shift, factors): a natural number and a sequence
+    of coefficient sequences, whose empty product is 1.  A term reaches
+    order - shift + 1 slots; one that reaches none, or has a factor whose
+    prefix over its reach is zero, adds nothing and is dropped.  The sum
+    runs on packed integers at one slot width.  Each distinct factor object
+    is packed once, through the longest reach of a term using it.  In a
+    term, a longer factor and each product are cut to the term's reach by
+    the centred remainder ((v + half) & mask) - half; the product is then
+    shifted into place and added to one integer, which is unpacked once.
+    The width bounds every slot: since |ab|_inf <= |a|_1 |b|_inf and
+    |ab|_1 <= |a|_1 |b|_1, the sum over the terms of the product of the
+    factors' l1 norms, each over the prefix the term reaches, bounds every
+    coefficient of every packed factor and partial product, cut or not, and
+    of the sum.  Every slot therefore stays below half its range, and the
+    centred remainder is exact.
+    """
+    # id(f) -> [f, l1 norms of f's prefixes, slots to pack, packed f]; the
+    # entry holds f, so no id is reused during the call
+    seen = {}
+    kept = []
+    bound = 0
+    for shift, factors in terms:
+        if shift < 0:
+            raise ValueError("negative exponent")
+        reach = order - shift + 1
+        if reach < 1:
+            continue
+        entries = []
+        for f in factors:
+            entry = seen.get(id(f))
+            if entry is None:
+                entry = seen[id(f)] = [f, (0, *accumulate(map(abs, f))), 0, 0]
+            entries.append(entry)
+        size = prod(entry[1][min(reach, len(entry[0]))] for entry in entries)
+        if size:
+            # no factor's prefix is zero, so size bounds each one's coefficients
+            bound += size
+            kept.append((shift, reach, entries))
+            for entry in entries:
+                entry[2] = max(entry[2], min(reach, len(entry[0])))
+    width = _width(bound)
+    for entry in seen.values():
+        entry[3] = _pack(entry[0][: entry[2]], width)
+    slot = 8 * width
+    total = 0
+    for shift, reach, entries in kept:
+        half = 1 << (slot * reach - 1)
+        mask = (half << 1) - 1
+        value = 1
+        for _, _, slots, packed in entries:
+            if slots > reach:
+                packed = ((packed + half) & mask) - half
+            value = ((value * packed + half) & mask) - half
+        total += value << (slot * shift)
+    cs = _unpack(total, width)
+    return CoeffVector(order, tuple(cs) + (0,) * (order + 1 - len(cs)))
+
+
 # -- rendering and parsing ----------------------------------------------
 
 
@@ -702,15 +768,35 @@ def _phi_quotient(cs: list, d: int):
     return _strided(cs, down, up)
 
 
-@lru_cache(maxsize=None)
-def _den_factors(den: Poly) -> tuple:
-    """den as (key, multiplicity) pairs, found by trial division.
+# den -> its _den_factors pairs.  _cyclotomic_ratfun records the map each
+# canonical value is built from; any other denominator is trial-divided
+# once.  The empty product needs neither.
+_DEN_FACTORS = {Poly.one(): ()}
 
-    An int key d stands for Phi_d.  Every Phi_d dividing den is found: the
-    trial divisors run over the d with phi(d) <= deg of what is left, and
-    phi(d) >= sqrt(d/2) bounds those d.  Whatever the cyclotomic factors
-    leave over other than 1 is one opaque Poly key, so the product of the
-    pairs is den whatever den is.
+
+def _den_factors(den: Poly) -> tuple:
+    """den as (key, multiplicity) pairs, ascending in the Phi_d keys.
+
+    An int key d stands for Phi_d; an opaque Poly key, last, for what the
+    cyclotomic factors leave over.  A denominator that _cyclotomic_ratfun
+    built is read off the map it was built from, since factorization into
+    the irreducible Phi_d is unique; any other, parsed or built by a
+    caller, is found by _trial_factors.
+    """
+    pairs = _DEN_FACTORS.get(den)
+    if pairs is None:
+        pairs = _DEN_FACTORS[den] = _trial_factors(den)
+    return pairs
+
+
+def _trial_factors(den: Poly) -> tuple:
+    """den as _den_factors pairs, found by trial division.
+
+    Every Phi_d dividing den is found: the trial divisors run over the d
+    with phi(d) <= deg of what is left, and phi(d) >= sqrt(d/2) bounds
+    those d.  Whatever the cyclotomic factors leave over other than 1 is
+    one opaque Poly key, so the product of the pairs is den whatever den
+    is.
     """
     mult = {}
     rest = list(den.coeffs)
@@ -756,9 +842,12 @@ def _cyclotomic_ratfun(num: Poly, den: dict) -> RatFun:
     common factor; each Phi_d is primitive with constant term 1, so by
     Gauss's lemma the denominator has content 1 and a positive lowest
     coefficient.  The canonical form is unique, so this is exactly what
-    RatFun(num, den) builds with its gcd.
+    RatFun(num, den) builds with its gcd.  The denominator's map is recorded
+    for _den_factors, so a later sum reads it back without trial division.
     """
-    return RatFun(num, _expand(den), _normalized=True)
+    expanded = _expand(den)
+    _DEN_FACTORS[expanded] = tuple(sorted((d, m) for d, m in den.items() if m))
+    return RatFun(num, expanded, _normalized=True)
 
 
 def cyclotomic_quotient(plus, minus, shift: int = 0) -> RatFun:
@@ -836,8 +925,9 @@ def signed_sum(terms) -> RatFun:
 
     The sum is taken over one common denominator.  Each term's denominator
     is kept as a map {d: multiplicity} of the cyclotomic factors Phi_d: those
-    of each factor's den, found by trial division (any non-cyclotomic
-    remainder is one opaque factor) and added over a product's factors,
+    of each factor's den, read by _den_factors (the map the value was built
+    from, or trial division with any non-cyclotomic remainder as one opaque
+    factor) and added over a product's factors,
     whose numerators multiply, and Phi_d for every divisor d of each k, since
     1 - t**k is the product of those.  The common denominator takes the
     largest multiplicity of each factor, and the numerators are summed over

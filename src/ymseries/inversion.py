@@ -44,7 +44,7 @@ are integers, and the check runs on integers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -79,25 +79,36 @@ MAX_DRAWS = 100
 
 @dataclass(frozen=True)
 class ConeSumSpec:
-    """Exponent weights p_a > 0 and twist classes x_a mod Z, one per factor."""
+    """Exponent weights p_a > 0 and twist classes x_a mod Z, one per factor.
+
+    first_exponents holds each factor's p_a <x_a>, the smallest exponent
+    p_a (x_a + m) over the integers m with x_a + m > 0; it is derived from
+    the other two fields and takes no part in equality or repr.
+    """
 
     weights: tuple
     classes: tuple
+    first_exponents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.classes):
             raise InputError("weights and classes must align")
         if any(p < 1 for p in self.weights):
             raise InputError("weights must be positive integers")
+        firsts = []
         for p, x in zip(self.weights, self.classes):
-            if (p * frac_part(x)).denominator != 1:
-                raise InputError(f"p*<x> = {p * frac_part(x)} not integral")
+            first = p * frac_part(x)
+            if first.denominator != 1:
+                raise InputError(f"p*<x> = {first} not integral")
+            firsts.append(int(first))
+        object.__setattr__(self, "first_exponents", tuple(firsts))
 
 
 def cone_sum_closed(spec: ConeSumSpec) -> RatFun:
     """prod_a t^{p_a <x_a>} / (1 - t^{p_a})."""
-    num_exp = sum(int(p * frac_part(x)) for p, x in zip(spec.weights, spec.classes))
-    return cyclotomic_quotient([], [(p, 1) for p in spec.weights], shift=num_exp)
+    return cyclotomic_quotient(
+        [], [(p, 1) for p in spec.weights], shift=sum(spec.first_exponents)
+    )
 
 
 def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
@@ -105,15 +116,13 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
 
     counts[e] is the number of lattice points of the factors placed so far
     at exponent e; placing factor (p, x) moves each of them to every
-    admissible m, at e + p (x + m) <= order.
+    admissible m, at e + p (x + m) <= order, from the first exponent p <x>
+    up in steps of p.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
     counts = [1] + [0] * order
-    for p, x in zip(spec.weights, spec.classes):
-        # integers m with x + m > 0: the smallest admissible value of
-        # p*(x+m) is p*<x>
-        first = int(p * frac_part(x))
+    for p, first in zip(spec.weights, spec.first_exponents):
         placed = [0] * (order + 1)
         for e, c in enumerate(counts):
             if c:

@@ -23,8 +23,9 @@ prefix in integers (a root between blocks i and j contributes
 n_i n_j (k_i/n_i - k_j/n_j + ell - 1) = n_j k_i - n_i k_j + n_i n_j (ell - 1)
 in total); it prunes on that plus the exact cross terms to the coordinates
 not yet placed, and checks every kept point against `codim`.  The identity
-check expands each distinct stratum factor once and multiplies truncated
-coefficient lists.
+check expands each distinct stratum factor once and takes the weighted sum
+of the strata's truncated factor products as one packed-integer sum,
+exactalg.truncated_sum.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import lcm
 
 from .closedforms import flat_series
 from .errors import ExactnessError, InputError
-from .exactalg import CoeffVector, Poly, RatFun, series_expand, signed_sum
+from .exactalg import CoeffVector, RatFun, series_expand, signed_sum, truncated_sum
 from .gaugeseries import betti_degrees, bg_orientable
 from .rootsys import (
     SO_EVEN,
@@ -390,36 +391,6 @@ class RecursionReport:
         }
 
 
-def _truncated_stratum_series(g: GroupSpec, c: int, ell: int, points, degree: int):
-    """Each point's stratum series through t^(degree - 2 d): (point, d, coefficients).
-
-    The coefficients stop at the last nonzero one.
-
-    For a split point the component is the one living on the bundle of
-    class c.  Each distinct factor is expanded once, to the largest order a
-    stratum needs it, and each stratum multiplies its factors' expansions
-    as polynomials, cut back to its order after each product.
-    """
-    component = "plus" if c % 2 == 0 else "minus"
-    used = []
-    orders = {}
-    for pt, d in points:
-        factors = stratum_factors(g, pt, component if pt.is_split else None)
-        used.append((pt, d, factors))
-        for factor in factors:
-            orders[factor] = max(orders.get(factor, 0), degree - 2 * d)
-    expanded = {
-        (fam, n, c): series_expand(flat_series(GroupSpec(fam, n), c, ell), order).coeffs
-        for (fam, n, c), order in orders.items()
-    }
-    for pt, d, factors in used:
-        order = degree - 2 * d
-        product = Poly.one()
-        for factor in factors:
-            product = Poly((product * Poly(expanded[factor][: order + 1])).coeffs[: order + 1])
-        yield pt, d, product.coeffs
-
-
 def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionReport:
     """Check the stratification identity for the bundle of class c.
 
@@ -427,17 +398,31 @@ def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionRe
     t^{2 d_mu} times each stratum's series over all points of class c with
     2 d_mu <= degree (for a split point, the single component living on
     this bundle).  Both sides are expanded to the requested order; the
-    report carries the residual.  The stratification presumes ell >= 2;
-    a lower genus is computed all the same.
+    report carries the residual.  Each distinct stratum factor is expanded
+    once, to the largest order a stratum needs it, and the right side is
+    one exactalg.truncated_sum of the strata's factor products.  The
+    stratification presumes ell >= 2; a lower genus is computed all the
+    same.
     """
     validate_topclass(g, c)
     lhs = series_expand(bg_orientable(betti_degrees(g), ell), degree)
     points = enumerate_ab_points(g, c, ell, degree // 2)
-    rhs = [0] * (degree + 1)
-    for _, d, coeffs in _truncated_stratum_series(g, c, ell, points, degree):
-        for i, x in enumerate(coeffs):
-            rhs[2 * d + i] += x
-    residual = CoeffVector(degree, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
+    component = "plus" if c % 2 == 0 else "minus"
+    used = [
+        (d, stratum_factors(g, pt, component if pt.is_split else None)) for pt, d in points
+    ]
+    orders = {}
+    for d, factors in used:
+        for factor in factors:
+            orders[factor] = max(orders.get(factor, 0), degree - 2 * d)
+    expanded = {
+        (fam, n, k): series_expand(flat_series(GroupSpec(fam, n), k, ell), order).coeffs
+        for (fam, n, k), order in orders.items()
+    }
+    rhs = truncated_sum(
+        [(2 * d, [expanded[factor] for factor in factors]) for d, factors in used], degree
+    )
+    residual = lhs - rhs
     return RecursionReport(
         group=g,
         topclass=c,

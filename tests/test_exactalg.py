@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -23,9 +26,12 @@ from ymseries.exactalg import (
     render_ratfun,
     series_expand,
     signed_sum,
+    truncated_sum,
 )
+from ymseries.closedforms import flat_series
 from ymseries.errors import ExactnessError
 from ymseries import exactalg
+from ymseries.rootsys import GroupSpec
 from ymseries.exactalg import (
     _KRONECKER_MIN,
     _cyclotomic,
@@ -446,6 +452,61 @@ def count_gcds(monkeypatch):
     return calls
 
 
+TRIAL_DIVISION_COUNT = """
+import contextlib, io
+from ymseries import cli, exactalg
+calls = []
+real = exactalg._trial_factors
+exactalg._trial_factors = lambda den: calls.append(den) or real(den)
+for argv in (["sp", "--rank", "5"], ["so-odd", "--rank", "5", "--w2", "1"],
+             ["so-even", "--rank", "5", "--w2", "1"], ["u", "--rank", "6", "--degree", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["poincare", "--group", *argv, "--genus", "2", "--engine", "both"]) == 0
+for argv in (["u", "--rank", "4", "--degree", "1", "--order", "40"],
+             ["so-even", "--rank", "4", "--w2", "1", "--order", "40"],
+             ["u", "--rank", "3", "--degree", "1", "--order", "80"],
+             ["so-odd", "--rank", "3", "--w2", "1", "--order", "60"],
+             ["sp", "--rank", "3", "--order", "40"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-recursion", "--group", *argv, "--genus", "2"]) == 0
+print(len(calls))
+"""
+
+
+class TestRecordedDenominators:
+    """Every canonical value signed_sum and cyclotomic_quotient build records
+    its denominator's Phi_d map for _den_factors."""
+
+    def test_flat_engines_and_recursion_make_no_trial_division(self):
+        """In a fresh process, so that no map recorded by another test hides
+        a trial division: both engines on the four flat-engines bundles and
+        the five verify-recursion bench cases, through the CLI."""
+        tests = os.path.dirname(__file__)
+        src = os.path.join(tests, "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", TRIAL_DIVISION_COUNT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_recorded_maps_match_trial_division(self):
+        """Both engines at n <= 6 record each result's map, and every map in
+        the cache, recorded here or by an earlier test, is the trial-division
+        map of its denominator."""
+        for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1)):
+            for n in range(lo, 7):
+                for c in range(n) if fam == "u" else (0, 1) if fam.startswith("so") else (0,):
+                    for engine in ("specialized", "general"):
+                        f = flat_series(GroupSpec(fam, n), c, 2, engine)
+                        assert f.den in exactalg._DEN_FACTORS, (fam, n, c, engine)
+        for den, pairs in list(exactalg._DEN_FACTORS.items()):
+            assert pairs == exactalg._trial_factors(den), den
+
+
 class TestCyclotomicQuotient:
     def test_matches_gcd_constructor_randomized(self, monkeypatch):
         rng = random.Random(808)
@@ -593,6 +654,105 @@ class TestPackedSumMatchesFormer:
             for c in (2**bits - 1, 2**bits, -(2**bits)):
                 self.check([(1, RatFun(Poly.t_power(1, c), one_minus_t(4)), 0, ())])
                 self.check([(-3, RatFun(Poly.const(c)), 2, (6,)), (-3, RatFun.one(), 0, ())])
+
+
+def schoolbook_truncated_sum(terms, order):
+    """sum t**shift * prod factors mod t**(order+1), one coefficient product at a time."""
+    out = [0] * (order + 1)
+    for shift, factors in terms:
+        if shift > order:
+            continue
+        reach = order - shift + 1
+        product = [1] + [0] * (reach - 1)
+        for f in factors:
+            cut = [0] * reach
+            for i, a in enumerate(product):
+                for j, b in enumerate(f[: reach - i]):
+                    cut[i + j] += a * b
+            product = cut
+        for i, x in enumerate(product):
+            out[shift + i] += x
+    return tuple(out)
+
+
+def rand_factor(rng, order):
+    """A coefficient tuple of 0 to order + 6 terms, small or up to 2**200 in size."""
+    bits = rng.choice((2, 8, 60, 199, 200))
+    cs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(0, order + 6))]
+    if cs and rng.random() < 0.3:
+        cs[rng.randrange(len(cs))] = rng.choice((2**200, -(2**200), 2**200 - 1))
+    return tuple(cs)
+
+
+class TestTruncatedSum:
+    """The packed truncated sum against schoolbook truncated products."""
+
+    def check(self, terms, order):
+        got = truncated_sum(terms, order)
+        assert got.order == order
+        assert got.coeffs == schoolbook_truncated_sum(terms, order), (terms, order)
+        return got
+
+    def rand_terms(self, rng, order, count):
+        pool = [rand_factor(rng, order) for _ in range(rng.randint(1, 4))]
+        terms = []
+        for _ in range(count):
+            # shared factor objects reach different orders from different shifts
+            factors = [rng.choice(pool) if rng.random() < 0.5 else rand_factor(rng, order)
+                       for _ in range(rng.randint(0, 4))]
+            terms.append((rng.randint(0, order + 3), factors))
+        return terms
+
+    def test_random_terms(self):
+        rng = random.Random(4141)
+        for _ in range(150):
+            order = rng.randint(0, 14)
+            self.check(self.rand_terms(rng, order, rng.randint(1, 8)), order)
+
+    def test_order_zero(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            self.check(self.rand_terms(rng, 0, rng.randint(1, 5)), 0)
+        assert self.check([(0, [(-3, 5), (2**200, 1)])], 0).coeffs == (-3 * 2**200,)
+
+    def test_single_factors(self):
+        rng = random.Random(4343)
+        for _ in range(60):
+            order = rng.randint(0, 12)
+            f = rand_factor(rng, order)
+            shift = rng.randint(0, order)
+            got = self.check([(shift, [f])], order)
+            expect = ((0,) * shift + f + (0,) * (order + 1))[: order + 1]
+            assert got.coeffs == expect
+
+    def test_empty_sums(self):
+        assert self.check([], 5).coeffs == (0,) * 6
+        assert self.check([(6, [(1, 2)]), (9, [])], 5).is_zero
+        # the empty product is 1 and the empty factor is 0
+        assert self.check([(2, [])], 4).coeffs == (0, 0, 1, 0, 0)
+        assert self.check([(0, [(1, 1), ()])], 4).is_zero
+
+    def test_terms_cancelling_to_zero(self):
+        rng = random.Random(4444)
+        for _ in range(30):
+            order = rng.randint(0, 10)
+            terms = self.rand_terms(rng, order, rng.randint(1, 4))
+            negated = [(shift, [tuple(-c for c in factors[0])] + factors[1:])
+                       for shift, factors in terms if factors]
+            terms = [term for term in terms if term[1]]
+            assert self.check(terms + negated, order).is_zero
+
+    def test_coefficients_at_the_slot_bound(self):
+        # one factor and one term: the width bound is the l1 norm of the prefix
+        for bits in range(1, 210, 3):
+            for c in (2**bits - 1, 2**bits, -(2**bits)):
+                self.check([(0, [(c,)])], 3)
+                self.check([(1, [(c, -c, c)]), (0, [(0, c)])], 2)
+                self.check([(0, [(1, -1), (c, c, c, c)])], 3)
+
+    def test_negative_shift_raises(self):
+        with pytest.raises(ValueError):
+            truncated_sum([(-1, [(1,)])], 3)
 
 
 class TestStrides:

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import former_stratum_sum as former
 from ymseries import strata
 from ymseries.closedforms import so_odd_flat, sp_flat, zagier_un
 from ymseries.errors import ExactnessError
 from ymseries.exactalg import ratfun_eq, series_expand
+from ymseries.gaugeseries import betti_degrees, bg_orientable
 from ymseries.rootsys import GroupSpec, build_root_system, pairing
 from ymseries.strata import (
     AmbiguousComponent,
@@ -388,10 +390,32 @@ class TestIntegerChamberArithmetic:
     @pytest.mark.parametrize("fam,n,c", [("u", 4, 1), ("so-even", 4, 1), ("sp", 3, 0)])
     def test_truncated_stratum_coefficients(self, fam, n, c):
         g, ell, degree = GroupSpec(fam, n), 2, 40
+        report = verify_recursion(g, c, ell, degree)
         points = enumerate_ab_points(g, c, ell, degree // 2)
-        rows = list(strata._truncated_stratum_series(g, c, ell, points, degree))
-        assert [(pt, d) for pt, d, _ in rows] == points
-        for pt, d, coeffs in rows:
+        assert list(report.strata) == points
+        # lhs - sum of t^{2d} times each stratum's own series, expanded here
+        expect = list(series_expand(bg_orientable(betti_degrees(g), ell), degree).coeffs)
+        for pt, d in points:
             component = ("plus" if c % 2 == 0 else "minus") if pt.is_split else None
             f = stratum_series(g, pt, ell, component=component)
-            assert tuple(coeffs) == series_expand(f, degree - 2 * d).coeffs, pt
+            for i, x in enumerate(series_expand(f, degree - 2 * d).coeffs):
+                expect[2 * d + i] -= x
+        assert report.residual.coeffs == tuple(expect)
+
+    def test_reports_match_former_stratum_sum(self):
+        """Every family and class at n <= 5, genus 1 to 3: the packed sum's
+        report equals the one built from the former per-stratum Poly products
+        (tests/former_stratum_sum.py).  Both take the same left side, so
+        equal residuals mean equal right sides."""
+        grid = [
+            (fam, n, c)
+            for fam, lo in (("u", 1), ("so-odd", 1), ("so-even", 2), ("sp", 1))
+            for n in range(lo, 6)
+            for c in (range(n) if fam == "u" else (0, 1) if fam.startswith("so") else (0,))
+        ]
+        for i, (fam, n, c) in enumerate(grid):
+            g = GroupSpec(fam, n)
+            for ell in (1, 2, 3):
+                degree = (60, 47, 33)[(i + ell) % 3]
+                got = verify_recursion(g, c, ell, degree)
+                assert got == former.verify_recursion(g, c, ell, degree), (fam, n, c, ell)
