@@ -31,6 +31,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .closedforms import (
     flat_series,
@@ -247,7 +248,9 @@ def cmd_verify_appendix(args) -> int:
     return 0 if ok and all(holds) else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="ymseries",
         description="exact equivariant series of Yang-Mills strata for classical groups",

@@ -2,9 +2,9 @@
 
 InputError: the caller's input lies outside what the function accepts.
 ExactnessError: an exact invariant guaranteed by the theory did not hold,
-such as a non-integral series coefficient, exponent or codimension.  Every
-series here is a Poincare series and every check an exact identity, so this
-is always a fault in the program, never a user mistake.
+such as a non-integral exponent or codimension.  Every series here is a
+Poincare series and every check an exact identity, so this is always a
+fault in the program, never a user mistake.
 
 The command line maps the two to exit codes 2 and 3.
 """

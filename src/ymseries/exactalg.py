@@ -1,10 +1,11 @@
 """Exact univariate arithmetic in the formal variable t.
 
 Everything downstream is a rational function of t with integer polynomial
-numerator and denominator, so this module provides exactly three value types:
+numerator and a denominator that is a product of cyclotomic polynomials
+Phi_d, so this module provides exactly three value types:
 
   Poly        dense polynomial with arbitrary-precision integer coefficients
-  RatFun      normalized quotient of two Poly values
+  RatFun      numerator over a product of Phi_d, kept as its multiplicities
   CoeffVector truncated power-series coefficients of a RatFun
 
 All values are immutable and all arithmetic is exact.  Long products use
@@ -14,50 +15,53 @@ evaluation is a ring map, so products and sums of packed values are packed
 products and sums; a result unpacks when each of its coefficients fits a
 signed slot.  _pack and _unpack are the one pair of helpers for it.
 
+A RatFun has one canonical form: its numerator with every Phi_d of the
+denominator divided out while it divides.  Each Phi_d is irreducible and
+primitive with constant term 1, so by Gauss's lemma this is the reduced
+quotient whose denominator is primitive with constant term 1, and equal
+functions have equal numerators and Phi_d maps.  Values built here carry the map they are
+built from; the public constructor finds it by trial division and refuses
+any other denominator.
+
 Rational functions have one arithmetic, signed_sum: RatFun's sum, product
-and quotient are signed_sum terms.  Every denominator the package meets is
-a product of cyclotomic polynomials Phi_d, so signed_sum sums over one
-common denominator, kept as Phi_d multiplicities, and divides each Phi_d
-out of the summed numerator while it divides; it needs no gcd.  The sum
-runs over a balanced tree of packed integers, unpacked once at the root.
-The slot width comes from a bound on every coefficient of the summed
-numerator: since |ab|_inf <= |a|_1 |b|_inf, term i adds at most |sign_i|
-|num_i|_1 times the l1 norms of its cofactor's factors.  Each Phi_d is
-divided out by binomial strides: by the Mobius rule Phi_d = prod_{e | d}
-(1 - t**e)**mu(d/e), so the numerator is multiplied by each 1 - t**e with
-mu = -1 and then divided by each with mu = +1, each division a running
-sum along the residues mod e whose nonzero top-e tail means Phi_d does not
-divide.  The same rule builds Phi_d.  cyclotomic_quotient builds a closed
-product from Phi_d multiplicities and cancels them by subtraction, and
-every product of Phi_d is one packed product.  Each canonical value built
-from Phi_d multiplicities records them for its denominator, so signed_sum
-reads a denominator's map back and trial-divides only those parsed or
-built by a caller.  truncated_sum adds products of truncated power series
-on one packed integer, cutting each product by a centred remainder.  Only
-the RatFun constructor takes a gcd, a fraction-free subresultant gcd that
-keeps coefficient growth bounded without leaving the integers, for values
-parsed or built by a caller and for a signed_sum whose denominator has a
-non-cyclotomic factor.
+and quotient are signed_sum terms.  signed_sum sums over one common
+denominator, kept as Phi_d multiplicities, and divides each Phi_d out of
+the summed numerator while it divides.  The sum runs over a balanced tree
+of packed integers, unpacked once at the root.  The slot width comes from
+a bound on every coefficient of the summed numerator: since |ab|_inf <=
+|a|_1 |b|_inf, term i adds at most |sign_i| |num_i|_1 times the l1 norms
+of its cofactor's factors.  Each Phi_d is divided out by binomial strides:
+by the Mobius rule Phi_d = prod_{e | d} (1 - t**e)**mu(d/e), so the
+numerator is multiplied by each 1 - t**e with mu = -1 and then divided by
+each with mu = +1, each division a running sum along the residues mod e
+whose nonzero top-e tail means Phi_d does not divide.  The same rule
+builds Phi_d.  cyclotomic_quotient builds a closed product from Phi_d
+multiplicities and cancels them by subtraction, and every product of Phi_d
+is one packed product.  truncated_sum adds products of truncated power
+series on one packed integer, cutting each product by a centred remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, prod
+from math import prod
 from operator import sub
 
-from .errors import ExactnessError, InputError
+from .errors import InputError
 
 
 class ZeroDenominator(InputError, ZeroDivisionError):
     """A rational function with denominator zero, built directly or by dividing by zero."""
 
 
-class PoleAtZero(InputError):
-    """Series expansion requested for a function with a pole at t = 0."""
+class NotCyclotomic(InputError):
+    """A denominator that is not +-1 times a product of cyclotomic polynomials Phi_d.
+
+    That covers a factor t, an integer content and any irreducible factor
+    other than a Phi_d.
+    """
 
 
 class ParseError(InputError):
@@ -114,21 +118,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def content(self) -> int:
-        """gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-            if g == 1:
-                break
-        return g
 
     # -- ring operations ----------------------------------------------
 
@@ -175,37 +166,6 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         return Poly(tuple(c * x for x in self.coeffs))
-
-    def divexact(self, other: "Poly") -> "Poly":
-        """Exact polynomial division; other must divide self exactly."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return self
-        rem = list(self.coeffs)
-        db, lead = other.degree, other.leading
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            raise ValueError("not an exact division")
-        # the top slot of each step is never read again, so only the
-        # nonzero coefficients below the leading one are subtracted
-        lower = [(j, cb) for j, cb in enumerate(other.coeffs[:db]) if cb]
-        out = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + db]
-            if c:
-                q, r = divmod(c, lead)
-                if r:
-                    raise ValueError("not an exact division")
-                out[k] = q
-                for j, cb in lower:
-                    rem[k + j] -= q * cb
-        if any(rem[:db]):
-            raise ValueError("not an exact division")
-        return Poly(out)
-
-    def divexact_int(self, c: int) -> "Poly":
-        return Poly(tuple(x // c for x in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -266,111 +226,50 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
     return _unpack(_pack(a, width) * _pack(b, width), width)
 
 
-def _pseudo_rem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder of a by b: lc(b)**(deg a - deg b + 1) * a mod b."""
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.leading
-    e = a.degree - db + 1
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        lead = rem[-1]
-        rem = [lb * c for c in rem]
-        k = len(rem) - 1 - db
-        for j, cb in enumerate(b.coeffs):
-            rem[k + j] -= lead * cb
-        rem.pop()
-        e -= 1
-    scale = lb ** max(e, 0)
-    return Poly([scale * c for c in rem])
-
-
-def _sign_normalize(p: Poly) -> Poly:
-    return -p if p.leading < 0 else p
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient.
-
-    Subresultant remainder sequence on the primitive parts; the integer
-    contents are folded back in at the end.
-    """
-    if a.is_zero:
-        return _sign_normalize(b)
-    if b.is_zero:
-        return _sign_normalize(a)
-    ca, cb = a.content(), b.content()
-    c = gcd(ca, cb)
-    A, B = a.divexact_int(ca), b.divexact_int(cb)
-    if A.degree < B.degree:
-        A, B = B, A
-    g, h = 1, 1
-    while True:
-        d = A.degree - B.degree
-        R = _pseudo_rem(A, B)
-        if R.is_zero:
-            break
-        if R.degree == 0:
-            return Poly.const(c)
-        A, B = B, R.divexact_int(g * h**d)
-        g = A.leading
-        if d >= 1:
-            h = g**d // h ** (d - 1)
-        # d == 0 only on the first step when degrees tie; h stays 1 then
-    prim = B.divexact_int(B.content())
-    return _sign_normalize(prim).scale(c)
-
-
 class RatFun:
-    """Quotient of two integer polynomials, kept in canonical form.
+    """A numerator over a product of cyclotomic polynomials, in canonical form.
 
-    Invariants: den is nonzero and its lowest-order nonzero coefficient is
-    positive (monomials are written in increasing degree, so this is the
-    leading coefficient of the displayed form), the polynomial gcd of num
-    and den is 1, and gcd(content(num), content(den)) is 1.  Equal functions
-    therefore have identical representations.  The constructor cancels
-    with poly_gcd; +, -, * and / go through signed_sum, which needs none
-    on cyclotomic denominators.
+    num is a Poly and factors the denominator's Phi_d multiplicities, as
+    (d, m) pairs ascending in d, each m positive; den is their expanded
+    product, computed once when the value is built.  No Phi_d in factors
+    divides num, and a zero num has no factors, so equal functions have
+    equal num and factors.  Each Phi_d has constant term 1, so den(0) = 1.
+
+    RatFun(num, den) trial-divides den into Phi_d factors.  What is left
+    must be a unit: -1 flips the sign of num, and any other denominator
+    raises NotCyclotomic.  Each Phi_d is then divided out of num while it
+    divides.  Values built in this module skip the trial division; +, -,
+    * and / go through signed_sum.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "factors", "den")
 
-    def __init__(self, num: Poly, den: Poly = Poly((1,)), _normalized=False):
+    def __init__(self, num: Poly, den: Poly = Poly((1,))):
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
-        if not _normalized:
-            if num.is_zero:
-                den = Poly.one()
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0 or g.leading != 1:
-                    num = num.divexact(g)
-                    den = den.divexact(g)
-                c = gcd(num.content(), den.content())
-                if c > 1:
-                    num = num.divexact_int(c)
-                    den = den.divexact_int(c)
-                if next(c for c in den.coeffs if c != 0) < 0:
-                    num, den = -num, -den
+        if den[0] < 0:
+            num, den = -num, -den
+        self._set(*_cancel(list(num.coeffs), dict(_trial_factors(den))))
+
+    def _set(self, num: Poly, factors: tuple):
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "den", _expand(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
 
     @staticmethod
     def zero() -> "RatFun":
-        return RatFun(Poly.zero(), Poly.one(), _normalized=True)
+        return _cyclotomic_ratfun(Poly.zero(), ())
 
     @staticmethod
     def one() -> "RatFun":
-        return RatFun(Poly.one(), Poly.one(), _normalized=True)
+        return _cyclotomic_ratfun(Poly.one(), ())
 
     @staticmethod
     def t_power(e: int) -> "RatFun":
-        return RatFun(Poly.t_power(e), Poly.one(), _normalized=True)
+        return _cyclotomic_ratfun(Poly.t_power(e), ())
 
     @property
     def is_zero(self) -> bool:
@@ -380,7 +279,7 @@ class RatFun:
         return signed_sum(((1, self, 0, ()), (1, other, 0, ())))
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den, _normalized=True)
+        return _cyclotomic_ratfun(-self.num, self.factors)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -391,20 +290,15 @@ class RatFun:
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero:
             raise ZeroDenominator("division by the zero function")
-        # swapping a canonical pair keeps it canonical up to the sign
-        num, den = other.den, other.num
-        if next(c for c in den.coeffs if c) < 0:
-            num, den = -num, -den
-        return self * RatFun(num, den, _normalized=True)
+        return self * RatFun(other.den, other.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
-        # canonical form makes structural comparison sufficient
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.factors == other.factors
 
     def __hash__(self):
-        return hash(("RatFun", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFun", self.num.coeffs, self.factors))
 
     def __repr__(self):
         return f"RatFun({render_ratfun(self)!r})"
@@ -440,45 +334,29 @@ class CoeffVector:
 
 
 def ratfun_eq(f: RatFun, g: RatFun) -> bool:
-    """Equality as rational functions: num(f)*den(g) == num(g)*den(f)."""
-    if f.num == g.num and f.den == g.den:
-        return True
-    return f.num * g.den == g.num * f.den
+    """Equality as rational functions; the canonical form makes it f == g."""
+    return f == g
 
 
 def series_expand(f: RatFun, order: int) -> CoeffVector:
     """Coefficients of the power series of f at t = 0, through t**order.
 
-    The denominator must not vanish at 0.  The recurrence runs on integers:
-    each coefficient is an exact quotient by den(0).  Every series of the
-    package is a Poincare series, so a nonzero remainder (a fractional
-    coefficient) is a transcription fault upstream and raises ExactnessError
-    instead of being rounded.  Cyclotomic denominators are sparse, so the
-    recurrence walks only the terms c t^j of den with j >= 1 and c != 0;
-    when den(0) = 1, as it is for every series of the package, the quotient
-    is the value itself.
+    The denominator is a product of Phi_d, each with constant term 1, so
+    den(0) = 1 and the recurrence runs on integers with no division.
+    Cyclotomic denominators are sparse, so it walks only the terms c t^j of
+    den with j >= 1 and c != 0.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
-    den = f.den
-    d0 = den[0]
-    if d0 == 0:
-        raise PoleAtZero("denominator vanishes at t = 0")
     num = f.num.coeffs
-    terms = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
+    terms = [(j, c) for j, c in enumerate(f.den.coeffs) if j and c]
     out = []
     for k in range(order + 1):
-        # every earlier coefficient is an integer, so acc is one too
         acc = num[k] if k < len(num) else 0
         for j, c in terms:
             if j > k:
                 break
             acc -= c * out[k - j]
-        if d0 != 1:
-            bk, rem = divmod(acc, d0)
-            if rem:
-                raise ExactnessError(f"coefficient of t^{k} is {Fraction(acc, d0)}")
-            acc = bk
         out.append(acc)
     return CoeffVector(order, tuple(out))
 
@@ -590,7 +468,7 @@ def latex_poly(p: Poly) -> str:
 
 
 def latex_ratfun(f: RatFun) -> str:
-    if f.den == Poly.one():
+    if not f.factors:
         return latex_poly(f.num)
     return f"\\frac{{{latex_poly(f.num)}}}{{{latex_poly(f.den)}}}"
 
@@ -768,35 +646,13 @@ def _phi_quotient(cs: list, d: int):
     return _strided(cs, down, up)
 
 
-# den -> its _den_factors pairs.  _cyclotomic_ratfun records the map each
-# canonical value is built from; any other denominator is trial-divided
-# once.  The empty product needs neither.
-_DEN_FACTORS = {Poly.one(): ()}
-
-
-def _den_factors(den: Poly) -> tuple:
-    """den as (key, multiplicity) pairs, ascending in the Phi_d keys.
-
-    An int key d stands for Phi_d; an opaque Poly key, last, for what the
-    cyclotomic factors leave over.  A denominator that _cyclotomic_ratfun
-    built is read off the map it was built from, since factorization into
-    the irreducible Phi_d is unique; any other, parsed or built by a
-    caller, is found by _trial_factors.
-    """
-    pairs = _DEN_FACTORS.get(den)
-    if pairs is None:
-        pairs = _DEN_FACTORS[den] = _trial_factors(den)
-    return pairs
-
-
 def _trial_factors(den: Poly) -> tuple:
-    """den as _den_factors pairs, found by trial division.
+    """den's Phi_d multiplicities as (d, m) pairs ascending in d, by trial division.
 
     Every Phi_d dividing den is found: the trial divisors run over the d
     with phi(d) <= deg of what is left, and phi(d) >= sqrt(d/2) bounds
-    those d.  Whatever the cyclotomic factors leave over other than 1 is
-    one opaque Poly key, so the product of the pairs is den whatever den
-    is.
+    those d.  Raises NotCyclotomic unless what is left is 1, so the product
+    of the pairs is den.
     """
     mult = {}
     rest = list(den.coeffs)
@@ -808,13 +664,8 @@ def _trial_factors(den: Poly) -> tuple:
                 mult[d] = mult.get(d, 0) + 1
         d += 1
     if rest != [1]:
-        mult[Poly(rest)] = 1
+        raise NotCyclotomic(f"denominator {render_poly(den)} is not a product of cyclotomic polynomials")
     return tuple(mult.items())
-
-
-def _factor(key) -> Poly:
-    """The polynomial a _den_factors key stands for."""
-    return _cyclotomic(key) if isinstance(key, int) else key
 
 
 def _l1(cs) -> int:
@@ -822,36 +673,49 @@ def _l1(cs) -> int:
     return sum(map(abs, cs))
 
 
-def _expand(mult: dict) -> Poly:
-    """The product of a {key: multiplicity} map of _den_factors keys.
+def _expand(pairs) -> Poly:
+    """The product of Phi_d**m over the (d, m) pairs.
 
     It is one packed product: since |ab|_1 <= |a|_1 |b|_1, the product of
     the factors' l1 norms bounds every coefficient, and so the slot width.
     """
-    factors = [(_factor(key).coeffs, m) for key, m in mult.items() if m]
+    factors = [(_cyclotomic(d).coeffs, m) for d, m in pairs if m]
     width = _width(prod(_l1(cs) ** m for cs, m in factors))
     return Poly(_unpack(prod(_pack(cs, width) ** m for cs, m in factors), width))
 
 
-def _cyclotomic_ratfun(num: Poly, den: dict) -> RatFun:
-    """num / prod Phi_d**den[d] in canonical form, without a gcd.
+def _cancel(cs: list, mult: dict) -> tuple:
+    """(num, factors) of cs / prod Phi_d**mult[d] in canonical form.
 
-    The caller guarantees that num is nonzero and that no Phi_d with
-    den[d] > 0 divides num.  The result then meets every RatFun invariant:
-    each Phi_d is irreducible over Q, so num and the denominator have no
-    common factor; each Phi_d is primitive with constant term 1, so by
-    Gauss's lemma the denominator has content 1 and a positive lowest
-    coefficient.  The canonical form is unique, so this is exactly what
-    RatFun(num, den) builds with its gcd.  The denominator's map is recorded
-    for _den_factors, so a later sum reads it back without trial division.
+    Each Phi_d is divided out of cs while it divides and its multiplicity
+    stays positive (_phi_quotient); a zero cs cancels every factor.
     """
-    expanded = _expand(den)
-    _DEN_FACTORS[expanded] = tuple(sorted((d, m) for d, m in den.items() if m))
-    return RatFun(num, expanded, _normalized=True)
+    for d, m in mult.items():
+        while m and (quotient := _phi_quotient(cs, d)) is not None:
+            cs, m = quotient, m - 1
+        mult[d] = m
+    return Poly(cs), _pairs(mult)
+
+
+def _pairs(mult: dict) -> tuple:
+    """The (d, m) pairs of a {d: multiplicity} map with m > 0, ascending in d."""
+    return tuple(sorted((d, m) for d, m in mult.items() if m))
+
+
+def _cyclotomic_ratfun(num: Poly, factors: tuple) -> RatFun:
+    """num / prod Phi_d**m over the (d, m) pairs of factors, with no trial division.
+
+    This is the one way this module builds a value.  The caller guarantees
+    the RatFun invariants: factors ascends in d with each m positive, no
+    Phi_d in it divides num, and a zero num has no factors.
+    """
+    f = object.__new__(RatFun)
+    f._set(num, factors)
+    return f
 
 
 def cyclotomic_quotient(plus, minus, shift: int = 0) -> RatFun:
-    """t**shift * prod (1 + t**a)**m / prod (1 - t**b)**m, canonical, without a gcd.
+    """t**shift * prod (1 + t**a)**m / prod (1 - t**b)**m, canonical, with no division.
 
     plus holds the (a, m) pairs of the numerator and minus the (b, m)
     pairs of the denominator, all exponents positive.  Both sides are
@@ -871,21 +735,21 @@ def cyclotomic_quotient(plus, minus, shift: int = 0) -> RatFun:
         common = min(num[d], den[d])
         num[d] -= common
         den[d] -= common
-    return _cyclotomic_ratfun(Poly.t_power(shift) * _expand(num), den)
+    return _cyclotomic_ratfun(Poly.t_power(shift) * _expand(num.items()), _pairs(den))
 
 
 def _cofactor(common: dict, mult: dict, width: int, powers: dict) -> int:
-    """prod Phi_key**(common[key] - mult[key]), packed at width.
+    """prod Phi_d**(common[d] - mult[d]), packed at width.
 
-    powers caches each packed Phi_key**k of one signed_sum call.
+    powers caches each packed Phi_d**k of one signed_sum call.
     """
     out = 1
-    for key, m in common.items():
-        k = m - mult.get(key, 0)
+    for d, m in common.items():
+        k = m - mult.get(d, 0)
         if k:
-            power = powers.get((key, k))
+            power = powers.get((d, k))
             if power is None:
-                power = powers[key, k] = _pack(_factor(key).coeffs, width) ** k
+                power = powers[d, k] = _pack(_cyclotomic(d).coeffs, width) ** k
             out *= power
     return out
 
@@ -896,7 +760,7 @@ def _sum_over_common(parts, width: int, powers: dict) -> tuple:
     A packed numerator is the polynomial's value at t = 2**(8*width), so
     the products and sums below are big-integer products and sums; the
     caller picks width so that the summed numerator unpacks.  The
-    denominator map takes the largest multiplicity of each key.  The parts
+    denominator map takes the largest multiplicity of each Phi_d.  The parts
     are summed pairwise as a balanced tree, so each numerator is multiplied
     by the cofactor of its half's denominator, which stays small until the
     last levels.
@@ -907,7 +771,7 @@ def _sum_over_common(parts, width: int, powers: dict) -> tuple:
     half = len(parts) // 2
     left, lmult = _sum_over_common(parts[:half], width, powers)
     right, rmult = _sum_over_common(parts[half:], width, powers)
-    common = {key: max(lmult.get(key, 0), rmult.get(key, 0)) for key in lmult | rmult}
+    common = {d: max(lmult.get(d, 0), rmult.get(d, 0)) for d in lmult | rmult}
     left *= _cofactor(common, lmult, width, powers)
     right *= _cofactor(common, rmult, width, powers)
     return left + right, common
@@ -924,23 +788,20 @@ def signed_sum(terms) -> RatFun:
     and every RatFun sum, product and quotient, goes through here.
 
     The sum is taken over one common denominator.  Each term's denominator
-    is kept as a map {d: multiplicity} of the cyclotomic factors Phi_d: those
-    of each factor's den, read by _den_factors (the map the value was built
-    from, or trial division with any non-cyclotomic remainder as one opaque
-    factor) and added over a product's factors,
-    whose numerators multiply, and Phi_d for every divisor d of each k, since
+    is kept as a map {d: multiplicity} of the cyclotomic factors Phi_d: the
+    factors of each RatFun, added over a product's factors, whose
+    numerators multiply, and Phi_d for every divisor d of each k, since
     1 - t**k is the product of those.  The common denominator takes the
-    largest multiplicity of each factor, and the numerators are summed over
+    largest multiplicity of each Phi_d, and the numerators are summed over
     it pairwise, packed into integers (_sum_over_common) and unpacked once.
     Term i's share of the summed numerator is sign_i * num_i times its
     cofactor, the product of the factors it lacks; since |ab|_inf <=
     |a|_1 |b|_inf and |ab|_1 <= |a|_1 |b|_1, the sum over i of |sign_i|
-    |num_i|_1 prod |factor|_1 over its cofactor bounds every coefficient,
+    |num_i|_1 prod |Phi_d|_1 over its cofactor bounds every coefficient,
     and sets the slot width.  Each Phi_d is then divided out of the summed
     numerator while it divides and its multiplicity stays positive
-    (_phi_quotient), which leaves the canonical quotient with no gcd.  A
-    zero sum, or a common denominator with an opaque factor, is handed to
-    the RatFun constructor instead.
+    (_cancel), which leaves the canonical quotient.  A zero sum is
+    RatFun.zero().
     """
     parts = []
     for sign, factor, e, ks in terms:
@@ -948,13 +809,13 @@ def signed_sum(terms) -> RatFun:
             raise ValueError("negative exponent")
         if isinstance(factor, RatFun):
             num = factor.num
-            mult = dict(_den_factors(factor.den))
+            mult = dict(factor.factors)
         else:
             num, mult = Poly.one(), {}
             for f in factor:
                 num = num * f.num
-                for key, m in _den_factors(f.den):
-                    mult[key] = mult.get(key, 0) + m
+                for d, m in f.factors:
+                    mult[d] = mult.get(d, 0) + m
         for k in ks:
             if k < 1:
                 raise ValueError(f"denominator exponent {k} is not positive")
@@ -964,21 +825,17 @@ def signed_sum(terms) -> RatFun:
             parts.append((sign, num, e, mult))
     common = {}
     for *_, mult in parts:
-        for key, m in mult.items():
-            common[key] = max(common.get(key, 0), m)
-    norms = {key: _l1(_factor(key).coeffs) for key in common}
-    full = prod(norms[key] ** m for key, m in common.items())
+        for d, m in mult.items():
+            common[d] = max(common.get(d, 0), m)
+    norms = {d: _l1(_cyclotomic(d).coeffs) for d in common}
+    full = prod(norms[d] ** m for d, m in common.items())
     bound = sum(
-        abs(sign) * _l1(num.coeffs) * full // prod(norms[key] ** m for key, m in mult.items())
+        abs(sign) * _l1(num.coeffs) * full // prod(norms[d] ** m for d, m in mult.items())
         for sign, num, _, mult in parts
     )
     width = _width(bound)
     total = _sum_over_common(parts, width, {})[0] if parts else 0
     cs = _unpack(total, width)
-    if not any(cs) or not all(isinstance(key, int) for key in common):
-        return RatFun(Poly(cs), _expand(common))
-    for d, m in common.items():
-        while m and (quotient := _phi_quotient(cs, d)) is not None:
-            cs, m = quotient, m - 1
-        common[d] = m
-    return _cyclotomic_ratfun(Poly(cs), common)
+    if not any(cs):
+        return RatFun.zero()
+    return _cyclotomic_ratfun(*_cancel(cs, common))

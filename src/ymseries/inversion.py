@@ -230,6 +230,12 @@ class _TypeAPoset:
         return _positive([partial[i] for i in self.gaps(small, large)], "coweight")
 
 
+@lru_cache(maxsize=None)
+def _block_scale(n: int) -> int:
+    """lcm(1, ..., n), which every block length of n coordinates divides."""
+    return lcm(*range(1, n + 1))
+
+
 def _langlands_identities_at(poset: _TypeAPoset, small, large, h) -> bool:
     """Both alternating-sum identities at the sample h of a_small^large.
 
@@ -240,7 +246,7 @@ def _langlands_identities_at(poset: _TypeAPoset, small, large, h) -> bool:
     # every indicator is the sign of a linear functional, so h may be scaled
     # by any positive integer: this scale makes h integral with each block
     # sum a multiple of its block length, so every average is an int
-    scale = lcm(*range(1, len(h) + 1)) * lcm(*(x.denominator for x in h))
+    scale = _block_scale(len(h)) * lcm(*(x.denominator for x in h))
     h = [int(x * scale) for x in h]
     plan = poset.plan(small, large)
     # project_relative, with each block average computed once per sample

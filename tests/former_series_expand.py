@@ -2,9 +2,9 @@
 
 exactalg.series_expand used to subtract every denominator term c t^j for
 j = 1 .. deg den, zero or not, and to divide every coefficient by den(0),
-even when den(0) = 1.  It now walks only the nonzero terms and skips the
-division at den(0) = 1; the tests compare the two on random rational
-functions.
+even when den(0) = 1.  It now walks only the nonzero terms and never
+divides: every denominator is a product of cyclotomic polynomials, so
+den(0) = 1.  The tests compare the two on random rational functions.
 """
 
 from fractions import Fraction
@@ -12,12 +12,11 @@ from fractions import Fraction
 from ymseries.errors import ExactnessError
 
 
-def dense_series_expand(f, order):
-    """The coefficients of f through t**order, as the former recurrence
-    computed them, or ExactnessError at the first fractional one."""
-    den = f.den
+def dense_series_expand(num, den, order):
+    """The coefficients of num / den through t**order, as the former
+    recurrence computed them, or ExactnessError at the first fractional one."""
     d0 = den[0]
-    num, dc = f.num.coeffs, den.coeffs
+    num, dc = num.coeffs, den.coeffs
     out = []
     for k in range(order + 1):
         acc = num[k] if k < len(num) else 0

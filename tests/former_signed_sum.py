@@ -3,15 +3,17 @@
 exactalg.signed_sum used to sum the numerators as Poly values over a
 balanced tree, multiplying each by a cofactor expanded as a heap-ordered
 product of Phi_d, and to cancel each Phi_d by a divisibility test on the
-numerator folded mod t**d - 1 followed by Poly.divexact.  It now carries
+numerator folded mod t**d - 1 followed by exact division.  It now carries
 each tree node as one packed integer and cancels Phi_d by binomial
-strides; the tests compare the two on random terms.
+strides; the tests compare the two on random terms.  Its result is the
+(num, den) pair of the former gcd canonical form (tests/former_ratfun.py).
 """
 
 import heapq
 from functools import lru_cache
 from itertools import count
 
+from former_ratfun import canonical, divexact
 from ymseries.exactalg import Poly, RatFun, one_minus_t
 
 
@@ -34,7 +36,7 @@ def cyclotomic(d):
     """Phi_d with constant term 1: 1 - t**d divided exactly by Phi_e, e | d, e < d."""
     phi = one_minus_t(d)
     for e in _divisors(d)[:-1]:
-        phi = phi.divexact(cyclotomic(e))
+        phi = divexact(phi, cyclotomic(e))
     return phi
 
 
@@ -43,7 +45,7 @@ def phi_divides(p, d):
     cs = p.coeffs
     folded = Poly([sum(cs[i::d]) for i in range(min(d, len(cs)))])
     try:
-        folded.divexact(cyclotomic(d))
+        divexact(folded, cyclotomic(d))
     except ValueError:
         return False
     return True
@@ -57,7 +59,7 @@ def den_factors(den):
     while d <= 2 * rest.degree**2:
         if _totient(d) <= rest.degree:
             while phi_divides(rest, d):
-                rest = rest.divexact(cyclotomic(d))
+                rest = divexact(rest, cyclotomic(d))
                 mult[d] = mult.get(d, 0) + 1
         d += 1
     if rest != Poly.one():
@@ -98,7 +100,7 @@ def sum_over_common(parts):
 
 
 def signed_sum(terms):
-    """The former signed_sum: same terms, same canonical result."""
+    """The former signed_sum: same terms, the same canonical (num, den)."""
     parts = []
     for sign, factor, e, ks in terms:
         factors = (factor,) if isinstance(factor, RatFun) else factor
@@ -114,10 +116,10 @@ def signed_sum(terms):
             parts.append((sign, num, e, mult))
     total, common = sum_over_common(parts) if parts else (Poly.zero(), {})
     if total.is_zero or not all(isinstance(key, int) for key in common):
-        return RatFun(total, expand(common))
+        return canonical(total, expand(common))
     for d, m in common.items():
         while m and phi_divides(total, d):
-            total = total.divexact(cyclotomic(d))
+            total = divexact(total, cyclotomic(d))
             m -= 1
         common[d] = m
-    return RatFun(total, expand(common), _normalized=True)
+    return total, expand(common)

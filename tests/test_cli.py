@@ -284,6 +284,22 @@ BAD_INPUT_ERRORS = {
 }
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_agree(self, capsys):
+        argv = ("poincare", "--group", "sp", "--rank", "2", "--genus", "2", "--engine", "both")
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run(capsys, *argv) == first
+        # a call that argparse rejects leaves nothing behind for the next
+        with pytest.raises(SystemExit):
+            main(["poincare", "--group", "sp"])
+        capsys.readouterr()
+        assert run(capsys, *argv) == first
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_input_error_exits_2(self, capsys, argv):
@@ -334,12 +350,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("internal error: codim(") and "disagrees with the enumerated" in err
 
-    def test_fractional_coefficient_exits_3(self, capsys, monkeypatch):
+    def test_non_cyclotomic_value_exits_2(self, capsys, monkeypatch):
+        # a value whose series would have a fractional coefficient cannot be
+        # built: its denominator 2 + t is not a product of Phi_d
         monkeypatch.setattr(cli, "flat_series", lambda *args, **kwargs: RatFun(Poly.one(), Poly((2, 1))))
         code, out, err = run(
             capsys, "series", "--group", "u", "--rank", "1", "--genus", "2", "--order", "4",
         )
-        assert (code, out, err) == (3, "", "internal error: coefficient of t^0 is 1/2\n")
+        message = "error: denominator 2 + t is not a product of cyclotomic polynomials\n"
+        assert (code, out, err) == (2, "", message)
 
     def test_other_exceptions_exit_3(self, capsys, monkeypatch):
         # a ValueError outside InputError is a bug: exit 3 with its traceback
