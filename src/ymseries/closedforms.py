@@ -22,7 +22,11 @@ every element of the parabolic poset.  Agreement of the two routes on
 every family is one of the package's acceptance gates.
 
 Conventions: the bracket <x> is the representative of x mod Z in the
-half-open interval (0, 1], so <0> = 1.  The indicator eps(r) = [r > 1]
+half-open interval (0, 1], so <0> = 1.  It is taken on integers
+(rootsys.frac_part): <num/den> is r/den with r in 1..den, so each twist
+sum is an integer numerator over one denominator (n for Zagier's sum, 2
+for the w2 class) and every exponent an int; no Fraction is built.  The
+indicator eps(r) = [r > 1]
 switches off boundary factors of one-block compositions: when eps = 0 the
 factor (1 - eps * t^e) is literally 1 and the exponent term eps * e is
 literally 0.
@@ -64,13 +68,6 @@ def _check_rank_and_genus(n: int, least_n: int, ell: int):
         raise InputError(f"need genus ell >= 1, got ell = {ell}")
 
 
-def _as_int_exponent(x: Fraction) -> int:
-    x = Fraction(x)
-    if x.denominator != 1 or x < 0:
-        raise ExactnessError(f"exponent {x} is not a natural number")
-    return x.numerator
-
-
 def _gauge(ell: int, blocks, *tails) -> RatFun:
     """Gauge series of unitary blocks of the given sizes times tail factors."""
     profiles = [unitary_block_profile(m) for m in blocks]
@@ -88,8 +85,12 @@ def _zagier_cached(n: int, kmod: int, ell: int) -> RatFun:
         for comp in _compositions(n):
             adj = _doubled_adjacent_sums(comp)
             prefixes = _cut_positions(comp)
-            twist = sum(k * frac_part(F(-kmod * prefix, n)) for k, prefix in zip(adj, prefixes))
-            exponent = 2 * (ell - 1) * _pair_sum(comp) + _as_int_exponent(twist)
+            # the twist sum_i k_i <-kmod prefix_i / n>, as a numerator over n
+            scaled = sum(k * frac_part(-kmod * prefix, n) for k, prefix in zip(adj, prefixes))
+            twist, rem = divmod(scaled, n)
+            if rem:
+                raise ExactnessError(f"exponent {F(scaled, n)} is not a natural number")
+            exponent = 2 * (ell - 1) * _pair_sum(comp) + twist
             yield (-1) ** (len(comp) - 1), _gauge(ell, comp), exponent, adj
 
     return signed_sum(terms())
@@ -172,15 +173,14 @@ def so_odd_flat(n: int, ell: int, w2: int) -> RatFun:
     _check_rank_and_genus(n, 1, ell)
     if w2 not in (0, 1):
         raise InputError("w2 is a bit")
-    q = frac_part(F(w2, 2))
+    q4 = 2 * frac_part(w2, 2)  # 4 <w2/2>
 
     def terms():
         for comp in _compositions(n):
             r, last = len(comp), comp[-1]
             pair2 = 2 * _pair_sum(comp)
             adj = _doubled_adjacent_sums(comp)
-            e1 = (ell - 1) * (pair2 + n * (n + 1)) + sum(adj)
-            e1 += _as_int_exponent(4 * last * q)
+            e1 = (ell - 1) * (pair2 + n * (n + 1)) + sum(adj) + last * q4
             yield (-1) ** r, _gauge(ell, comp), e1, adj + [4 * last]
 
             ks2 = adj[: r - 2]
@@ -211,7 +211,7 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
     _check_rank_and_genus(n, 2, ell)
     if w2 not in (0, 1):
         raise InputError("w2 is a bit")
-    q = frac_part(F(w2, 2))
+    q4 = 2 * frac_part(w2, 2)  # 4 <w2/2>
 
     def terms():
         for comp in _compositions(n):
@@ -221,10 +221,10 @@ def so_even_flat(n: int, ell: int, w2: int) -> RatFun:
             base = (ell - 1) * (pair2 + n * (n - 1))
             if last == 1:
                 # size-one last block; needs r >= 2, which n >= 2 guarantees
-                e = base + sum(adj[: r - 2]) + _as_int_exponent(4 * (comp[-2] + 1) * q)
+                e = base + sum(adj[: r - 2]) + (comp[-2] + 1) * q4
                 yield (-1) ** r, _gauge(ell, comp), e, adj + [2 * (comp[-2] + 1)]
                 continue
-            e = base + sum(adj) + _as_int_exponent(4 * (last - 1) * q)
+            e = base + sum(adj) + (last - 1) * q4
             yield 2 * (-1) ** r, _gauge(ell, comp), e, adj + [4 * (last - 1)]
 
             ks3 = adj[: r - 2]

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import prod
 from operator import sub
 
@@ -646,23 +646,44 @@ def _phi_quotient(cs: list, d: int):
     return _strided(cs, down, up)
 
 
+@lru_cache(maxsize=None)
+def _totient_bound(n: int) -> int:
+    """A bound on the d with phi(d) <= n.
+
+    phi(d) is at least the product of p - 1 over the distinct primes p of
+    d, so such a d has at most k of them, k the largest count for which
+    the first k primes give a product of p - 1 at most n.  Then
+    d / phi(d), the product of p / (p - 1) over the primes of d, is at
+    most that product over the first k primes.
+    """
+    # num / den is n times the product of p / (p - 1) over the primes taken
+    num, den, p = n, 1, 2
+    while den * (p - 1) <= n:
+        num, den = num * p, den * (p - 1)
+        p = next(q for q in count(p + 1) if _primes(q) == (q,))
+    return num // den
+
+
 def _trial_factors(den: Poly) -> tuple:
     """den's Phi_d multiplicities as (d, m) pairs ascending in d, by trial division.
 
-    Every Phi_d dividing den is found: the trial divisors run over the d
-    with phi(d) <= deg of what is left, and phi(d) >= sqrt(d/2) bounds
-    those d.  Raises NotCyclotomic unless what is left is 1, so the product
-    of the pairs is den.
+    Every Phi_d has leading coefficient -1 or 1 and reads the same
+    backwards up to sign, so a den that fails either test is refused
+    before any division.  Otherwise every Phi_d dividing den is found: the
+    trial divisors run over the d with phi(d) <= deg of what is left, which
+    _totient_bound bounds.  Raises NotCyclotomic unless what is left is 1,
+    so the product of the pairs is den.
     """
     mult = {}
     rest = list(den.coeffs)
-    d = 1
-    while d <= 2 * (len(rest) - 1) ** 2:
-        if _totient(d) < len(rest):
-            while (quotient := _phi_quotient(rest, d)) is not None:
-                rest = quotient
-                mult[d] = mult.get(d, 0) + 1
-        d += 1
+    if abs(rest[-1]) == 1 and rest[::-1] in (rest, [-c for c in rest]):
+        d = 1
+        while d <= _totient_bound(len(rest) - 1):
+            if _totient(d) < len(rest):
+                while (quotient := _phi_quotient(rest, d)) is not None:
+                    rest = quotient
+                    mult[d] = mult.get(d, 0) + 1
+            d += 1
     if rest != [1]:
         raise NotCyclotomic(f"denominator {render_poly(den)} is not a product of cyclotomic polynomials")
     return tuple(mult.items())

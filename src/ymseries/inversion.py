@@ -83,7 +83,9 @@ class ConeSumSpec:
 
     first_exponents holds each factor's p_a <x_a>, the smallest exponent
     p_a (x_a + m) over the integers m with x_a + m > 0; it is derived from
-    the other two fields and takes no part in equality or repr.
+    the other two fields and takes no part in equality or repr.  Each is
+    p_a times the bracket's numerator over x_a's denominator, divided
+    exactly; a remainder raises InputError.
     """
 
     weights: tuple
@@ -97,10 +99,11 @@ class ConeSumSpec:
             raise InputError("weights must be positive integers")
         firsts = []
         for p, x in zip(self.weights, self.classes):
-            first = p * frac_part(x)
-            if first.denominator != 1:
-                raise InputError(f"p*<x> = {first} not integral")
-            firsts.append(int(first))
+            scaled = p * frac_part(x.numerator, x.denominator)
+            first, rem = divmod(scaled, x.denominator)
+            if rem:
+                raise InputError(f"p*<x> = {F(scaled, x.denominator)} not integral")
+            firsts.append(first)
         object.__setattr__(self, "first_exponents", tuple(firsts))
 
 
@@ -399,25 +402,34 @@ def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: 
     zero with every simple coroot of Q's Levi, p_a = 4 <rho_P, a^v>: the
     entry of P's Levi profile at a.  A p_a that is not a positive integer, or
     a total twist that is not an integer, raises ExactnessError.
+
+    The sum runs on integers: each p_a is read off the profile's Fraction
+    by divmod, the classes are put over one common denominator D once per
+    call, and the twist sum_a p_a <x_a> is the int sum of p_a times each
+    bracket's numerator over D, divided by D.
     """
     q_dim_u = poset.profiles[q_cut].dim_u
+    # the brackets <x_a> as numerators over one denominator
+    den = lcm(*(x.denominator for x in classes.values()))
+    brackets = {a: frac_part(x.numerator * (den // x.denominator), den) for a, x in classes.items()}
     for p_cut, prof in poset.profiles.items():
         if not q_cut <= p_cut:
             continue
-        ks, twist = [], F(0)
+        ks, scaled = [], 0
         for a, rho_pair in zip(prof.simple_indices, prof.rho_pairings):
             if a in q_cut:
                 continue
-            k = 4 * rho_pair
-            if k.denominator != 1 or k <= 0:
-                raise ExactnessError(f"pair weight {k} not a positive integer")
-            ks.append(int(k))
-            twist += k * frac_part(classes[a])
+            k, rem = divmod(4 * rho_pair.numerator, rho_pair.denominator)
+            if rem or k <= 0:
+                raise ExactnessError(f"pair weight {4 * F(rho_pair)} not a positive integer")
+            ks.append(k)
+            scaled += k * brackets[a]
         # individual p<x> may be fractional; the total twist may not be
-        if twist.denominator != 1:
-            raise ExactnessError(f"total twist {twist} not integral")
+        twist, rem = divmod(scaled, den)
+        if rem:
+            raise ExactnessError(f"total twist {F(scaled, den)} not integral")
         shift = 2 * (prof.dim_u - q_dim_u) * (poset.ell - 1)
-        yield (-1) ** len(ks), a0[p_cut], shift + int(twist), ks
+        yield (-1) ** len(ks), a0[p_cut], shift + twist, ks
 
 
 def closed_inverse(poset: ParabolicPoset, a0: dict, topclass: int) -> dict:

@@ -20,6 +20,14 @@ Two rules build everything from the simple roots and coroots:
   they vanish on the centre, and evaluated on a representative of a class
   in pi_1 they produce the rational class mod Z that drives the twist
   exponents of the closed series formulas.
+
+The bracket <x> of such a class (frac_part) is an integer operation: it
+takes x as a numerator over a denominator and returns the numerator of
+<x> over the same denominator, so every twist is an integer numerator
+over one known denominator.  On the way to a twist, Fractions remain
+only in the weights, the Levi rho_P pairings (levidata) and the class
+keys of the inversion's lattice walk; pairing integer vectors gives an
+int.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import InputError
 
@@ -125,11 +134,14 @@ class RootSystem:
     positive_supports: tuple
 
 
-def pairing(covector, vector) -> Fraction:
-    """Exact dot product between a theta-basis covector and an e-basis vector."""
+def pairing(covector, vector):
+    """Exact dot product between a theta-basis covector and an e-basis vector.
+
+    It is an int when every entry is an int and a Fraction otherwise.
+    """
     if len(covector) != len(vector):
         raise DimensionMismatch(f"{len(covector)} != {len(vector)}")
-    return sum((a * b for a, b in zip(covector, vector)), Fraction(0))
+    return sum(a * b for a, b in zip(covector, vector))
 
 
 def _vec(n, entries: dict) -> tuple:
@@ -164,37 +176,44 @@ def _positive_roots(simple_roots, simple_coroots) -> list:
     They are found by height, starting from the simple roots, with the
     root-string rule (Humphreys, Introduction to Lie Algebras and
     Representation Theory, 8.4): for a positive root beta other than
-    alpha_i, let p be the largest k such that beta - k alpha_i is a root;
-    then beta + alpha_i is a root exactly when p > <beta, alpha_i^v>.
-    Every beta - k alpha_i is lower than beta and either positive or not a
-    root, so the roots already found decide p.  At beta = alpha_i they give
-    p = 0 < 2, so the rule adds no multiple of a simple root.
+    alpha_i, let p(beta, i) be the largest k such that beta - k alpha_i is
+    a root; then beta + alpha_i is a root exactly when
+    p(beta, i) > <beta, alpha_i^v>.  Each string length comes from the
+    root one step below: p(beta, i) = p(beta - alpha_i, i) + 1 when
+    beta - alpha_i is a root and 0 otherwise.  That root is lower than
+    beta, so the heights already walked decide it.  At beta = alpha_i the
+    rule gives p = 0 < 2, so it adds no multiple of a simple root.
     """
-    rank = len(simple_roots)
-    # cartan[b][i] = <alpha_b, alpha_i^v>
+    # cartan[i] = <alpha_i, alpha_b^v> over b; a root's pairings with the
+    # simple coroots and its theta-basis vector grow by a row of cartan and
+    # a simple root with each step up
     cartan = [[sum(x * y for x, y in zip(a, av)) for av in simple_coroots] for a in simple_roots]
-    found = {tuple(int(b == i) for b in range(rank)) for i in range(rank)}
-    layer = list(found)
+    strings = {}  # coefficients of a root -> its string lengths p(beta, i)
+    found = []
+    layer = {
+        tuple(int(b == i) for b in range(len(simple_roots))): (cartan[i], a)
+        for i, a in enumerate(simple_roots)
+    }
     while layer:
-        higher = []
         for coeffs in layer:
-            for i in range(rank):
-                p, down = 0, list(coeffs)
-                down[i] -= 1
-                while tuple(down) in found:
-                    p += 1
-                    down[i] -= 1
-                if p > sum(c * row[i] for c, row in zip(coeffs, cartan)):
+            lengths = []
+            for i, c in enumerate(coeffs):
+                down = c and strings.get(coeffs[:i] + (c - 1,) + coeffs[i + 1 :])
+                lengths.append(down[i] + 1 if down else 0)
+            strings[coeffs] = lengths
+        higher = {}
+        for coeffs, (pairs, vector) in layer.items():
+            found.append((vector, coeffs))
+            for i, (p, x) in enumerate(zip(strings[coeffs], pairs)):
+                if p > x:
                     up = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1 :]
-                    if up not in found:
-                        found.add(up)
-                        higher.append(up)
+                    if up not in higher:
+                        higher[up] = (
+                            list(map(add, pairs, cartan[i])),
+                            tuple(map(add, vector, simple_roots[i])),
+                        )
         layer = higher
-    columns = list(zip(*simple_roots))
-    return sorted(
-        (tuple(sum(c * x for c, x in zip(coeffs, col)) for col in columns), coeffs)
-        for coeffs in found
-    )
+    return sorted(found)
 
 
 def _rref(rows, ncols):
@@ -285,9 +304,10 @@ def build_root_system(g: GroupSpec) -> RootSystem:
     )
 
 
-def frac_part(x) -> Fraction:
-    """The bracket <x>: the representative of x mod Z in (0, 1], so <0> = 1."""
-    return Fraction(x) % 1 or Fraction(1)
+def frac_part(num: int, den: int) -> int:
+    """The bracket <num/den> as a numerator over den: the r in 1..den with
+    r = num mod den, so <num/den> = r/den lies in (0, 1] and <0> = 1."""
+    return num % den or den
 
 
 def pi1_representative(g: GroupSpec, c: int) -> tuple:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from former_twists import former_frac_part, former_zagier_terms
 from reference_series import REFERENCE_CASES, one_plus_t
 from ymseries.closedforms import (
     flat_series,
@@ -14,7 +15,8 @@ from ymseries.closedforms import (
     sun_flat,
     zagier_un,
 )
-from ymseries.errors import InputError
+from ymseries import closedforms
+from ymseries.errors import ExactnessError, InputError
 from ymseries.exactalg import (
     RatFun,
     one_minus_t,
@@ -57,14 +59,47 @@ def load_golden(name):
 
 
 class TestFracPart:
+    """The bracket <num/den> is the numerator r in 1..den of r/den."""
+
     def test_zero_maps_to_one(self):
-        assert frac_part(F(0)) == 1
+        assert frac_part(0, 1) == 1
+        assert frac_part(0, 3) == 3
 
     def test_negative_half(self):
-        assert frac_part(F(-1, 2)) == F(1, 2)
+        assert frac_part(-1, 2) == 1
 
     def test_seven_thirds(self):
-        assert frac_part(F(7, 3)) == F(1, 3)
+        assert frac_part(7, 3) == 1
+
+    def test_matches_former_bracket(self):
+        for den in range(1, 13):
+            for num in range(-3 * den, 3 * den + 1):
+                r = frac_part(num, den)
+                assert type(r) is int and F(r, den) == former_frac_part(F(num, den)), (num, den)
+
+
+class TestZagierTwistsMatchFormer:
+    """Zagier's twists as integer numerators over n, against the Fraction sum."""
+
+    def test_every_class_up_to_rank_nine(self, monkeypatch):
+        captured = []
+        monkeypatch.setattr(closedforms, "signed_sum", lambda terms: captured.append(list(terms)))
+        for n in range(1, 10):
+            for k in range(n):
+                for ell in (1, 2):
+                    captured.clear()
+                    # past the cache, which would keep the patched result
+                    closedforms._zagier_cached.__wrapped__(n, k, ell)
+                    got = [(sign, e, ks) for sign, _, e, ks in captured[0]]
+                    assert got == list(former_zagier_terms(n, k, ell)), (n, k, ell)
+                    assert all(type(e) is int for _, e, _ in got)
+
+    def test_fractional_twist_raises(self, monkeypatch):
+        # with every pair weight 1, U(3) at degree 1 reaches the composition
+        # (1, 2) after (3,), and its twist is <-1/3> = 2/3
+        monkeypatch.setattr(closedforms, "_doubled_adjacent_sums", lambda comp: [1] * (len(comp) - 1))
+        with pytest.raises(ExactnessError, match="exponent 2/3 is not a natural number"):
+            closedforms._zagier_cached.__wrapped__(3, 1, 2)
 
 
 class TestZagier:

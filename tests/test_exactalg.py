@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -247,6 +248,28 @@ class TestNotCyclotomic:
                 assert isinstance(err.value, InputError)
         with pytest.raises(NotCyclotomic):
             parse_ratfun(f"(1)/({render_poly(den)})")
+
+    def test_leading_coefficient_refused_before_division(self):
+        # no Phi_d product has leading coefficient 3: refused at once
+        den = Poly((1,) + (0,) * 399 + (3,))
+        start = time.process_time()
+        with pytest.raises(NotCyclotomic, match=r"^denominator 1 \+ 3\*t\^400 is not a product"):
+            RatFun(Poly.one(), den)
+        assert time.process_time() - start < 0.1
+
+    def test_palindromic_refused_within_totient_bound(self):
+        # monic and palindromic, so trial division runs, over the d with
+        # phi(d) <= 400 only
+        den = Poly((1,) + (0,) * 199 + (3,) + (0,) * 199 + (1,))
+        start = time.process_time()
+        with pytest.raises(NotCyclotomic, match=r"^denominator 1 \+ 3\*t\^200 \+ t\^400 is not"):
+            RatFun(Poly.one(), den)
+        assert time.process_time() - start < 0.5
+
+    def test_totient_bound(self):
+        for n in range(60):
+            largest = max((d for d in range(1, 2 * n * n + 3) if exactalg._totient(d) <= n), default=0)
+            assert largest <= exactalg._totient_bound(n) <= 5 * largest + 1, n
 
 
 class TestRatFunArith:

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,6 +7,7 @@ from math import ceil, floor, lcm
 
 import pytest
 
+from former_twists import former_first_exponents, former_frac_part, former_parabolic_terms
 from ymseries.closedforms import flat_series, sp_flat, zagier_un
 from ymseries import inversion
 from ymseries.errors import ExactnessError, InputError
@@ -42,9 +44,9 @@ from ymseries.rootsys import (
     _solve,
     build_root_system,
     dual_weights,
-    frac_part,
     pairing,
     pi1_representative,
+    weight_on_pi1,
 )
 
 F = Fraction
@@ -166,7 +168,7 @@ def indicator_or_wall(fn, *args):
 def point_by_point_cone_sum(spec, order):
     """Reference: one recursion step per lattice point of the cone."""
     coeffs = [0] * (order + 1)
-    firsts = [int(p * frac_part(x)) for p, x in zip(spec.weights, spec.classes)]
+    firsts = [int(p * former_frac_part(x)) for p, x in zip(spec.weights, spec.classes)]
 
     def rec(idx, exponent):
         if idx == len(spec.weights):
@@ -333,6 +335,29 @@ class TestConeSum:
             spec = ConeSumSpec(tuple(weights), tuple(classes))
             assert cone_sum_truncated(spec, 30) == series_expand(cone_sum_closed(spec), 30)
             done += 1
+
+    def test_first_exponents_match_former(self):
+        # p <x> by divmod on integers, against p times the Fraction bracket;
+        # about half the specs have a non-integral factor and must be refused
+        rng = random.Random(27)
+        refused = 0
+        for _ in range(400):
+            weights, classes = [], []
+            for _ in range(rng.randint(0, 4)):
+                den = rng.randint(1, 12)
+                weights.append(rng.randint(1, 12))
+                classes.append(F(rng.randint(-3 * den, 3 * den), den))
+            weights, classes = tuple(weights), tuple(classes)
+            try:
+                expect = former_first_exponents(weights, classes)
+            except InputError as exc:
+                refused += 1
+                with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                    ConeSumSpec(weights, classes)
+                continue
+            got = ConeSumSpec(weights, classes).first_exponents
+            assert got == expect and all(type(x) is int for x in got), (weights, classes)
+        assert 100 < refused < 300
 
 
 class TestLanglands:
@@ -641,6 +666,14 @@ class TestInvertAbstract:
             assert prof.simple_indices == tuple(sorted(cut)), cut
 
 
+def _outcome(terms):
+    """The terms a generator yields, or the class and message of what it raises."""
+    try:
+        return list(terms)
+    except ExactnessError as exc:
+        return type(exc), str(exc)
+
+
 class TestParabolicTerms:
     """The exactness guards of the one generator of parabolic-sum terms."""
 
@@ -657,12 +690,71 @@ class TestParabolicTerms:
         assert poset.profiles[frozenset({1})].rho_pairings == (1,)  # weight 4
         with pytest.raises(ExactnessError, match="total twist 4/3"):
             list(parabolic_terms(poset, a0, frozenset(), {1: F(1, 3)}))
+        # the message names the reduced Fraction, as the Fraction sum did
+        for x, twist in [(F(1, 3), "4/3"), (F(2, 5), "8/5"), (F(-5, 6), "2/3")]:
+            got = _outcome(parabolic_terms(poset, a0, frozenset(), {1: x}))
+            assert got == (ExactnessError, f"total twist {twist} not integral")
+            assert got == _outcome(former_parabolic_terms(poset, a0, frozenset(), {1: x}))
 
-    @pytest.mark.parametrize("rho_pairing,weight", [(F(1, 3), "4/3"), (F(0), "0")])
+    @pytest.mark.parametrize(
+        "rho_pairing,weight",
+        [(F(1, 3), "4/3"), (F(0), "0"), (F(-1, 2), "-2"), (F(5, 6), "10/3"), (F(-2), "-8")],
+    )
     def test_pair_weight_not_positive_integer(self, rho_pairing, weight):
         poset, a0 = self.u2_borel_case(rho_pairing)
         with pytest.raises(ExactnessError, match=f"pair weight {weight} "):
             list(parabolic_terms(poset, a0, frozenset(), {1: F(1, 2)}))
+        got = _outcome(parabolic_terms(poset, a0, frozenset(), {1: F(1, 2)}))
+        assert got == _outcome(former_parabolic_terms(poset, a0, frozenset(), {1: F(1, 2)}))
+
+
+class TestParabolicTermsMatchFormer:
+    """The parabolic sum on integer brackets over one denominator, against
+    the former sum on Fractions (tests/former_twists.py)."""
+
+    @pytest.mark.parametrize("fam", ["u", "so-odd", "so-even", "sp"])
+    def test_every_element_class_and_genus(self, fam):
+        for n in range(2 if fam == "so-even" else 1, 6):
+            g = GroupSpec(fam, n)
+            rs = build_root_system(g)
+            for ell in (1, 2, 3):
+                poset = build_parabolic_poset(g, ell)
+                # parabolic_terms passes a0 through, so any labels do
+                a0 = {cut: sorted(cut) for cut in poset.elements}
+                for c in {"u": range(n), "sp": (0,)}.get(fam, (0, 1)):
+                    rep = pi1_representative(g, c)
+                    for q in poset.elements:
+                        weights = inversion._relative_weights(rs, q)
+                        classes = {a: pairing(w, rep) for a, w in weights.items()}
+                        got = list(parabolic_terms(poset, a0, q, classes))
+                        assert got == list(former_parabolic_terms(poset, a0, q, classes)), (g, ell, c, q)
+                        assert all(type(e) is int for _, _, e, _ in got)
+                    # the general engine's classes at the group element
+                    classes = {a: weight_on_pi1(g, a, c) for a in range(1, len(rs.simple_roots) + 1)}
+                    top = frozenset()
+                    assert list(parabolic_terms(poset, a0, top, classes)) == list(
+                        former_parabolic_terms(poset, a0, top, classes)
+                    ), (g, ell, c)
+
+    def test_random_fraction_classes(self):
+        # classes with unrelated denominators: each total twist is integral
+        # or refused, and both ways agree on the terms or on the message
+        rng = random.Random(2027)
+        refused = 0
+        for _ in range(300):
+            fam = rng.choice(["u", "so-odd", "so-even", "sp"])
+            g = GroupSpec(fam, rng.randint(2, 5))
+            poset = build_parabolic_poset(g, rng.randint(1, 3))
+            a0 = {cut: sorted(cut) for cut in poset.elements}
+            q = rng.choice(poset.elements)
+            classes = {}
+            for a in range(1, len(build_root_system(g).simple_roots) + 1):
+                den = rng.choice([1, 2, 2, 3, 4, 4, 5, 6, 8, 12])
+                classes[a] = F(rng.randint(-2 * den, 2 * den), den)
+            got = _outcome(parabolic_terms(poset, a0, q, classes))
+            assert got == _outcome(former_parabolic_terms(poset, a0, q, classes)), (g, q, classes)
+            refused += isinstance(got, tuple)
+        assert 50 < refused < 250
 
 
 def test_random_relative_point_off_walls():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from former_positive_roots import former_positive_roots
 from ymseries import rootsys
 from ymseries.closedforms import lr_general
 from ymseries.errors import InputError
@@ -129,6 +130,14 @@ class TestBuildRootSystem:
         assert got == reflection_closure_roots(simple_roots, simple_coroots, g.n)
         assert all(type(x) is int for beta, coeffs in got for x in beta + coeffs)
 
+    def test_positive_roots_match_former_walk(self):
+        # each string length from the root one step below, against the
+        # former walk that stepped down until it left the roots found
+        for g in every_group(8):
+            simple_roots, simple_coroots = _simple_data(g)
+            got = _positive_roots(simple_roots, simple_coroots)
+            assert got == former_positive_roots(simple_roots, simple_coroots), g
+
     def test_highest_root(self):
         # the classical tables (Bourbaki, Plate I-IV), independent of both
         # ways of finding the roots
@@ -240,10 +249,12 @@ class TestPairing:
         ],
     )
     def test_fraction_result_for_int_fraction_and_mixed_entries(self, covector, vector):
-        # the former body cast every entry to Fraction before multiplying
+        # the former body cast every entry to Fraction before multiplying;
+        # integer entries now give an int, any Fraction entry a Fraction
         old = sum((F(a) * F(b) for a, b in zip(covector, vector)), F(0))
         got = pairing(covector, vector)
-        assert type(got) is Fraction and got == old
+        all_int = all(type(x) is int for x in covector + vector)
+        assert type(got) is (int if all_int else Fraction) and got == old
 
 
 class TestWeightOnPi1:
