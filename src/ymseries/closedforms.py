@@ -53,8 +53,9 @@ from .rootsys import (
     GroupSpec,
     UnsupportedFamily,
     frac_part,
+    levi_classes,
+    pi1_representative,
     validate_topclass,
-    weight_on_pi1,
 )
 
 F = Fraction
@@ -250,8 +251,10 @@ def lr_general(g: GroupSpec, c: int, ell: int) -> RatFun:
         * t^{2 dim U^I (ell-1)}
         * t^{sum_a 4<rho^I, a^v> <w_a(c)>} / prod_a (1 - t^{4<rho^I, a^v>})
 
-    over a in I, where w_a(c) is the fundamental-weight class of the bundle
-    class c (rootsys.weight_on_pi1).  The terms come from
+    over a in I, where w_a(c) is the class of the bundle class c under the
+    fundamental weight w_a: rootsys.levi_classes at the empty cut set, on
+    the lift of c (rootsys.pi1_representative), as integer numerators over
+    the determinant of the Cartan matrix of g.  The terms come from
     inversion.parabolic_terms at the empty cut set, the generator that
     gives the closed inversion at every poset element; every exponent is
     read from the Levi profiles (levidata.levi_profile).  c must be a
@@ -262,9 +265,9 @@ def lr_general(g: GroupSpec, c: int, ell: int) -> RatFun:
     validate_topclass(g, c)
     _check_rank_and_genus(g.n, 1, ell)
     poset = build_parabolic_poset(g, ell)
-    classes = {a: weight_on_pi1(g, a, c) for a in frozenset().union(*poset.elements)}
+    classes, det = levi_classes(g, frozenset(), pi1_representative(g, c))
     a0 = default_gauge_assignment(poset)
-    return signed_sum(parabolic_terms(poset, a0, frozenset(), classes))
+    return signed_sum(parabolic_terms(poset, a0, frozenset(), classes, det))
 
 
 _SPIN_ALIASES = {SPIN_ODD: SO_ODD, SPIN_EVEN: SO_EVEN}

@@ -18,19 +18,21 @@ semistable series) by a cone-weighted lattice sum over topological types.
 invert_abstract computes b0 from its closed formula and re-sums the
 defining relation by explicit lattice enumeration as the forward check;
 every quantity that walk reads at a lattice point is an integer affine form
-in the point's coordinates, over one common denominator.
+in the point's coordinates.
 The poset comes from levidata: its elements are the cut sets that
 enumerate_parabolics lists, the one name of a standard parabolic, each
 mapped to its levi_profile.
 parabolic_terms is the one generator of the closed formula's signed
 terms, at any element and for any classes; it reads every exponent from
 the Levi profiles, and closedforms.lr_general is its sum at the group
-element.  The profiles and the forward check's rho_P
-(levidata.relative_rho) come from one source, the root-support rule of
-levidata; the round trip checks the closed formula and the lattice
-geometry against each other, and criterion 7 of the acceptance suite
-checks the profiles against the former case tables.  The group's
-fundamental weights are the relative weights at the empty cut set.
+element.  The profiles and the forward check's 2 rho_P (levidata._radical)
+come from one source, the root-support rule of levidata; the round trip
+checks the closed formula and the lattice geometry against each other, and
+criterion 7 of the acceptance suite checks the profiles against the former
+case tables.  Every class, at every poset element and lattice point, is an
+integer numerator over the determinant of the Levi's Cartan matrix
+(rootsys.levi_classes); at the empty cut set they are the classes under the
+group's fundamental weights.
 verify_langlands tests the two alternating-sum identities on which the
 inversion rests, at off-wall sample points of the type-A poset
 of any rank.  In standard coordinates that check needs no linear algebra:
@@ -48,19 +50,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import ceil, lcm
+from math import lcm
 from operator import sub
-from types import MappingProxyType
 
 from .errors import ExactnessError, InputError
 from .exactalg import CoeffVector, RatFun, cyclotomic_quotient, series_expand, signed_sum
 from .gaugeseries import bg_orientable
-from .levidata import enumerate_parabolics, levi_profile, relative_rho
+from .levidata import _radical, enumerate_parabolics, levi_profile
 from .rootsys import (
     GroupSpec,
     build_root_system,
-    dual_weights,
     frac_part,
+    levi_classes,
     pairing,
     pi1_representative,
 )
@@ -135,14 +136,11 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
     return CoeffVector(order, tuple(counts))
 
 
-# -- exact linear algebra helpers ---------------------------------------
+# -- Langlands combinatorial identity ------------------------------------
 
 
 def _difference(u, v) -> tuple:
     return tuple(map(sub, u, v))
-
-
-# -- Langlands combinatorial identity ------------------------------------
 
 
 def _block_average(h, levi: frozenset) -> list:
@@ -371,25 +369,7 @@ def default_gauge_assignment(poset: ParabolicPoset) -> dict:
     return {cut: bg_orientable(prof.betti, poset.ell) for cut, prof in poset.profiles.items()}
 
 
-@lru_cache(maxsize=None)
-def _relative_weights(rs, q_cut: frozenset) -> MappingProxyType:
-    """{a: fundamental weight of the Levi cut by q_cut, dual to coroot a}.
-
-    a runs over the Levi simple indices (those not in q_cut).  Each weight
-    pairs delta with the Levi simple coroots and vanishes on the Levi's
-    centre: it is dual_weights of the Levi's simple roots and coroots.
-    Only these weights induce the correct classes in Q/Z on topological
-    types of Levi bundles: the ambient weights vanish on the wrong centre.
-    The result is cached, so it is a read-only view.
-    """
-    levi = [a for a in range(1, len(rs.simple_roots) + 1) if a not in q_cut]
-    weights = dual_weights(
-        [rs.simple_roots[a - 1] for a in levi], [rs.simple_coroots[a - 1] for a in levi]
-    )
-    return MappingProxyType(dict(zip(levi, weights)))
-
-
-def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: dict):
+def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: dict, den: int):
     """The signed terms of the closed inversion b0(Q), for exactalg.signed_sum.
 
     b0(Q) = sum over parabolics P <= Q (cut sets p_cut >= q_cut) of
@@ -397,21 +377,18 @@ def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: 
         (-1)^{|p_cut - q_cut|} a0(P) t^{2 (dim U_P - dim U_Q)(ell - 1)}
         prod_a t^{p_a <x_a>} / (1 - t^{p_a}),
 
-    the product over a in p_cut - q_cut, with x_a = classes[a] and
+    the product over a in p_cut - q_cut, with x_a = classes[a] / den and
     p_a = 4 <rho_P^Q, a^v>.  As rho_P^Q = rho_P - rho_Q and rho_Q pairs to
     zero with every simple coroot of Q's Levi, p_a = 4 <rho_P, a^v>: the
     entry of P's Levi profile at a.  A p_a that is not a positive integer, or
     a total twist that is not an integer, raises ExactnessError.
 
     The sum runs on integers: each p_a is read off the profile's Fraction
-    by divmod, the classes are put over one common denominator D once per
-    call, and the twist sum_a p_a <x_a> is the int sum of p_a times each
-    bracket's numerator over D, divided by D.
+    by divmod, and the twist sum_a p_a <x_a> is the int sum of p_a times
+    each bracket's numerator over den, divided by den.
     """
     q_dim_u = poset.profiles[q_cut].dim_u
-    # the brackets <x_a> as numerators over one denominator
-    den = lcm(*(x.denominator for x in classes.values()))
-    brackets = {a: frac_part(x.numerator * (den // x.denominator), den) for a, x in classes.items()}
+    brackets = {a: frac_part(x, den) for a, x in classes.items()}
     for p_cut, prof in poset.profiles.items():
         if not q_cut <= p_cut:
             continue
@@ -434,13 +411,11 @@ def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: 
 
 def closed_inverse(poset: ParabolicPoset, a0: dict, topclass: int) -> dict:
     """b0 at every poset element for (the image of) the topological class."""
-    rs = build_root_system(poset.group)
     rep = pi1_representative(poset.group, topclass)
-    b0 = {}
-    for q in poset.elements:
-        classes = {a: pairing(w, rep) for a, w in _relative_weights(rs, q).items()}
-        b0[q] = signed_sum(parabolic_terms(poset, a0, q, classes))
-    return b0
+    return {
+        q: signed_sum(parabolic_terms(poset, a0, q, *levi_classes(poset.group, q, rep)))
+        for q in poset.elements
+    }
 
 
 def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: int, order: int):
@@ -453,8 +428,14 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
     lattice points x = rep + sum m_a coroot_a; the enumeration box is finite
     because on the chamber every fundamental-coweight coordinate
     x_a + m_a is nonnegative and the exponent is n_P + sum p_a (x_a + m_a).
-    Every quantity read at a point is affine in m, so each is built once
-    per P as an integer form over one common denominator.
+    Every quantity read at a point is linear in x, so affine in m, and each
+    is built once per P as an integer form:
+    - the chamber values, det <alpha_a, centre(x)> for a in P's cut set,
+      with det that of the Levi's Cartan matrix.  centre(x) is
+      x - sum_c <w_c, x> c^v over the Levi's simple indices c, and
+      rootsys.levi_classes gives det <w_c, x> as integers;
+    - the exponent n_P + 2 <2 rho_P, x>;
+    - the class keys det <w_c, x> mod det.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
@@ -462,8 +443,8 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
     rs = build_root_system(g)
     rep = pi1_representative(g, topclass)
     top = frozenset()
-    # the relative weights of the whole group are its fundamental weights
-    ambient = _relative_weights(rs, top)
+    # the group's fundamental-coweight coordinates of rep, over group_det
+    group_classes, group_det = levi_classes(g, top, rep)
     rhs = [0] * (order + 1)
 
     for p_cut in poset.elements:
@@ -475,48 +456,46 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
         if n_p > order:
             continue
         idxs = sorted(p_cut)
+        roots = [rs.simple_roots[a - 1] for a in idxs]
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
-        rho = relative_rho(rs, p_cut, top)
-        p_weights = [4 * pairing(rho, v) for v in coroots]
-        base_vals = [pairing(ambient[a], rep) for a in idxs]
+        two_rho = _radical(rs, p_cut, top)[1]
+        p_weights = [2 * pairing(two_rho, v) for v in coroots]
+        # x_a + m_a >= 0 and n_P + p_a (x_a + m_a) <= order, x_a = num / group_det
         box = [
-            range(ceil(-x), ((order - n_p) / w - x).__floor__() + 1)
-            for w, x in zip(p_weights, base_vals)
+            range(
+                -(group_classes[a] // group_det),
+                ((order - n_p) * group_det - w * group_classes[a]) // (w * group_det) + 1,
+            )
+            for a, w in zip(idxs, p_weights)
         ]
-        rel_weights = _relative_weights(rs, p_cut)
-        # each relative weight is delta on the Levi coroots and zero on the
-        # Levi centre, so v - sum_a <w_a, v> a^v is v's centre part; it is
-        # linear in v, so center(x) = center(rep) + sum m_b center(coroot_b)
-        levi_coroots = [rs.simple_coroots[a - 1] for a in rel_weights]
-        center_rep, *center_coroots = [
-            _shifted(v, levi_coroots, [-pairing(w, v) for w in rel_weights.values()])
-            for v in [rep] + coroots
-        ]
-        # each quantity read at x is affine in m: the chamber values
-        # <alpha_a, center(x)>, the exponent n_P + 4 <rho_P, x> and the
-        # class keys <w_a, x>
-        forms = (
-            [_affine(rs.simple_roots[a - 1], center_rep, center_coroots) for a in idxs]
-            + [(n_p + 4 * pairing(rho, rep), p_weights)]
-            + [_affine(w, rep, coroots) for w in rel_weights.values()]
-        )
-        den = lcm(*(c.denominator for c0, cs in forms for c in (c0, *cs)))
-        forms = [(int(c0 * den), [int(c * den) for c in cs]) for c0, cs in forms]
-        chamber, exponent, keys = forms[: len(idxs)], forms[len(idxs)], forms[len(idxs) + 1 :]
+        # the chamber values and class keys at rep and at each coroot of P;
+        # det and the Levi's simple indices (the keys of nums) are the same
+        # at every v
+        readings = []
+        for v in [rep] + coroots:
+            nums, det = levi_classes(g, p_cut, v)
+            chamber_values = [
+                det * pairing(alpha, v)
+                - sum(x * pairing(alpha, rs.simple_coroots[c - 1]) for c, x in nums.items())
+                for alpha in roots
+            ]
+            readings.append(chamber_values + list(nums.values()))
+        forms = [(at_rep, steps) for at_rep, *steps in zip(*readings)]
+        chamber, keys = forms[: len(idxs)], forms[len(idxs) :]
+        exponent = (n_p + 2 * pairing(two_rho, rep), p_weights)
         b0_cache: dict = {}
         for m in product(*box):
             if any(_affine_at(form, m) <= 0 for form in chamber):
                 continue
-            scaled_e = _affine_at(exponent, m)
-            e, rem = divmod(scaled_e, den)
-            if rem or e < 0:
-                raise ExactnessError(f"lattice exponent {F(scaled_e, den)}")
+            e = _affine_at(exponent, m)
+            if e < 0:
+                raise ExactnessError(f"lattice exponent {e}")
             if e > order:
                 continue
-            key = tuple(F(_affine_at(form, m) % den, den) for form in keys)
+            key = tuple(_affine_at(form, m) % det for form in keys)
             if key not in b0_cache:
-                classes = dict(zip(rel_weights, key))
-                b0_cache[key] = signed_sum(parabolic_terms(poset, a0, p_cut, classes))
+                classes = dict(zip(nums, key))
+                b0_cache[key] = signed_sum(parabolic_terms(poset, a0, p_cut, classes, det))
             for i, c in enumerate(series_expand(b0_cache[key], order - e).coeffs):
                 rhs[e + i] += c
 
@@ -524,25 +503,10 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
     return CoeffVector(order, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
 
 
-def _affine(covector, base, steps) -> tuple:
-    """<covector, base + sum m_b steps_b> as (its value at m = 0, its change
-    per unit of each m_b)."""
-    return pairing(covector, base), [pairing(covector, v) for v in steps]
-
-
 def _affine_at(form, m) -> int:
     """The affine form (c0, [c_1, ..., c_k]) at m: c0 + sum c_b m_b."""
     c0, cs = form
     return c0 + sum(c * mb for c, mb in zip(cs, m))
-
-
-def _shifted(base, vectors, coeffs) -> tuple:
-    """base + sum of c * v over the aligned coeffs and vectors."""
-    out = list(base)
-    for c, v in zip(coeffs, vectors):
-        for i, x in enumerate(v):
-            out[i] += c * x
-    return tuple(out)
 
 
 def invert_abstract(poset: ParabolicPoset, a0: dict, topclass: int, truncation: int):

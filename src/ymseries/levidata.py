@@ -20,7 +20,12 @@ series) come from the composition.  The complex dimension of the unipotent
 radical and the pairings of the half-sum of its roots against the coroots
 indexed by I come from the root system alone: the radical is the set of
 positive roots whose support meets I.  That one rule is the only source of
-Levi data; the forward lattice walk of the inversion reads it too.
+Levi data; the forward lattice walk of the inversion reads it too.  Of the
+Levi data only the rho_P pairings are Fractions.
+
+Every enumeration of parabolics or compositions, in this module and in the
+closed forms, goes through _compositions, which refuses a rank whose
+2^(n-1) compositions exceed MAX_COMPOSITIONS before building any.
 """
 
 from __future__ import annotations
@@ -61,12 +66,24 @@ class LeviProfile:
     betti: DegreeProfile
 
 
+# the most compositions a closed form or enumerate_parabolics may build: at
+# 2^13 (n = 14) both engines of Sp(14) take about 20 s and each step in n
+# doubles that, so a larger rank is refused before any is built
+MAX_COMPOSITIONS = 2**13
+
+
 def _compositions(n: int):
     """All compositions of n, ordered by (length, parts).
 
     Combinations of cut positions come in lexicographic order for each
     length, and so do the parts, since they are differences of the cuts.
+    n has 2^(n-1) of them; more than MAX_COMPOSITIONS raises InputError.
     """
+    if 2 ** (n - 1) > MAX_COMPOSITIONS:
+        raise InputError(
+            f"rank {n} has {2 ** (n - 1)} compositions, more than the "
+            f"{MAX_COMPOSITIONS} this package enumerates"
+        )
     return [
         tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
         for r in range(n)
@@ -158,7 +175,7 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
 # One rule gives every radical: a positive root lies in the Levi of a
 # standard parabolic exactly when its support avoids the parabolic's cut
 # set.  levi_profile, the forward lattice walk of inversion.forward_residual
-# (relative_rho) and the bench's root-data cases (dim_u_from_roots,
+# (2 rho_P, from _radical) and the bench's root-data cases (dim_u_from_roots,
 # rho_pairings_from_roots) all read it, in integers, off the support
 # bitmasks that build_root_system computes once per group.
 
@@ -181,11 +198,6 @@ def _rho_pairings(rs, two_rho, indices) -> tuple:
     return tuple(
         F(sum(x * y for x, y in zip(two_rho, rs.simple_coroots[a - 1])), 2) for a in indices
     )
-
-
-def relative_rho(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
-    """Half the sum of the positive roots in the large Levi outside the small one."""
-    return tuple(F(x, 2) for x in _radical(rs, small_cut, large_cut)[1])
 
 
 def dim_u_from_roots(g: GroupSpec, cut: frozenset) -> int:

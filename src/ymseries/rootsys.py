@@ -1,11 +1,9 @@
 """Root data for the classical groups U(n), SU(n), SO(2n+1), SO(2n), Sp(n).
 
-Covectors (roots, weights) live in the basis theta_1..theta_n dual to the
-coordinate basis e_1..e_n of the maximal torus; vectors (coroots, fundamental
-group representatives) live in the e-basis.  Both are stored as tuples of
-length n, so a pairing is a plain dot product.  Roots, coroots and the lifts
-of pi_1 classes have integer entries and are int tuples; only the weights
-are tuples of Fractions.
+Covectors (roots) live in the basis theta_1..theta_n dual to the coordinate
+basis e_1..e_n of the maximal torus; vectors (coroots, lifts of pi_1
+classes) live in the e-basis.  Both are stored as int tuples of length n, so
+a pairing is a plain dot product.
 
 Two rules build everything from the simple roots and coroots:
 - the positive roots come by height from the root-string rule
@@ -13,31 +11,29 @@ Two rules build everything from the simple roots and coroots:
   system (build_root_system) keeps of those coefficients only each root's
   support, as a bitmask; levidata reads every Levi's unipotent radical
   and rho_P off the supports, the one source of Levi data;
-- the weights dual to a set of simple coroots are the solution of the
-  Cartan system in the span of those simple roots (dual_weights), solved
-  on demand.  Given all simple roots they are the fundamental weights of
-  the group, given a Levi's they are its relative weights.  Either way
-  they vanish on the centre, and evaluated on a representative of a class
-  in pi_1 they produce the rational class mod Z that drives the twist
+- the classes of a coweight under a Levi's fundamental weights come from
+  the Levi's Cartan matrix K alone: they are integer numerators over
+  det K, read off adj K (levi_classes).  One fraction-free elimination
+  (adjugate) finds adj K and det K, once per group and Levi.  At the
+  empty cut set the Levi is the group itself, and on a lift of a class in
+  pi_1 the classes are the rational classes mod Z that drive the twist
   exponents of the closed series formulas.
 
 The bracket <x> of such a class (frac_part) is an integer operation: it
 takes x as a numerator over a denominator and returns the numerator of
 <x> over the same denominator, so every twist is an integer numerator
-over one known denominator.  On the way to a twist, Fractions remain
-only in the weights, the Levi rho_P pairings (levidata) and the class
-keys of the inversion's lattice walk; pairing integer vectors gives an
-int.
+over one known denominator.  This module builds no Fraction; on the way to
+a twist, Fractions remain only in the Levi rho_P pairings
+(levidata.LeviProfile.rho_pairings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
-from .errors import InputError
+from .errors import ExactnessError, InputError
 
 
 UNITARY = "u"
@@ -216,80 +212,12 @@ def _positive_roots(simple_roots, simple_coroots) -> list:
     return sorted(found)
 
 
-def _rref(rows, ncols):
-    """Reduce rows in place to reduced row echelon form over Q.
-
-    Pivots are sought in the first ncols columns only, so an augmented
-    system [A | b] keeps b out of the pivot search.  Returns the pivot
-    columns; the i-th one belongs to row i.
-    """
-    m = len(rows)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return pivots
-
-
-def _solve(rows, n):
-    """A solution of the system given as augmented rows [A | b] in n unknowns.
-
-    Unknowns without a pivot are set to 0; an inconsistent system raises
-    ValueError.
-    """
-    rows = [[Fraction(x) for x in row] for row in rows]
-    pivots = _rref(rows, n)
-    if any(row[n] != 0 for row in rows[len(pivots):]):
-        raise ValueError("inconsistent system")
-    sol = [Fraction(0)] * n
-    for row, col in zip(rows, pivots):
-        sol[col] = row[n]
-    return sol
-
-
-def dual_weights(simple_roots, simple_coroots) -> list:
-    """The weights dual to the simple coroots, in the span of the simple roots.
-
-    omega_j = sum_b x_b alpha_b, where x solves the Cartan system
-    sum_b x_b <alpha_b, alpha_c^v> = delta_jc.  In the span of the roots,
-    omega_j vanishes on the centre, their common kernel.  The Cartan matrix
-    is nonsingular, so Q^n is the direct sum of the span of the coroots and
-    the centre, and omega_j is the only covector dual to the coroots that
-    vanishes on the centre.
-    """
-    rank = len(simple_roots)
-    # row c of the system: <alpha_b, alpha_c^v> over b
-    rows = [[pairing(a, av) for a in simple_roots] for av in simple_coroots]
-    if len(_rref([list(row) for row in rows], rank)) < rank:
-        raise ValueError("system is rank deficient")
-    columns = list(zip(*simple_roots))
-    weights = []
-    for j in range(rank):
-        x = _solve([row + [int(c == j)] for c, row in enumerate(rows)], rank)
-        weights.append(
-            tuple(sum((xb * a for xb, a in zip(x, col)), Fraction(0)) for col in columns)
-        )
-    return weights
-
-
 @lru_cache(maxsize=None)
 def build_root_system(g: GroupSpec) -> RootSystem:
     """Simple roots, positive roots with their supports, and coroots of g.
 
     Built once per group and shared, which is safe because every field is
-    immutable.  Everything is integer data; weights come from dual_weights
-    on demand.
+    immutable.  Everything is integer data.
     """
     simple_roots, simple_coroots = _simple_data(g)
     positive = _positive_roots(simple_roots, simple_coroots)
@@ -325,30 +253,68 @@ def pi1_representative(g: GroupSpec, c: int) -> tuple:
     return _vec(n, {})
 
 
-def weight_on_pi1(g: GroupSpec, i: int, c: int) -> Fraction:
-    """Class of the i-th fundamental weight on c in Q/Z, as a value in [0,1).
+def adjugate(matrix) -> tuple:
+    """(adj K, det K) of a square integer matrix K, as int lists and an int.
 
-    i is a 1-based simple root index, at most n - 1 for u and n for the
-    other families.  For u the value is -i*c/n mod 1 (the weights kill the
-    central direction); for so-odd it is c/2 at i = n and 0 below; for
-    so-even it is -c/2 at i = n-1 and c/2 at i = n; symplectic and spin
-    groups have trivial pi_1.
+    Fraction-free Gauss-Jordan elimination on [K | I] (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968): at step k every other row r becomes
+    (p r - r[k] * pivot row) / prev, with p the pivot and prev the pivot
+    before it.  Each entry is then a minor of [K | I], so every division is
+    exact.  After the last step the left block is d I, where d is the last
+    pivot, and the right block is d K^-1; d = det K up to the sign of the row
+    swaps.  A singular matrix raises ExactnessError.
     """
-    if g.family == SPECIAL_UNITARY:
-        raise UnsupportedFamily("su classes are handled through the u series")
-    n = g.n
-    last = n - 1 if g.family == UNITARY else n
-    if not 1 <= i <= last:
-        raise ValueError(f"simple root index {i} out of range 1..{last}")
-    validate_topclass(g, c)
-    if g.family == UNITARY:
-        return Fraction(-i * c, n) % 1
-    if g.family == SO_ODD:
-        return Fraction(c, 2) % 1 if i == n else Fraction(0)
-    if g.family == SO_EVEN:
-        if i == n - 1:
-            return Fraction(-c, 2) % 1
-        if i == n:
-            return Fraction(c, 2) % 1
-        return Fraction(0)
-    return Fraction(0)
+    size = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(matrix)]
+    prev, sign = 1, 1
+    for k in range(size):
+        piv = next((i for i in range(k, size) if rows[i][k]), None)
+        if piv is None:
+            raise ExactnessError(f"singular {size}x{size} matrix")
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return [[sign * x for x in row[size:]] for row in rows], sign * prev
+
+
+@lru_cache(maxsize=None)
+def _levi_inverse(g: GroupSpec, cut: frozenset) -> tuple:
+    """(levi, adj K, det K) for the Levi of g that cuts the simple roots in
+    cut: its simple indices (1-based, those not in cut, increasing) and the
+    adjugate and determinant of its Cartan matrix K[b][c] = <alpha_b,
+    alpha_c^v> over b, c in levi.  Solved once per group and cut set, and
+    immutable, since the cache shares it."""
+    rs = build_root_system(g)
+    levi = [a for a in range(1, len(rs.simple_roots) + 1) if a not in cut]
+    cartan = [
+        [pairing(rs.simple_roots[b - 1], rs.simple_coroots[c - 1]) for c in levi] for b in levi
+    ]
+    adj, det = adjugate(cartan)
+    return tuple(levi), tuple(map(tuple, adj)), det
+
+
+def levi_classes(g: GroupSpec, cut: frozenset, v) -> tuple:
+    """The classes of the coweight v under the Levi's fundamental weights,
+    as integer numerators over one denominator: ({a: det K <w_a, v>}, det K).
+
+    a runs over the Levi's simple indices, K is its Cartan matrix and
+    w_a = sum_b (K^-1)[a][b] alpha_b, the weight in the span of the Levi's
+    simple roots dual to its simple coroots; it vanishes on the Levi's
+    centre.  So det K <w_a, v> = sum_b adj(K)[a][b] <alpha_b, v>.  At the
+    empty cut set the w_a are the fundamental weights of g, and on the lift
+    of a class in pi_1 they give the class mod Z that drives the twist
+    exponents of the closed series formulas.  det K is positive, as for every
+    Cartan matrix of finite type.
+    """
+    levi, adj, det = _levi_inverse(g, cut)
+    rs = build_root_system(g)
+    on_v = [pairing(rs.simple_roots[b - 1], v) for b in levi]
+    return {a: sum(map(mul, row, on_v)) for a, row in zip(levi, adj)}, det

@@ -6,7 +6,7 @@ import pkgutil
 import pytest
 
 import ymseries
-from ymseries import cli, strata
+from ymseries import cli, levidata, strata
 from ymseries.cli import main
 from ymseries.errors import ExactnessError, InputError
 from ymseries.closedforms import so_even_flat, sp_flat, zagier_un
@@ -301,6 +301,26 @@ class TestParser:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "group,engine",
+        [("u", "specialized"), ("sp", "specialized"), ("so-odd", "general"), ("so-even", "both")],
+    )
+    def test_rank_over_term_budget_exits_2(self, capsys, monkeypatch, group, engine):
+        # refused before any composition is built: the patched enumeration
+        # turns a broken check into exit 3 instead of a hang
+        def no_enumeration(*args):
+            raise AssertionError("a refused rank reached the enumeration")
+
+        monkeypatch.setattr(levidata, "combinations", no_enumeration)
+        code, out, err = run(
+            capsys, "poincare", "--group", group, "--rank", "40", "--genus", "2", "--engine", engine
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: rank 40 has 549755813888 compositions, more than the "
+            f"{levidata.MAX_COMPOSITIONS} this package enumerates\n"
+        )
+
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_input_error_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

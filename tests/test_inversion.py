@@ -8,6 +8,7 @@ from math import ceil, floor, lcm
 import pytest
 
 from former_twists import former_first_exponents, former_frac_part, former_parabolic_terms
+from former_weights import _rref, _solve, dual_weights, weight_on_pi1
 from ymseries.closedforms import flat_series, sp_flat, zagier_un
 from ymseries import inversion
 from ymseries.errors import ExactnessError, InputError
@@ -35,18 +36,15 @@ from ymseries.inversion import (
     random_relative_point,
     verify_langlands,
 )
-from ymseries.levidata import levi_profile, relative_rho
+from ymseries.levidata import _radical, levi_profile
 from ymseries.rootsys import (
     UNITARY,
     GroupSpec,
     UnsupportedFamily,
-    _rref,
-    _solve,
     build_root_system,
-    dual_weights,
+    levi_classes,
     pairing,
     pi1_representative,
-    weight_on_pi1,
 )
 
 F = Fraction
@@ -218,9 +216,36 @@ def fraction_relative_point(rank, small, large, rng):
     )
 
 
+def shifted(base, vectors, coeffs) -> tuple:
+    """base + sum of c * v over the aligned coeffs and vectors."""
+    out = list(base)
+    for c, v in zip(coeffs, vectors):
+        for i, x in enumerate(v):
+            out[i] += c * x
+    return tuple(out)
+
+
+def relative_weights(rs, q_cut):
+    """Reference: {a: the Fraction weight of the Levi cut by q_cut dual to
+    coroot a}, from the former elimination on the Levi's simple roots and
+    coroots, as inversion computed them before the integer classes."""
+    levi = [a for a in range(1, len(rs.simple_roots) + 1) if a not in q_cut]
+    weights = dual_weights(
+        [rs.simple_roots[a - 1] for a in levi], [rs.simple_coroots[a - 1] for a in levi]
+    )
+    return dict(zip(levi, weights))
+
+
+def as_numerators(classes):
+    """Fraction classes as (integer numerators over their lcm, that lcm)."""
+    den = lcm(*(x.denominator for x in classes.values()))
+    return {a: x.numerator * (den // x.denominator) for a, x in classes.items()}, den
+
+
 def box_walk_residual(poset, a0, b0_top, topclass, order):
     """Reference: the forward relation re-summed one lattice point at a
-    time, each point built with _shifted and read with pairing."""
+    time, each point built with shifted and read with pairing against the
+    Fraction weights."""
     rs = build_root_system(poset.group)
     weights = dual_weights(rs.simple_roots, rs.simple_coroots)
     rep = pi1_representative(poset.group, topclass)
@@ -232,20 +257,18 @@ def box_walk_residual(poset, a0, b0_top, topclass, order):
             continue
         idxs = sorted(p_cut)
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
-        rho = relative_rho(rs, p_cut, top)
+        rho = tuple(F(x, 2) for x in _radical(rs, p_cut, top)[1])
         p_weights = [4 * pairing(rho, v) for v in coroots]
         base_vals = [pairing(weights[a - 1], rep) for a in idxs]
         box = [
             range(ceil(-x), floor((order - n_p) / w - x) + 1) for w, x in zip(p_weights, base_vals)
         ]
-        rel_weights = inversion._relative_weights(rs, p_cut)
+        rel_weights = relative_weights(rs, p_cut)
         levi_coroots = [rs.simple_coroots[a - 1] for a in rel_weights]
         b0_cache = {}
         for m in product(*box):
-            x = inversion._shifted(rep, coroots, m)
-            center = inversion._shifted(
-                x, levi_coroots, [-pairing(w, x) for w in rel_weights.values()]
-            )
+            x = shifted(rep, coroots, m)
+            center = shifted(x, levi_coroots, [-pairing(w, x) for w in rel_weights.values()])
             if any(pairing(rs.simple_roots[a - 1], center) <= 0 for a in idxs):
                 continue
             exponent = n_p + 4 * pairing(rho, x)
@@ -254,8 +277,8 @@ def box_walk_residual(poset, a0, b0_top, topclass, order):
                 continue
             key = tuple(pairing(w, x) % 1 for w in rel_weights.values())
             if key not in b0_cache:
-                classes = dict(zip(rel_weights, key))
-                b0_cache[key] = signed_sum(inversion.parabolic_terms(poset, a0, p_cut, classes))
+                classes = as_numerators(dict(zip(rel_weights, key)))
+                b0_cache[key] = signed_sum(inversion.parabolic_terms(poset, a0, p_cut, *classes))
             for i, c in enumerate(series_expand(b0_cache[key], order - int(exponent)).coeffs):
                 rhs[int(exponent) + i] += c
     lhs = series_expand(a0[top], order)
@@ -528,18 +551,27 @@ class TestLanglands:
 class TestInvertAbstract:
     @pytest.mark.parametrize("fam", ["u", "so-odd", "so-even", "sp"])
     def test_relative_weights_match_gram_reference(self, fam):
+        # the integer classes of every coordinate vector, a basis, so the
+        # whole weight is checked, and of every class's lift
         cuts = 0
         for n in range(2 if fam == "so-even" else 1, 6):
-            rs = build_root_system(GroupSpec(fam, n))
+            g = GroupSpec(fam, n)
+            rs = build_root_system(g)
             rank = len(rs.simple_roots)
+            vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            classes = {"u": range(n), "sp": (0,)}.get(fam, (0, 1))
+            vectors += [pi1_representative(g, c) for c in classes]
             for k in range(rank + 1):
                 for cut in map(frozenset, combinations(range(1, rank + 1), k)):
-                    expected = {
+                    weights = {
                         a: gram_relative_weight(rs, cut, a)
                         for a in range(1, rank + 1)
                         if a not in cut
                     }
-                    assert inversion._relative_weights(rs, cut) == expected, (n, sorted(cut))
+                    for v in vectors:
+                        nums, det = levi_classes(g, cut, v)
+                        expected = {a: pairing(w, v) for a, w in weights.items()}
+                        assert {a: F(x, det) for a, x in nums.items()} == expected, (n, sorted(cut), v)
                     cuts += 1
         assert cuts == {"u": 31, "so-odd": 62, "so-even": 60, "sp": 62}[fam]
 
@@ -689,10 +721,10 @@ class TestParabolicTerms:
         poset, a0 = self.u2_borel_case()
         assert poset.profiles[frozenset({1})].rho_pairings == (1,)  # weight 4
         with pytest.raises(ExactnessError, match="total twist 4/3"):
-            list(parabolic_terms(poset, a0, frozenset(), {1: F(1, 3)}))
+            list(parabolic_terms(poset, a0, frozenset(), {1: 1}, 3))
         # the message names the reduced Fraction, as the Fraction sum did
         for x, twist in [(F(1, 3), "4/3"), (F(2, 5), "8/5"), (F(-5, 6), "2/3")]:
-            got = _outcome(parabolic_terms(poset, a0, frozenset(), {1: x}))
+            got = _outcome(parabolic_terms(poset, a0, frozenset(), *as_numerators({1: x})))
             assert got == (ExactnessError, f"total twist {twist} not integral")
             assert got == _outcome(former_parabolic_terms(poset, a0, frozenset(), {1: x}))
 
@@ -703,13 +735,13 @@ class TestParabolicTerms:
     def test_pair_weight_not_positive_integer(self, rho_pairing, weight):
         poset, a0 = self.u2_borel_case(rho_pairing)
         with pytest.raises(ExactnessError, match=f"pair weight {weight} "):
-            list(parabolic_terms(poset, a0, frozenset(), {1: F(1, 2)}))
-        got = _outcome(parabolic_terms(poset, a0, frozenset(), {1: F(1, 2)}))
+            list(parabolic_terms(poset, a0, frozenset(), {1: 1}, 2))
+        got = _outcome(parabolic_terms(poset, a0, frozenset(), {1: 1}, 2))
         assert got == _outcome(former_parabolic_terms(poset, a0, frozenset(), {1: F(1, 2)}))
 
 
 class TestParabolicTermsMatchFormer:
-    """The parabolic sum on integer brackets over one denominator, against
+    """The parabolic sum on integer classes over one denominator, against
     the former sum on Fractions (tests/former_twists.py)."""
 
     @pytest.mark.parametrize("fam", ["u", "so-odd", "so-even", "sp"])
@@ -724,15 +756,19 @@ class TestParabolicTermsMatchFormer:
                 for c in {"u": range(n), "sp": (0,)}.get(fam, (0, 1)):
                     rep = pi1_representative(g, c)
                     for q in poset.elements:
-                        weights = inversion._relative_weights(rs, q)
+                        # the classes closed_inverse reads, and the Fraction
+                        # weights' pairings they replace
+                        nums, det = levi_classes(g, q, rep)
+                        got = list(parabolic_terms(poset, a0, q, nums, det))
+                        weights = relative_weights(rs, q)
                         classes = {a: pairing(w, rep) for a, w in weights.items()}
-                        got = list(parabolic_terms(poset, a0, q, classes))
+                        assert classes == {a: F(x, det) for a, x in nums.items()}
                         assert got == list(former_parabolic_terms(poset, a0, q, classes)), (g, ell, c, q)
                         assert all(type(e) is int for _, _, e, _ in got)
-                    # the general engine's classes at the group element
+                    # the former table's classes at the group element
                     classes = {a: weight_on_pi1(g, a, c) for a in range(1, len(rs.simple_roots) + 1)}
                     top = frozenset()
-                    assert list(parabolic_terms(poset, a0, top, classes)) == list(
+                    assert list(parabolic_terms(poset, a0, top, *as_numerators(classes))) == list(
                         former_parabolic_terms(poset, a0, top, classes)
                     ), (g, ell, c)
 
@@ -751,7 +787,7 @@ class TestParabolicTermsMatchFormer:
             for a in range(1, len(build_root_system(g).simple_roots) + 1):
                 den = rng.choice([1, 2, 2, 3, 4, 4, 5, 6, 8, 12])
                 classes[a] = F(rng.randint(-2 * den, 2 * den), den)
-            got = _outcome(parabolic_terms(poset, a0, q, classes))
+            got = _outcome(parabolic_terms(poset, a0, q, *as_numerators(classes)))
             assert got == _outcome(former_parabolic_terms(poset, a0, q, classes)), (g, q, classes)
             refused += isinstance(got, tuple)
         assert 50 < refused < 250

@@ -7,13 +7,14 @@ from levi_case_table import case_table
 from ymseries import levidata
 from ymseries.errors import InputError
 from ymseries.levidata import (
+    MAX_COMPOSITIONS,
     InadmissibleCase,
     _compositions,
+    _radical,
     dim_u_from_roots,
     enumerate_parabolics,
     levi_profile,
     levi_profile_to_json,
-    relative_rho,
     rho_pairings_from_roots,
 )
 from ymseries.rootsys import GroupSpec, _positive_roots, build_root_system, pairing
@@ -47,6 +48,26 @@ class TestEnumerate:
                 g = GroupSpec(fam, n)
                 rank = n
                 assert len(enumerate_parabolics(g)) == 2 ** (rank - (fam == "u"))
+
+    def test_term_budget(self, monkeypatch):
+        # the largest accepted rank builds MAX_COMPOSITIONS compositions
+        largest = MAX_COMPOSITIONS.bit_length()
+        assert len(_compositions(largest)) == 2 ** (largest - 1) == MAX_COMPOSITIONS
+
+        # a refused rank raises before any cut is enumerated; should the
+        # check break, this fails at once rather than hang
+        def no_enumeration(*args):
+            raise AssertionError("a refused rank reached the enumeration")
+
+        monkeypatch.setattr(levidata, "combinations", no_enumeration)
+        for n in (largest + 1, 40):
+            count = 2 ** (n - 1)
+            message = f"rank {n} has {count} compositions, more than the {MAX_COMPOSITIONS} "
+            with pytest.raises(InputError, match=message):
+                _compositions(n)
+            for fam in ("u", "so-odd", "so-even", "sp"):
+                with pytest.raises(InputError, match=message):
+                    enumerate_parabolics(GroupSpec(fam, n))
 
     def test_order_deterministic(self):
         g = GroupSpec("so-odd", 3)
@@ -217,15 +238,17 @@ class TestRootDataConsistency:
         ]
         pairs = [(small, large) for small in cuts for large in cuts if large <= small]
         for small, large in pairs:
-            rho = relative_rho(rs, small, large)
+            # 2 rho, the integer sum the forward lattice walk reads
+            two_rho = _radical(rs, small, large)[1]
+            assert all(type(x) is int for x in two_rho)
             if rs.positive_roots:
-                assert rho == former_relative_rho(rs, small, large), (small, large)
+                assert two_rho == tuple(2 * x for x in former_relative_rho(rs, small, large))
             else:
                 # rank 0: no roots, so the former sum had no coordinates
-                assert rho == (F(0),) * rs.n
+                assert two_rho == (0,) * rs.n
             # the pair weights the inversion reads from the small parabolic's
             # Levi profile, here from the former case table: rho_P^Q and
             # rho_P pair alike with every a in P - Q
             for a in small - large:
-                got = pairing(rho, rs.simple_coroots[a - 1])
-                assert got == tables[small][a], (sorted(small), sorted(large), a)
+                got = pairing(two_rho, rs.simple_coroots[a - 1])
+                assert got == 2 * tables[small][a], (sorted(small), sorted(large), a)

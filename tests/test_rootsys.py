@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from former_positive_roots import former_positive_roots
+from former_weights import _rref, _solve, dual_weights, weight_on_pi1
 from ymseries import rootsys
 from ymseries.closedforms import lr_general
-from ymseries.errors import InputError
+from ymseries.errors import ExactnessError, InputError
 from ymseries.levidata import enumerate_parabolics, levi_profile
 from ymseries.rootsys import (
     FAMILIES,
@@ -14,15 +16,15 @@ from ymseries.rootsys import (
     TopClass,
     UnsupportedFamily,
     UnsupportedRank,
+    _levi_inverse,
     _positive_roots,
-    _rref,
     _simple_data,
-    _solve,
+    adjugate,
     build_root_system,
-    dual_weights,
+    levi_classes,
     pairing,
+    pi1_representative,
     validate_topclass,
-    weight_on_pi1,
 )
 
 F = Fraction
@@ -34,6 +36,19 @@ def V(*xs):
 
 def fundamental_weights(rs):
     return tuple(dual_weights(rs.simple_roots, rs.simple_coroots))
+
+
+def integer_class(g, i, c):
+    """The class of the i-th fundamental weight on c in [0, 1), from the
+    integer classes at the empty cut set."""
+    nums, det = levi_classes(g, frozenset(), pi1_representative(g, c))
+    return F(nums[i], det) % 1
+
+
+def build_cartan(g):
+    """The Cartan matrix <alpha_b, alpha_c^v> of g."""
+    rs = build_root_system(g)
+    return [[pairing(a, av) for av in rs.simple_coroots] for a in rs.simple_roots]
 
 
 def every_group(max_n):
@@ -178,27 +193,31 @@ class TestBuildRootSystem:
         assert weights == (V(1, 0, 0), V(1, 1, 0), V(1, 1, 1))
 
     def test_root_data_needs_no_elimination(self, monkeypatch):
-        # root systems, Levi profiles and the general engine are integer
-        # data alone: none of them solves a linear system
+        # root systems and Levi profiles are integer data alone: neither
+        # solves a linear system
         def no_elimination(*args):
             raise AssertionError("root data reached the elimination helper")
 
-        monkeypatch.setattr(rootsys, "_rref", no_elimination)
+        monkeypatch.setattr(rootsys, "adjugate", no_elimination)
         build_root_system.cache_clear()
         levi_profile.cache_clear()
+        _levi_inverse.cache_clear()
         for g in every_group(6):
             build_root_system(g)
             if g.family in ("u", "so-odd", "so-even", "sp"):
                 for cut in enumerate_parabolics(g):
                     levi_profile(g, cut)
-        # the flat-engines bundles of the benchmark
-        for g, c in (
-            (GroupSpec("sp", 5), 0),
-            (GroupSpec("so-odd", 5), 1),
-            (GroupSpec("so-even", 5), 1),
-            (GroupSpec("u", 6), 1),
-        ):
+        # the general engine solves the group's Cartan matrix once, for the
+        # classes at the empty cut set, on the flat-engines bundles of the
+        # benchmark
+        solved = []
+        monkeypatch.setattr(rootsys, "adjugate", lambda m: solved.append(m) or adjugate(m))
+        groups = (GroupSpec("sp", 5), GroupSpec("so-odd", 5), GroupSpec("so-even", 5), GroupSpec("u", 6))
+        for g, c in zip(groups, (0, 1, 1, 1)):
             lr_general(g, c, 2)
+            lr_general(g, c, 3)
+        cartans = [[list(row) for row in build_cartan(g)] for g in groups]
+        assert solved == cartans
 
     def test_rank_validation(self):
         with pytest.raises(UnsupportedRank):
@@ -257,55 +276,162 @@ class TestPairing:
         assert type(got) is (int if all_int else Fraction) and got == old
 
 
+def fraction_inverse(matrix):
+    """Reference: K^-1 in Fractions, from the former elimination, or None
+    when K is singular."""
+    size = len(matrix)
+    rows = [[F(x) for x in row] + [F(int(i == j)) for j in range(size)] for i, row in enumerate(matrix)]
+    if len(_rref(rows, size)) < size:
+        return None
+    return [row[size:] for row in rows]
+
+
+def fraction_det(matrix):
+    """Reference: det K as the signed product of the pivots of Gaussian
+    elimination in Fractions."""
+    rows = [[F(x) for x in row] for row in matrix]
+    det = F(1)
+    for k in range(len(rows)):
+        piv = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+class TestAdjugate:
+    """The one elimination routine, on integers, against Fraction inversion."""
+
+    def check(self, matrix, inverse=None):
+        adj, det = adjugate(matrix)
+        assert det == fraction_det(matrix)
+        assert all(type(x) is int for row in adj for x in row) and type(det) is int
+        inverse = inverse or fraction_inverse(matrix)
+        assert [[F(x, det) for x in row] for row in adj] == inverse, matrix
+        return adj, det
+
+    def test_random_matrices_match_fraction_inverse(self):
+        rng = random.Random(2028)
+        signs = set()
+        singular = 0
+        for _ in range(300):
+            size = rng.randint(1, 7)
+            matrix = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
+            inverse = fraction_inverse(matrix)
+            if inverse is None:
+                with pytest.raises(ExactnessError):
+                    adjugate(matrix)
+                singular += 1
+            else:
+                signs.add(self.check(matrix, inverse)[1] > 0)
+        assert signs == {True, False} and singular > 0
+
+    def test_row_swaps_and_negative_determinant(self):
+        # zero leading pivots force a swap at the first and the second step
+        assert self.check([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)
+        assert self.check([[0, 2, 1], [3, 0, 0], [0, 1, 4]])[1] == -21
+        self.check([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
+
+    def test_one_by_one_and_empty(self):
+        assert adjugate([[7]]) == ([[1]], 7)
+        assert adjugate([[-3]]) == ([[1]], -3)
+        assert adjugate([]) == ([], 1)
+
+    @pytest.mark.parametrize(
+        "matrix", [[[0]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[0, 0], [0, 5]]]
+    )
+    def test_singular_raises(self, matrix):
+        with pytest.raises(ExactnessError, match=f"singular {len(matrix)}x{len(matrix)} matrix"):
+            adjugate(matrix)
+
+    def test_group_cartan_matrices(self):
+        # det of the Cartan matrix: n for A_{n-1}, 2 for B_n and C_n, 4 for D_n
+        for g in every_group(7):
+            det = self.check(build_cartan(g))[1]
+            expected = {"u": g.n, "su": g.n, "so-even": 4, "spin-even": 4}.get(g.family, 2)
+            assert det == (1 if len(build_root_system(g).simple_roots) == 0 else expected), g
+
+    def test_classes_match_former_table(self):
+        # the integer classes of every family's own classes at the empty cut
+        # set, against the former case table modulo 1
+        checked = 0
+        for g in every_group(7):
+            if g.family == "su":
+                continue  # the former table served su through u
+            classes = (0, 1) if g.family.startswith("so") else (0,)
+            for c in range(-g.n, 2 * g.n) if g.family == "u" else classes:
+                nums, det = levi_classes(g, frozenset(), pi1_representative(g, c))
+                assert sorted(nums) == list(range(1, len(build_root_system(g).simple_roots) + 1))
+                for i, x in nums.items():
+                    assert (F(x, det) - weight_on_pi1(g, i, c)).denominator == 1, (g, c, i)
+                    checked += 1
+        assert checked == 529
+
+
 class TestWeightOnPi1:
+    """The integer classes at the empty cut set against the former table."""
+
     def test_so5_last(self):
-        assert weight_on_pi1(GroupSpec("so-odd", 2), 2, 1) == F(1, 2)
+        g = GroupSpec("so-odd", 2)
+        assert integer_class(g, 2, 1) == weight_on_pi1(g, 2, 1) == F(1, 2)
 
     def test_so5_first(self):
-        assert weight_on_pi1(GroupSpec("so-odd", 2), 1, 1) == 0
+        g = GroupSpec("so-odd", 2)
+        assert integer_class(g, 1, 1) == weight_on_pi1(g, 1, 1) == 0
 
     def test_u3(self):
         # weights kill the center, so the class is -i*k/n mod 1
-        assert weight_on_pi1(GroupSpec("u", 3), 1, 2) == F(1, 3)
-        assert weight_on_pi1(GroupSpec("u", 3), 2, 2) == F(2, 3)
+        g = GroupSpec("u", 3)
+        assert integer_class(g, 1, 2) == weight_on_pi1(g, 1, 2) == F(1, 3)
+        assert integer_class(g, 2, 2) == weight_on_pi1(g, 2, 2) == F(2, 3)
         # U(3) has two simple roots
         with pytest.raises(ValueError):
-            weight_on_pi1(GroupSpec("u", 3), 3, 2)
+            weight_on_pi1(g, 3, 2)
+        assert sorted(levi_classes(g, frozenset(), pi1_representative(g, 2))[0]) == [1, 2]
 
     def test_u_matches_weight_evaluation(self):
         # agreement with the explicit pairing against the representative of c
-        from ymseries.rootsys import pi1_representative
-
         for n in range(1, 6):
             g = GroupSpec("u", n)
             weights = fundamental_weights(build_root_system(g))
             for k in range(-3, 4):
                 rep = pi1_representative(g, k)
+                nums, det = levi_classes(g, frozenset(), rep)
                 for i in range(1, n):
                     val = pairing(weights[i - 1], rep)
+                    assert F(nums[i], det) == val
                     assert (val - weight_on_pi1(g, i, k)).denominator == 1
 
     def test_so_even(self):
         g = GroupSpec("so-even", 3)
-        assert weight_on_pi1(g, 1, 1) == 0
-        assert weight_on_pi1(g, 2, 1) == F(1, 2)
-        assert weight_on_pi1(g, 3, 1) == F(1, 2)
+        for i, x in ((1, 0), (2, F(1, 2)), (3, F(1, 2))):
+            assert integer_class(g, i, 1) == weight_on_pi1(g, i, 1) == x
 
     def test_additive_mod_z(self):
         g = GroupSpec("u", 4)
         for i in range(1, 4):
             for a in range(-2, 3):
                 for b in range(-2, 3):
-                    lhs = weight_on_pi1(g, i, a + b)
-                    rhs = weight_on_pi1(g, i, a) + weight_on_pi1(g, i, b)
+                    lhs = integer_class(g, i, a + b)
+                    rhs = integer_class(g, i, a) + integer_class(g, i, b)
                     assert (lhs - rhs).denominator == 1
+                    assert lhs == weight_on_pi1(g, i, a + b)
 
     def test_su_unsupported(self):
+        # the former table refused su; its classes are U(n)'s at degree 0
         with pytest.raises(UnsupportedFamily):
             weight_on_pi1(GroupSpec("su", 2), 1, 0)
+        assert integer_class(GroupSpec("su", 2), 1, 0) == integer_class(GroupSpec("u", 2), 1, 0) == 0
 
     def test_sp_trivial(self):
-        assert weight_on_pi1(GroupSpec("sp", 2), 1, 0) == 0
+        g = GroupSpec("sp", 2)
+        assert integer_class(g, 1, 0) == integer_class(g, 2, 0) == weight_on_pi1(g, 1, 0) == 0
 
 
 def test_topclass_validation():
