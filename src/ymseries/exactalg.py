@@ -30,12 +30,18 @@ the summed numerator while it divides.  The sum runs over a balanced tree
 of packed integers, unpacked once at the root.  The slot width comes from
 a bound on every coefficient of the summed numerator: since |ab|_inf <=
 |a|_1 |b|_inf, term i adds at most |sign_i| |num_i|_1 times the l1 norms
-of its cofactor's factors.  Each Phi_d is divided out by binomial strides:
-by the Mobius rule Phi_d = prod_{e | d} (1 - t**e)**mu(d/e), so the
-numerator is multiplied by each 1 - t**e with mu = -1 and then divided by
-each with mu = +1, each division a running sum along the residues mod e
-whose nonzero top-e tail means Phi_d does not divide.  The same rule
-builds Phi_d.  cyclotomic_quotient builds a closed product from Phi_d
+of its cofactor's factors.  Divisions go by binomial strides: dividing
+by 1 - t**e is a running sum along the residues mod e whose nonzero
+top-e tail means it does not divide.  Wherever every Phi_d of some
+1 - t**e = prod_{d | e} Phi_d is still in the denominator, that whole
+stride is divided out in one pass.  A single Phi_d goes by the Mobius
+rule Phi_d = prod_{e | d} (1 - t**e)**mu(d/e): the numerator is
+multiplied by each 1 - t**e with mu = -1 and then divided by each with
+mu = +1.  A division is tried only when the divisor's value at t = 2
+divides the numerator's, which Gauss's lemma requires of a factor in
+Z[t]; the numerator's value is carried through each quotient.  The
+Mobius rule builds Phi_d and gives Phi_d(2) without building it.
+cyclotomic_quotient builds a closed product from Phi_d
 multiplicities and cancels them by subtraction, and every product of Phi_d
 is one packed product.  truncated_sum adds products of truncated power
 series on one packed integer, cutting each product by a centred remainder.
@@ -640,6 +646,27 @@ def _cyclotomic(d: int) -> Poly:
     return Poly(_strided([1], *_mobius_strides(d)))
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_at_two(d: int) -> int:
+    """Phi_d(2), from the Mobius rule of _mobius_strides without building Phi_d."""
+    up, down = _mobius_strides(d)
+    return prod(1 - (1 << e) for e in up) // prod(1 - (1 << e) for e in down)
+
+
+@lru_cache(maxsize=None)
+def _packed_cyclotomic(d: int, width: int) -> int:
+    """Phi_d packed at width."""
+    return _pack(_cyclotomic(d).coeffs, width)
+
+
+def _at_two(cs) -> int:
+    """The polynomial with coefficients cs at t = 2, by one Horner pass."""
+    value = 0
+    for c in reversed(cs):
+        value = (value << 1) + c
+    return value
+
+
 def _phi_quotient(cs: list, d: int):
     """The coefficients of cs / Phi_d, or None when Phi_d does not divide cs."""
     up, down = _mobius_strides(d)
@@ -671,17 +698,20 @@ def _trial_factors(den: Poly) -> tuple:
     backwards up to sign, so a den that fails either test is refused
     before any division.  Otherwise every Phi_d dividing den is found: the
     trial divisors run over the d with phi(d) <= deg of what is left, which
-    _totient_bound bounds.  Raises NotCyclotomic unless what is left is 1,
-    so the product of the pairs is den.
+    _totient_bound bounds.  As in _cancel, Phi_d is tried only when Phi_d(2)
+    divides the value at 2 of what is left.  Raises NotCyclotomic unless
+    what is left is 1, so the product of the pairs is den.
     """
     mult = {}
     rest = list(den.coeffs)
     if abs(rest[-1]) == 1 and rest[::-1] in (rest, [-c for c in rest]):
+        value = _at_two(rest)
         d = 1
         while d <= _totient_bound(len(rest) - 1):
             if _totient(d) < len(rest):
-                while (quotient := _phi_quotient(rest, d)) is not None:
-                    rest = quotient
+                at_two = _cyclotomic_at_two(d)
+                while value % at_two == 0 and (quotient := _phi_quotient(rest, d)) is not None:
+                    rest, value = quotient, value // at_two
                     mult[d] = mult.get(d, 0) + 1
             d += 1
     if rest != [1]:
@@ -699,21 +729,44 @@ def _expand(pairs) -> Poly:
 
     It is one packed product: since |ab|_1 <= |a|_1 |b|_1, the product of
     the factors' l1 norms bounds every coefficient, and so the slot width.
+    Each Phi_d is packed once per width (_packed_cyclotomic).
     """
-    factors = [(_cyclotomic(d).coeffs, m) for d, m in pairs if m]
-    width = _width(prod(_l1(cs) ** m for cs, m in factors))
-    return Poly(_unpack(prod(_pack(cs, width) ** m for cs, m in factors), width))
+    pairs = [(d, m) for d, m in pairs if m]
+    width = _width(prod(_l1(_cyclotomic(d).coeffs) ** m for d, m in pairs))
+    return Poly(_unpack(prod(_packed_cyclotomic(d, width) ** m for d, m in pairs), width))
 
 
 def _cancel(cs: list, mult: dict) -> tuple:
     """(num, factors) of cs / prod Phi_d**mult[d] in canonical form.
 
-    Each Phi_d is divided out of cs while it divides and its multiplicity
-    stays positive (_phi_quotient); a zero cs cancels every factor.
+    Each Phi_d leaves the numerator min(mult[d], its order in cs) times, in
+    any order; a zero cs cancels every factor.  So whole strides go first:
+    for each key e, largest first, 1 - t**e = prod_{d | e} Phi_d is divided
+    out in one running-sum pass while every d | e keeps a multiplicity.
+    Then each Phi_d left is divided out while it divides (_phi_quotient);
+    Phi_1 = 1 - t is the stride e = 1 and has left already.  A t = 2
+    screen skips most divisions that would fail: by Gauss's lemma a factor
+    of cs in Z[t] with value k at t = 2 makes k divide cs(2), so a division
+    is tried only when its divisor's value at 2 divides that of cs, which
+    is carried through each quotient.  A division the screen lets through
+    may still fail, and then changes nothing.
     """
+    value = _at_two(cs)
+    for e in sorted(mult, reverse=True):
+        below = _divisors(e)
+        stride = 1 - (1 << e)
+        while (
+            all(mult.get(d) for d in below)
+            and value % stride == 0
+            and (quotient := _strided(cs, (), (e,))) is not None
+        ):
+            cs, value = quotient, value // stride
+            for d in below:
+                mult[d] -= 1
     for d, m in mult.items():
-        while m and (quotient := _phi_quotient(cs, d)) is not None:
-            cs, m = quotient, m - 1
+        at_two = _cyclotomic_at_two(d)
+        while d > 1 and m and value % at_two == 0 and (quotient := _phi_quotient(cs, d)) is not None:
+            cs, m, value = quotient, m - 1, value // at_two
         mult[d] = m
     return Poly(cs), _pairs(mult)
 
@@ -762,7 +815,8 @@ def cyclotomic_quotient(plus, minus, shift: int = 0) -> RatFun:
 def _cofactor(common: dict, mult: dict, width: int, powers: dict) -> int:
     """prod Phi_d**(common[d] - mult[d]), packed at width.
 
-    powers caches each packed Phi_d**k of one signed_sum call.
+    powers caches each packed Phi_d**k of one signed_sum call; Phi_d
+    itself is packed once per width (_packed_cyclotomic).
     """
     out = 1
     for d, m in common.items():
@@ -770,7 +824,7 @@ def _cofactor(common: dict, mult: dict, width: int, powers: dict) -> int:
         if k:
             power = powers.get((d, k))
             if power is None:
-                power = powers[d, k] = _pack(_cyclotomic(d).coeffs, width) ** k
+                power = powers[d, k] = _packed_cyclotomic(d, width) ** k
             out *= power
     return out
 
@@ -820,9 +874,10 @@ def signed_sum(terms) -> RatFun:
     |a|_1 |b|_inf and |ab|_1 <= |a|_1 |b|_1, the sum over i of |sign_i|
     |num_i|_1 prod |Phi_d|_1 over its cofactor bounds every coefficient,
     and sets the slot width.  Each Phi_d is then divided out of the summed
-    numerator while it divides and its multiplicity stays positive
-    (_cancel), which leaves the canonical quotient.  A zero sum is
-    RatFun.zero().
+    numerator while it divides and its multiplicity stays positive, which
+    leaves the canonical quotient (_cancel): whole strides 1 - t**e first,
+    then single Phi_d, each tried only when its value at t = 2 divides the
+    numerator's.  A zero sum is RatFun.zero().
     """
     parts = []
     for sign, factor, e, ks in terms:

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import former_signed_sum as former
+from former_cancel import former_cancel
 from former_ratfun import canonical, content, divexact, divexact_int, poly_gcd
 from former_series_expand import dense_series_expand
 from reference_series import one_plus_t
@@ -36,7 +37,9 @@ from ymseries import exactalg
 from ymseries.rootsys import GroupSpec
 from ymseries.exactalg import (
     _KRONECKER_MIN,
+    _cancel,
     _cyclotomic,
+    _cyclotomic_at_two,
     _divisors,
     _expand,
     _kronecker_mul,
@@ -264,7 +267,7 @@ class TestNotCyclotomic:
         start = time.process_time()
         with pytest.raises(NotCyclotomic, match=r"^denominator 1 \+ 3\*t\^200 \+ t\^400 is not"):
             RatFun(Poly.one(), den)
-        assert time.process_time() - start < 0.5
+        assert time.process_time() - start < 0.05
 
     def test_totient_bound(self):
         for n in range(60):
@@ -899,6 +902,131 @@ class TestStrides:
                 with pytest.raises(ValueError):
                     divexact(Poly(cs), phi)
                 assert _phi_quotient(cs, d) is None, (d, length)
+
+
+def record_strides(monkeypatch):
+    """Record each _strided pass as (up, down, whether it divided)."""
+    passes = []
+    real = exactalg._strided
+
+    def recording(cs, up, down):
+        quotient = real(cs, up, down)
+        passes.append((up, down, quotient is not None))
+        return quotient
+
+    monkeypatch.setattr(exactalg, "_strided", recording)
+    return passes
+
+
+def divisor_map(rng, es):
+    """A {d: multiplicity} map holding every divisor of each e, as
+    signed_sum builds one from denominators 1 - t**e, with a few single
+    Phi_d on top."""
+    mult = {}
+    for e in es:
+        for d in _divisors(e):
+            mult[d] = mult.get(d, 0) + 1
+    for _ in range(rng.randint(0, 2)):
+        d = rng.randint(1, 60)
+        mult[d] = mult.get(d, 0) + rng.randint(1, 2)
+    return mult
+
+
+class TestCancelMatchesFormer:
+    """Whole strides behind the t = 2 screen against the former per-Phi_d
+    cancellation (tests/former_cancel.py)."""
+
+    def check(self, cs, mult):
+        got = _cancel(list(cs), dict(mult))
+        assert got == former_cancel(list(cs), mult), (cs, mult)
+        return got
+
+    def test_cyclotomic_products(self):
+        # numerators prod Phi_d**k times a random polynomial, over maps
+        # whose multiplicities lie above and below the true orders
+        rng = random.Random(7070)
+        for _ in range(150):
+            ds = rng.sample(range(1, 61), rng.randint(0, 4)) + rng.sample([30, 42, 60], 1)
+            num = Poly(rand_coeffs(rng, rng.randint(1, 12), rng.choice([1, 8, 300])))
+            mult = {}
+            for d in ds:
+                k = rng.randint(0, 3)
+                num = num * _cyclotomic(d) ** k
+                mult[d] = mult.get(d, 0) + max(0, k + rng.randint(-2, 2))
+            for d in rng.sample(range(1, 61), rng.randint(0, 3)):
+                mult.setdefault(d, rng.randint(1, 3))
+            self.check(num.coeffs, mult)
+
+    def test_whole_strides(self, monkeypatch):
+        # products of 1 - t**e over maps of 1 - t**e: whole strides that
+        # divide, strides that stop part way, and single Phi_d left after them
+        passes = record_strides(monkeypatch)
+        rng = random.Random(7171)
+        for _ in range(150):
+            num = Poly(rand_coeffs(rng, rng.randint(1, 6), rng.choice([1, 8, 64])))
+            for _ in range(rng.randint(0, 4)):
+                k = rng.choice([1, 2, 3, 4, 6, 10, 12, 30, 42, 60])
+                num = num * rng.choice([one_minus_t, one_plus_t, _cyclotomic])(k)
+            es = [rng.choice([1, 2, 4, 6, 8, 12, 30, 42, 60]) for _ in range(rng.randint(1, 4))]
+            self.check(num.coeffs, divisor_map(rng, es))
+        strides = [divided for up, down, divided in passes if not up and len(down) == 1 and down[0] > 1]
+        assert strides.count(True) > 50 and strides.count(False) > 5
+
+    def test_exact_products_cancel_completely(self):
+        rng = random.Random(7272)
+        for _ in range(40):
+            mult = divisor_map(rng, [rng.choice([6, 12, 30, 42, 60]) for _ in range(rng.randint(1, 3))])
+            q = Poly(rand_coeffs(rng, rng.randint(1, 5), 8))
+            assert self.check((q * _expand(mult.items())).coeffs, mult) == (q, ())
+
+    def test_zero_numerator_cancels_every_factor(self):
+        for mult in ({}, {1: 3}, {1: 1, 2: 2, 3: 1, 6: 1}, {30: 2, 7: 1}):
+            assert self.check([], mult) == (Poly.zero(), ())
+
+    def test_screen_false_positives_fall_back(self, monkeypatch):
+        """A constant Phi_d(2) k, or t**j Phi_d(2), passes the screen for
+        Phi_d but is no multiple of it: the division is tried, fails, and
+        the factor stays."""
+        passes = record_strides(monkeypatch)
+        for d in (2, 3, 5, 6, 7, 12, 30, 42, 60):
+            at_two = _cyclotomic_at_two(d)
+            for cs in ([at_two], [-3 * at_two], [0] * 4 + [at_two], [0, 0, 5 * at_two]):
+                passes.clear()
+                assert self.check(cs, {d: 2}) == (Poly(cs), ((d, 2),)), (d, cs)
+                assert passes and not any(divided for *_, divided in passes), (d, cs)
+        # 1 - 2**6 = -63 divides 63, but 1 - t**6 divides no constant
+        passes.clear()
+        mult = {1: 1, 2: 1, 3: 1, 6: 1}
+        assert self.check([63], mult) == (Poly((63,)), tuple(mult.items()))
+        assert passes and not any(divided for *_, divided in passes)
+
+    def test_screen_skips_divisions(self, monkeypatch):
+        passes = record_strides(monkeypatch)
+        # Phi_5(2) = 31 and Phi_7(2) = 127 do not divide 3, the value of 1 + t
+        assert _cancel([1, 1], {5: 2, 7: 1, 35: 1}) == (Poly((1, 1)), ((5, 2), (7, 1), (35, 1)))
+        assert passes == []
+        # the value at 2 drops to 3 with the one Phi_5 that divides
+        num = _cyclotomic(5) * P(1, 1)
+        passes.clear()
+        assert _cancel(list(num.coeffs), {5: 2}) == (P(1, 1), ((5, 1),))
+        assert len(passes) == 1
+        # after the whole stride 1 - t**5 the value at 2 is 1, which rules
+        # out the second Phi_5
+        passes.clear()
+        assert _cancel(list(one_minus_t(5).coeffs), {1: 1, 5: 2}) == (Poly.one(), ((5, 1),))
+        assert passes == [((), (5,), True)]
+        # 1 + t passes the screen of 1 - t**2 and fails it; Phi_1 always
+        # passes the screen and is tried once, as the stride e = 1; then
+        # Phi_2 = 1 + t divides by the Mobius rule, (1 - t**2) / (1 - t)
+        passes.clear()
+        assert _cancel([1, 1], {1: 2, 2: 1}) == (Poly.one(), ((1, 2),))
+        assert passes == [((), (2,), False), ((), (1,), False), ((1,), (2,), True)]
+
+
+class TestCyclotomicAtTwo:
+    def test_matches_evaluation(self):
+        for d in range(1, 201):
+            assert _cyclotomic_at_two(d) == sum(c << i for i, c in enumerate(_cyclotomic(d).coeffs)), d
 
 
 class TestRatFunEq:
