@@ -49,7 +49,13 @@ from .nonorient import (
     decomposition_render,
 )
 from .rootsys import GroupSpec, validate_topclass
-from .strata import AtiyahBottPoint, enumerate_ab_points, stratum_series, verify_recursion
+from .strata import (
+    AtiyahBottPoint,
+    enumerate_ab_points,
+    stratum_row,
+    stratum_series,
+    verify_recursion,
+)
 
 
 def _default_truncation() -> int:
@@ -153,15 +159,7 @@ def cmd_strata_list(args) -> int:
     c = _topclass(args, g)
     pts = enumerate_ab_points(g, c, args.genus, args.codim_bound)
     if args.format == "json":
-        rows = [
-            {
-                "composition": list(p.composition),
-                "labels": list(p.labels),
-                "tail": p.tail_kind,
-                "codim": d,
-            }
-            for p, d in pts
-        ]
+        rows = [stratum_row(p, d) for p, d in pts]
         print(json.dumps({"group": g.describe(), "topclass": c, "strata": rows}, sort_keys=True))
     else:
         for p, d in pts:

@@ -8,7 +8,7 @@ Phi_d, so this module provides exactly three value types:
   RatFun      numerator over a product of Phi_d, kept as its multiplicities
   CoeffVector truncated power-series coefficients of a RatFun
 
-All values are immutable and all arithmetic is exact.  Long products use
+All values are immutable and all arithmetic is exact.  Every product uses
 Kronecker substitution: a polynomial is packed into one integer, its value
 at t = 2**(8*width), with each coefficient in a width-byte slot.  The
 evaluation is a ring map, so products and sums of packed values are packed
@@ -19,9 +19,10 @@ A RatFun has one canonical form: its numerator with every Phi_d of the
 denominator divided out while it divides.  Each Phi_d is irreducible and
 primitive with constant term 1, so by Gauss's lemma this is the reduced
 quotient whose denominator is primitive with constant term 1, and equal
-functions have equal numerators and Phi_d maps.  Values built here carry the map they are
-built from; the public constructor finds it by trial division and refuses
-any other denominator.
+functions have equal numerators and Phi_d maps.  Values built here carry
+the map they are built from; the public constructor finds it by trial
+division, one _cancel of the denominator by every Phi_d it could hold, and
+refuses any other denominator.
 
 Rational functions have one arithmetic, signed_sum: RatFun's sum, product
 and quotient are signed_sum terms.  signed_sum sums over one common
@@ -39,12 +40,14 @@ rule Phi_d = prod_{e | d} (1 - t**e)**mu(d/e): the numerator is
 multiplied by each 1 - t**e with mu = -1 and then divided by each with
 mu = +1.  A division is tried only when the divisor's value at t = 2
 divides the numerator's, which Gauss's lemma requires of a factor in
-Z[t]; the numerator's value is carried through each quotient.  The
-Mobius rule builds Phi_d and gives Phi_d(2) without building it.
-cyclotomic_quotient builds a closed product from Phi_d
-multiplicities and cancels them by subtraction, and every product of Phi_d
-is one packed product.  truncated_sum adds products of truncated power
-series on one packed integer, cutting each product by a centred remainder.
+Z[t]; the numerator's value is carried through each quotient.  A stride
+1 - t**e is tried only when the numerator's coefficients sum to 0, since
+Phi_1 divides it.  The Mobius rule builds Phi_d and gives Phi_d(2)
+without building it.  cyclotomic_quotient builds a closed product from
+Phi_d multiplicities and cancels them by subtraction, and every product of
+Phi_d is one packed product.  truncated_sum adds truncated products of
+rational functions on one packed integer: it expands each distinct factor
+once and cuts each product by a centred remainder.
 """
 
 from __future__ import annotations
@@ -145,18 +148,16 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """The product by Kronecker substitution, one packed integer product.
+
+        No coefficient of the product exceeds min(len) * max|a| * max|b|
+        in size, which sets the slot width.
+        """
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(())
-        if len(a) > _KRONECKER_MIN and len(b) > _KRONECKER_MIN:
-            return Poly(_kronecker_mul(a, b))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+        width = _width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+        return Poly(_unpack(_pack(a, width) * _pack(b, width), width))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -181,11 +182,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render_poly(self)!r})"
-
-
-# Poly.__mul__ switches from schoolbook to Kronecker substitution once both
-# operands have more terms than this.
-_KRONECKER_MIN = 16
 
 
 def _width(bound: int) -> int:
@@ -221,15 +217,6 @@ def _unpack(value: int, width: int) -> list:
     data = (value + _slot_bias(slots, width)).to_bytes(slots * width, "little")
     half = 1 << (8 * width - 1)
     return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, len(data), width)]
-
-
-def _kronecker_mul(a: tuple, b: tuple) -> list:
-    """Coefficients of a * b by Kronecker substitution t = 2**(8*width).
-
-    No coefficient of the product exceeds min(len)*max|a|*max|b| in size.
-    """
-    width = _width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
-    return _unpack(_pack(a, width) * _pack(b, width), width)
 
 
 class RatFun:
@@ -371,58 +358,63 @@ def truncated_sum(terms, order: int) -> CoeffVector:
     """sum of t**shift * prod factors over the terms, modulo t**(order+1).
 
     Each term is a pair (shift, factors): a natural number and a sequence
-    of coefficient sequences, whose empty product is 1.  A term reaches
-    order - shift + 1 slots; one that reaches none, or has a factor whose
-    prefix over its reach is zero, adds nothing and is dropped.  The sum
-    runs on packed integers at one slot width.  Each distinct factor object
-    is packed once, through the longest reach of a term using it.  In a
-    term, a longer factor and each product are cut to the term's reach by
-    the centred remainder ((v + half) & mask) - half; the product is then
-    shifted into place and added to one integer, which is unpacked once.
-    The width bounds every slot: since |ab|_inf <= |a|_1 |b|_inf and
-    |ab|_1 <= |a|_1 |b|_1, the sum over the terms of the product of the
-    factors' l1 norms, each over the prefix the term reaches, bounds every
-    coefficient of every packed factor and partial product, cut or not, and
-    of the sum.  Every slot therefore stays below half its range, and the
-    centred remainder is exact.
+    of RatFuns, whose empty product is 1.  A term reaches order - shift + 1
+    slots, and one that reaches none adds nothing.  Each distinct factor
+    object is expanded once (series_expand), through the longest reach of
+    a term using it.  A term with a factor whose prefix over its reach is
+    zero adds nothing and is dropped.  The sum runs on packed integers at
+    one slot width, and each factor is packed once, through the longest
+    reach of a term kept.  In a term, a longer factor and each product are
+    cut to the term's reach by the centred remainder
+    ((v + half) & mask) - half; the product is then shifted into place and
+    added to one integer, which is unpacked once.  The width bounds every
+    slot: since |ab|_inf <= |a|_1 |b|_inf and |ab|_1 <= |a|_1 |b|_1, the
+    sum over the terms of the product of the factors' l1 norms, each over
+    the prefix the term reaches, bounds every coefficient of every packed
+    factor and partial product, cut or not, and of the sum.  Every slot
+    therefore stays below half its range, and the centred remainder is
+    exact.
     """
-    # id(f) -> [f, l1 norms of f's prefixes, slots to pack, packed f]; the
-    # entry holds f, so no id is reused during the call
-    seen = {}
-    kept = []
-    bound = 0
+    # id(f) -> (f, the longest reach of a term using f); the entry holds f,
+    # so no id is reused during the call
+    longest = {}
+    reaching = []
     for shift, factors in terms:
         if shift < 0:
             raise ValueError("negative exponent")
         reach = order - shift + 1
-        if reach < 1:
-            continue
-        entries = []
-        for f in factors:
-            entry = seen.get(id(f))
-            if entry is None:
-                entry = seen[id(f)] = [f, (0, *accumulate(map(abs, f))), 0, 0]
-            entries.append(entry)
-        size = prod(entry[1][min(reach, len(entry[0]))] for entry in entries)
+        if reach >= 1:
+            for f in factors:
+                _, most = longest.get(id(f), (f, 0))
+                longest[id(f)] = f, max(most, reach)
+            reaching.append((shift, reach, [id(f) for f in factors]))
+    expansions = {key: series_expand(f, most - 1).coeffs for key, (f, most) in longest.items()}
+    # the l1 norms of each expansion's prefixes
+    norms = {key: (0, *accumulate(map(abs, cs))) for key, cs in expansions.items()}
+    slots = dict.fromkeys(expansions, 0)
+    kept = []
+    bound = 0
+    for shift, reach, keys in reaching:
+        size = prod(norms[key][reach] for key in keys)
         if size:
             # no factor's prefix is zero, so size bounds each one's coefficients
             bound += size
-            kept.append((shift, reach, entries))
-            for entry in entries:
-                entry[2] = max(entry[2], min(reach, len(entry[0])))
+            kept.append((shift, reach, keys))
+            for key in keys:
+                slots[key] = max(slots[key], reach)
     width = _width(bound)
-    for entry in seen.values():
-        entry[3] = _pack(entry[0][: entry[2]], width)
+    packed = {key: _pack(expansions[key][:n], width) for key, n in slots.items()}
     slot = 8 * width
     total = 0
-    for shift, reach, entries in kept:
+    for shift, reach, keys in kept:
         half = 1 << (slot * reach - 1)
         mask = (half << 1) - 1
         value = 1
-        for _, _, slots, packed in entries:
-            if slots > reach:
-                packed = ((packed + half) & mask) - half
-            value = ((value * packed + half) & mask) - half
+        for key in keys:
+            factor = packed[key]
+            if slots[key] > reach:
+                factor = ((factor + half) & mask) - half
+            value = ((value * factor + half) & mask) - half
         total += value << (slot * shift)
     cs = _unpack(total, width)
     return CoeffVector(order, tuple(cs) + (0,) * (order + 1 - len(cs)))
@@ -696,27 +688,21 @@ def _trial_factors(den: Poly) -> tuple:
 
     Every Phi_d has leading coefficient -1 or 1 and reads the same
     backwards up to sign, so a den that fails either test is refused
-    before any division.  Otherwise every Phi_d dividing den is found: the
-    trial divisors run over the d with phi(d) <= deg of what is left, which
-    _totient_bound bounds.  As in _cancel, Phi_d is tried only when Phi_d(2)
-    divides the value at 2 of what is left.  Raises NotCyclotomic unless
-    what is left is 1, so the product of the pairs is den.
+    before any division.  Otherwise _cancel divides den by the largest
+    product of Phi_d it could hold: deg // phi(d) of each Phi_d with
+    phi(d) <= deg, which _totient_bound bounds, so every Phi_d dividing den
+    is found, behind _cancel's screens.  Raises NotCyclotomic unless the
+    quotient is 1, so the product of the pairs is den.
     """
-    mult = {}
-    rest = list(den.coeffs)
-    if abs(rest[-1]) == 1 and rest[::-1] in (rest, [-c for c in rest]):
-        value = _at_two(rest)
-        d = 1
-        while d <= _totient_bound(len(rest) - 1):
-            if _totient(d) < len(rest):
-                at_two = _cyclotomic_at_two(d)
-                while value % at_two == 0 and (quotient := _phi_quotient(rest, d)) is not None:
-                    rest, value = quotient, value // at_two
-                    mult[d] = mult.get(d, 0) + 1
-            d += 1
-    if rest != [1]:
-        raise NotCyclotomic(f"denominator {render_poly(den)} is not a product of cyclotomic polynomials")
-    return tuple(mult.items())
+    cs = list(den.coeffs)
+    if abs(cs[-1]) == 1 and cs[::-1] in (cs, [-c for c in cs]):
+        deg = len(cs) - 1
+        most = {d: deg // _totient(d) for d in range(1, _totient_bound(deg) + 1) if _totient(d) <= deg}
+        rest, left = _cancel(cs, dict(most))
+        if rest == Poly.one():
+            left = dict(left)
+            return _pairs({d: m - left.get(d, 0) for d, m in most.items()})
+    raise NotCyclotomic(f"denominator {render_poly(den)} is not a product of cyclotomic polynomials")
 
 
 def _l1(cs) -> int:
@@ -744,24 +730,27 @@ def _cancel(cs: list, mult: dict) -> tuple:
     for each key e, largest first, 1 - t**e = prod_{d | e} Phi_d is divided
     out in one running-sum pass while every d | e keeps a multiplicity.
     Then each Phi_d left is divided out while it divides (_phi_quotient);
-    Phi_1 = 1 - t is the stride e = 1 and has left already.  A t = 2
-    screen skips most divisions that would fail: by Gauss's lemma a factor
-    of cs in Z[t] with value k at t = 2 makes k divide cs(2), so a division
-    is tried only when its divisor's value at 2 divides that of cs, which
-    is carried through each quotient.  A division the screen lets through
-    may still fail, and then changes nothing.
+    Phi_1 = 1 - t is the stride e = 1 and has left already.  Two screens
+    skip most divisions that would fail.  By Gauss's lemma a factor of cs
+    in Z[t] with value k at t = 2 makes k divide cs(2), so a division is
+    tried only when its divisor's value at 2 divides that of cs, which is
+    carried through each quotient.  Phi_1(2) = -1 divides every value, but
+    Phi_1 divides cs only when cs(1), the sum of the coefficients, is 0,
+    so a stride is tried only then; that sum is taken again after each
+    stride.  A division the screens let through may still fail, and then
+    changes nothing.
     """
-    value = _at_two(cs)
+    value, at_one = _at_two(cs), sum(cs)
     for e in sorted(mult, reverse=True):
-        below = _divisors(e)
         stride = 1 - (1 << e)
         while (
-            all(mult.get(d) for d in below)
+            not at_one
             and value % stride == 0
+            and all(mult.get(d) for d in _divisors(e))
             and (quotient := _strided(cs, (), (e,))) is not None
         ):
-            cs, value = quotient, value // stride
-            for d in below:
+            cs, value, at_one = quotient, value // stride, sum(quotient)
+            for d in _divisors(e):
                 mult[d] -= 1
     for d, m in mult.items():
         at_two = _cyclotomic_at_two(d)
@@ -809,7 +798,7 @@ def cyclotomic_quotient(plus, minus, shift: int = 0) -> RatFun:
         common = min(num[d], den[d])
         num[d] -= common
         den[d] -= common
-    return _cyclotomic_ratfun(Poly.t_power(shift) * _expand(num.items()), _pairs(den))
+    return _cyclotomic_ratfun(Poly((0,) * shift + _expand(num.items()).coeffs), _pairs(den))
 
 
 def _cofactor(common: dict, mult: dict, width: int, powers: dict) -> int:

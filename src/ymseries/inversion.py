@@ -25,14 +25,16 @@ mapped to its levi_profile.
 parabolic_terms is the one generator of the closed formula's signed
 terms, at any element and for any classes; it reads every exponent from
 the Levi profiles, and closedforms.lr_general is its sum at the group
-element.  The profiles and the forward check's 2 rho_P (levidata._radical)
-come from one source, the root-support rule of levidata; the round trip
-checks the closed formula and the lattice geometry against each other, and
-criterion 7 of the acceptance suite checks the profiles against the former
-case tables.  Every class, at every poset element and lattice point, is an
-integer numerator over the determinant of the Levi's Cartan matrix
-(rootsys.levi_classes); at the empty cut set they are the classes under the
-group's fundamental weights.
+element.  The forward check reads its 2 rho_P and pair weights from the
+same profiles, which come from one source, the root-support rule of
+levidata; the round trip checks the closed formula and the lattice
+geometry against each other, and criterion 7 of the acceptance suite
+checks the profiles against the former case tables.  The forward check's
+right side is one exactalg.truncated_sum, as in strata.verify_recursion.
+Every class, at every poset element and lattice point, is an integer
+numerator over the determinant of the Levi's Cartan matrix
+(rootsys.levi_classes); at the empty cut set they are the classes under
+the group's fundamental weights.
 verify_langlands tests the two alternating-sum identities on which the
 inversion rests, at off-wall sample points of the type-A poset
 of any rank.  In standard coordinates that check needs no linear algebra:
@@ -54,9 +56,16 @@ from math import lcm
 from operator import sub
 
 from .errors import ExactnessError, InputError
-from .exactalg import CoeffVector, RatFun, cyclotomic_quotient, series_expand, signed_sum
+from .exactalg import (
+    CoeffVector,
+    RatFun,
+    cyclotomic_quotient,
+    series_expand,
+    signed_sum,
+    truncated_sum,
+)
 from .gaugeseries import bg_orientable
-from .levidata import _radical, enumerate_parabolics, levi_profile
+from .levidata import enumerate_parabolics, levi_profile
 from .rootsys import (
     GroupSpec,
     build_root_system,
@@ -380,12 +389,11 @@ def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: 
     the product over a in p_cut - q_cut, with x_a = classes[a] / den and
     p_a = 4 <rho_P^Q, a^v>.  As rho_P^Q = rho_P - rho_Q and rho_Q pairs to
     zero with every simple coroot of Q's Levi, p_a = 4 <rho_P, a^v>: the
-    entry of P's Levi profile at a.  A p_a that is not a positive integer, or
-    a total twist that is not an integer, raises ExactnessError.
+    int pair weight of P's Levi profile at a.  A p_a that is not positive,
+    or a total twist that is not an integer, raises ExactnessError.
 
-    The sum runs on integers: each p_a is read off the profile's Fraction
-    by divmod, and the twist sum_a p_a <x_a> is the int sum of p_a times
-    each bracket's numerator over den, divided by den.
+    The sum runs on integers: the twist sum_a p_a <x_a> is the int sum of
+    p_a times each bracket's numerator over den, divided by den.
     """
     q_dim_u = poset.profiles[q_cut].dim_u
     brackets = {a: frac_part(x, den) for a, x in classes.items()}
@@ -393,12 +401,11 @@ def parabolic_terms(poset: ParabolicPoset, a0: dict, q_cut: frozenset, classes: 
         if not q_cut <= p_cut:
             continue
         ks, scaled = [], 0
-        for a, rho_pair in zip(prof.simple_indices, prof.rho_pairings):
+        for a, k in zip(prof.simple_indices, prof.pair_weights):
             if a in q_cut:
                 continue
-            k, rem = divmod(4 * rho_pair.numerator, rho_pair.denominator)
-            if rem or k <= 0:
-                raise ExactnessError(f"pair weight {4 * F(rho_pair)} not a positive integer")
+            if k <= 0:
+                raise ExactnessError(f"pair weight {k} not a positive integer")
             ks.append(k)
             scaled += k * brackets[a]
         # individual p<x> may be fractional; the total twist may not be
@@ -434,8 +441,11 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
       with det that of the Levi's Cartan matrix.  centre(x) is
       x - sum_c <w_c, x> c^v over the Levi's simple indices c, and
       rootsys.levi_classes gives det <w_c, x> as integers;
-    - the exponent n_P + 2 <2 rho_P, x>;
+    - the exponent n_P + 2 <2 rho_P, x>, with 2 rho_P and each
+      p_a = 2 <2 rho_P, a^v> read off P's Levi profile;
     - the class keys det <w_c, x> mod det.
+    b0_top and each point's b0, shifted by its exponent, are the terms of
+    one exactalg.truncated_sum, which expands each distinct b0 once.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
@@ -445,28 +455,23 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
     top = frozenset()
     # the group's fundamental-coweight coordinates of rep, over group_det
     group_classes, group_det = levi_classes(g, top, rep)
-    rhs = [0] * (order + 1)
+    terms = [(0, (b0_top,))]
 
     for p_cut in poset.elements:
-        if p_cut == top:
-            for i, x in enumerate(series_expand(b0_top, order).coeffs):
-                rhs[i] += x
+        prof = poset.profiles[p_cut]
+        n_p = 2 * prof.dim_u * (poset.ell - 1)
+        if p_cut == top or n_p > order:
             continue
-        n_p = 2 * poset.profiles[p_cut].dim_u * (poset.ell - 1)
-        if n_p > order:
-            continue
-        idxs = sorted(p_cut)
+        idxs = prof.simple_indices
         roots = [rs.simple_roots[a - 1] for a in idxs]
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
-        two_rho = _radical(rs, p_cut, top)[1]
-        p_weights = [2 * pairing(two_rho, v) for v in coroots]
         # x_a + m_a >= 0 and n_P + p_a (x_a + m_a) <= order, x_a = num / group_det
         box = [
             range(
                 -(group_classes[a] // group_det),
                 ((order - n_p) * group_det - w * group_classes[a]) // (w * group_det) + 1,
             )
-            for a, w in zip(idxs, p_weights)
+            for a, w in zip(idxs, prof.pair_weights)
         ]
         # the chamber values and class keys at rep and at each coroot of P;
         # det and the Levi's simple indices (the keys of nums) are the same
@@ -482,7 +487,7 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
             readings.append(chamber_values + list(nums.values()))
         forms = [(at_rep, steps) for at_rep, *steps in zip(*readings)]
         chamber, keys = forms[: len(idxs)], forms[len(idxs) :]
-        exponent = (n_p + 2 * pairing(two_rho, rep), p_weights)
+        exponent = (n_p + 2 * pairing(prof.two_rho, rep), prof.pair_weights)
         b0_cache: dict = {}
         for m in product(*box):
             if any(_affine_at(form, m) <= 0 for form in chamber):
@@ -496,11 +501,9 @@ def forward_residual(poset: ParabolicPoset, a0: dict, b0_top: RatFun, topclass: 
             if key not in b0_cache:
                 classes = dict(zip(nums, key))
                 b0_cache[key] = signed_sum(parabolic_terms(poset, a0, p_cut, classes, det))
-            for i, c in enumerate(series_expand(b0_cache[key], order - e).coeffs):
-                rhs[e + i] += c
+            terms.append((e, (b0_cache[key],)))
 
-    lhs = series_expand(a0[top], order)
-    return CoeffVector(order, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
+    return series_expand(a0[top], order) - truncated_sum(terms, order)
 
 
 def _affine_at(form, m) -> int:

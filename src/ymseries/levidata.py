@@ -20,8 +20,11 @@ series) come from the composition.  The complex dimension of the unipotent
 radical and the pairings of the half-sum of its roots against the coroots
 indexed by I come from the root system alone: the radical is the set of
 positive roots whose support meets I.  That one rule is the only source of
-Levi data; the forward lattice walk of the inversion reads it too.  Of the
-Levi data only the rho_P pairings are Fractions.
+Levi data, and all of it is integers: 2 rho_P is the sum of the radical's
+roots, and each pair weight 4 <rho_P, a^v> = 2 <2 rho_P, a^v> is an int.
+The parabolic sum and the forward lattice walk of the inversion read
+both off the profile.  The rho_P pairings themselves are Fractions derived
+from the pair weights, for display.
 
 Every enumeration of parabolics or compositions, in this module and in the
 closed forms, goes through _compositions, which refuses a rank whose
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 
 from .errors import InputError
@@ -45,6 +48,7 @@ from .rootsys import (
     GroupSpec,
     UnsupportedFamily,
     build_root_system,
+    pairing,
 )
 
 F = Fraction
@@ -62,8 +66,14 @@ class LeviProfile:
     tail: tuple | None  # (family, m) or None
     dim_u: int
     simple_indices: tuple  # 1-based indices of the simple roots in I
-    rho_pairings: tuple  # Fractions, aligned with simple_indices
+    pair_weights: tuple  # ints 4 <rho_P, a^v>, aligned with simple_indices
+    two_rho: tuple  # 2 rho_P, the integer sum of the radical's roots
     betti: DegreeProfile
+
+    @cached_property
+    def rho_pairings(self) -> tuple:
+        """<rho_P, a^v> for a in simple_indices, as Fractions."""
+        return tuple(F(p, 4) for p in self.pair_weights)
 
 
 # the most compositions a closed form or enumerate_parabolics may build: at
@@ -135,7 +145,7 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
     The composition's cut positions are the chain nodes in cut, plus n - 1
     on so-even when both fork nodes are in cut; outside u, its last block
     is an orthogonal or symplectic tail unless an end node is in cut.
-    dim_u and the rho_P pairings come from the root system (_radical).
+    dim_u, 2 rho_P and the pair weights come from the root system (_radical).
     Both arguments and the result are frozen, so each profile is built
     once; a cut set that is not inside 1..rank raises on every call.
     """
@@ -165,7 +175,8 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
         tail=tail,
         dim_u=dim_u,
         simple_indices=tuple(indices),
-        rho_pairings=_rho_pairings(rs, two_rho, indices),
+        pair_weights=tuple(2 * pairing(two_rho, rs.simple_coroots[a - 1]) for a in indices),
+        two_rho=two_rho,
         betti=concat_profiles(profiles),
     )
 
@@ -174,10 +185,9 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
 #
 # One rule gives every radical: a positive root lies in the Levi of a
 # standard parabolic exactly when its support avoids the parabolic's cut
-# set.  levi_profile, the forward lattice walk of inversion.forward_residual
-# (2 rho_P, from _radical) and the bench's root-data cases (dim_u_from_roots,
-# rho_pairings_from_roots) all read it, in integers, off the support
-# bitmasks that build_root_system computes once per group.
+# set.  levi_profile and the bench's root-data cases (dim_u_from_roots,
+# rho_pairings_from_roots) read it, in integers, off the support bitmasks
+# that build_root_system computes once per group.
 
 
 def _radical(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
@@ -191,13 +201,6 @@ def _radical(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
         if support & small and not support & large
     ]
     return len(roots), tuple(map(sum, zip(*roots))) or (0,) * rs.n
-
-
-def _rho_pairings(rs, two_rho, indices) -> tuple:
-    """<two_rho / 2, a^v> for a in indices, as Fractions."""
-    return tuple(
-        F(sum(x * y for x, y in zip(two_rho, rs.simple_coroots[a - 1])), 2) for a in indices
-    )
 
 
 def dim_u_from_roots(g: GroupSpec, cut: frozenset) -> int:
@@ -215,8 +218,8 @@ def rho_pairings_from_roots(g: GroupSpec, cut: frozenset) -> dict:
     e.g. 2*theta_2 for Sp(3) with I = {alpha_1, alpha_3}.)
     """
     rs = build_root_system(g)
-    indices = sorted(cut)
-    return dict(zip(indices, _rho_pairings(rs, _radical(rs, cut, frozenset())[1], indices)))
+    two_rho = _radical(rs, cut, frozenset())[1]
+    return {a: F(pairing(two_rho, rs.simple_coroots[a - 1]), 2) for a in sorted(cut)}
 
 
 def levi_profile_to_json(prof: LeviProfile) -> dict:

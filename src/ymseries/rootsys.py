@@ -22,9 +22,9 @@ Two rules build everything from the simple roots and coroots:
 The bracket <x> of such a class (frac_part) is an integer operation: it
 takes x as a numerator over a denominator and returns the numerator of
 <x> over the same denominator, so every twist is an integer numerator
-over one known denominator.  This module builds no Fraction; on the way to
-a twist, Fractions remain only in the Levi rho_P pairings
-(levidata.LeviProfile.rho_pairings).
+over one known denominator.  This module builds no Fraction, and no
+Fraction is built on the way to a twist: the Levi pair weights
+4 <rho_P, a^v> are ints too (levidata.LeviProfile.pair_weights).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def pairing(covector, vector):
     """
     if len(covector) != len(vector):
         raise DimensionMismatch(f"{len(covector)} != {len(vector)}")
-    return sum(a * b for a, b in zip(covector, vector))
+    return sum(map(mul, covector, vector))
 
 
 def _vec(n, entries: dict) -> tuple:

@@ -23,9 +23,9 @@ prefix in integers (a root between blocks i and j contributes
 n_i n_j (k_i/n_i - k_j/n_j + ell - 1) = n_j k_i - n_i k_j + n_i n_j (ell - 1)
 in total); it prunes on that plus the exact cross terms to the coordinates
 not yet placed, and checks every kept point against `codim`.  The identity
-check expands each distinct stratum factor once and takes the weighted sum
-of the strata's truncated factor products as one packed-integer sum,
-exactalg.truncated_sum.
+check takes the weighted sum of the strata's truncated products of flat
+series as one exactalg.truncated_sum, which expands each distinct factor
+once.
 """
 
 from __future__ import annotations
@@ -359,6 +359,16 @@ def stratum_series(
     return signed_sum([(1, factors, 0, ())])
 
 
+def stratum_row(pt: AtiyahBottPoint, d: int) -> dict:
+    """The JSON row of the stratum of pt at codimension d."""
+    return {
+        "composition": list(pt.composition),
+        "labels": list(pt.labels),
+        "tail": pt.tail_kind,
+        "codim": d,
+    }
+
+
 @dataclass(frozen=True)
 class RecursionReport:
     group: GroupSpec
@@ -379,15 +389,7 @@ class RecursionReport:
             "holds": self.holds,
             "strata_used": self.strata_used,
             "residual": list(self.residual.coeffs),
-            "strata": [
-                {
-                    "composition": list(pt.composition),
-                    "labels": list(pt.labels),
-                    "tail": pt.tail_kind,
-                    "codim": d,
-                }
-                for pt, d in self.strata
-            ],
+            "strata": [stratum_row(pt, d) for pt, d in self.strata],
         }
 
 
@@ -398,30 +400,21 @@ def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionRe
     t^{2 d_mu} times each stratum's series over all points of class c with
     2 d_mu <= degree (for a split point, the single component living on
     this bundle).  Both sides are expanded to the requested order; the
-    report carries the residual.  Each distinct stratum factor is expanded
-    once, to the largest order a stratum needs it, and the right side is
-    one exactalg.truncated_sum of the strata's factor products.  The
-    stratification presumes ell >= 2; a lower genus is computed all the
-    same.
+    report carries the residual.  The right side is one
+    exactalg.truncated_sum of the strata's products of flat series; the
+    closed forms are cached, so equal factors are one object, which
+    truncated_sum expands once.  The stratification presumes ell >= 2; a
+    lower genus is computed all the same.
     """
     validate_topclass(g, c)
     lhs = series_expand(bg_orientable(betti_degrees(g), ell), degree)
     points = enumerate_ab_points(g, c, ell, degree // 2)
     component = "plus" if c % 2 == 0 else "minus"
-    used = [
-        (d, stratum_factors(g, pt, component if pt.is_split else None)) for pt, d in points
-    ]
-    orders = {}
-    for d, factors in used:
-        for factor in factors:
-            orders[factor] = max(orders.get(factor, 0), degree - 2 * d)
-    expanded = {
-        (fam, n, k): series_expand(flat_series(GroupSpec(fam, n), k, ell), order).coeffs
-        for (fam, n, k), order in orders.items()
-    }
-    rhs = truncated_sum(
-        [(2 * d, [expanded[factor] for factor in factors]) for d, factors in used], degree
-    )
+    terms = []
+    for pt, d in points:
+        factors = stratum_factors(g, pt, component if pt.is_split else None)
+        terms.append((2 * d, [flat_series(GroupSpec(fam, n), k, ell) for fam, n, k in factors]))
+    rhs = truncated_sum(terms, degree)
     residual = lhs - rhs
     return RecursionReport(
         group=g,

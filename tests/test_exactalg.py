@@ -36,13 +36,11 @@ from ymseries.errors import ExactnessError, InputError
 from ymseries import exactalg
 from ymseries.rootsys import GroupSpec
 from ymseries.exactalg import (
-    _KRONECKER_MIN,
     _cancel,
     _cyclotomic,
     _cyclotomic_at_two,
     _divisors,
     _expand,
-    _kronecker_mul,
     _phi_quotient,
     _trial_factors,
     cyclotomic_quotient,
@@ -104,7 +102,8 @@ def rand_coeffs(rng, length, bits):
 
 
 class TestKronecker:
-    LENGTHS = (1, 2, _KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1, 40, 97)
+    # lengths around 16, where products once switched from a schoolbook loop
+    LENGTHS = (1, 2, 15, 16, 17, 40, 97)
 
     def test_matches_schoolbook_randomized(self):
         rng = random.Random(2024)
@@ -112,9 +111,7 @@ class TestKronecker:
             for lb in self.LENGTHS:
                 for bits in (1, 8, 63, 64, 200):
                     a, b = rand_coeffs(rng, la, bits), rand_coeffs(rng, lb, bits)
-                    expect = schoolbook(a, b)
-                    assert _kronecker_mul(tuple(a), tuple(b)) == expect, (la, lb, bits)
-                    assert (Poly(a) * Poly(b)).coeffs == tuple(expect), (la, lb, bits)
+                    assert (Poly(a) * Poly(b)).coeffs == tuple(schoolbook(a, b)), (la, lb, bits)
 
     def test_coefficients_at_the_slot_bound(self):
         # every coefficient of the same magnitude makes the middle coefficient
@@ -124,7 +121,7 @@ class TestKronecker:
                 for la, lb in ((1, 1), (17, 17), (17, 33), (64, 20)):
                     for sa, sb in ((1, 1), (1, -1), (-1, -1)):
                         a, b = [sa * m] * la, [sb * m] * lb
-                        assert _kronecker_mul(tuple(a), tuple(b)) == schoolbook(a, b), (m, la, lb)
+                        assert (Poly(a) * Poly(b)).coeffs == tuple(schoolbook(a, b)), (m, la, lb)
 
     def test_alternating_signs_and_zero_runs(self):
         a = [(-1) ** i * (i % 5) for i in range(1, 60)] + [7]
@@ -133,7 +130,7 @@ class TestKronecker:
         assert (Poly(b) * Poly(a)).coeffs == tuple(schoolbook(b, a))
 
     def test_long_powers(self):
-        # the square-and-multiply chain crosses the threshold part way up
+        # the square-and-multiply chain passes length 16 part way up
         assert P(1, 1) ** 40 == Poly([comb(40, k) for k in range(41)])
         assert (P(1, -1) ** 33).coeffs == tuple((-1) ** k * comb(33, k) for k in range(34))
 
@@ -793,21 +790,31 @@ def schoolbook_truncated_sum(terms, order):
 
 
 def rand_factor(rng, order):
-    """A coefficient tuple of 0 to order + 6 terms, small or up to 2**200 in size."""
+    """A RatFun whose numerator has 0 to order + 6 terms, small or up to
+    2**200 in size, over 1 or, in half the draws, a product of 1 - t**k
+    and 1 + t**k."""
     bits = rng.choice((2, 8, 60, 199, 200))
     cs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(0, order + 6))]
     if cs and rng.random() < 0.3:
         cs[rng.randrange(len(cs))] = rng.choice((2**200, -(2**200), 2**200 - 1))
-    return tuple(cs)
+    den = Poly.one()
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            den = den * rng.choice([one_minus_t, one_plus_t])(rng.randint(1, order + 2))
+    return RatFun(Poly(cs), den)
 
 
 class TestTruncatedSum:
-    """The packed truncated sum against schoolbook truncated products."""
+    """The packed truncated sum against schoolbook truncated products of
+    each factor's expansion."""
 
     def check(self, terms, order):
         got = truncated_sum(terms, order)
         assert got.order == order
-        assert got.coeffs == schoolbook_truncated_sum(terms, order), (terms, order)
+        expanded = [
+            (shift, [series_expand(f, order).coeffs for f in factors]) for shift, factors in terms
+        ]
+        assert got.coeffs == schoolbook_truncated_sum(expanded, order), (terms, order)
         return got
 
     def rand_terms(self, rng, order, count):
@@ -830,7 +837,8 @@ class TestTruncatedSum:
         rng = random.Random(4242)
         for _ in range(40):
             self.check(self.rand_terms(rng, 0, rng.randint(1, 5)), 0)
-        assert self.check([(0, [(-3, 5), (2**200, 1)])], 0).coeffs == (-3 * 2**200,)
+        terms = [(0, [RatFun(P(-3, 5)), RatFun(P(2**200, 1))])]
+        assert self.check(terms, 0).coeffs == (-3 * 2**200,)
 
     def test_single_factors(self):
         rng = random.Random(4343)
@@ -839,23 +847,40 @@ class TestTruncatedSum:
             f = rand_factor(rng, order)
             shift = rng.randint(0, order)
             got = self.check([(shift, [f])], order)
-            expect = ((0,) * shift + f + (0,) * (order + 1))[: order + 1]
-            assert got.coeffs == expect
+            assert got.coeffs == ((0,) * shift + series_expand(f, order).coeffs)[: order + 1]
+
+    def test_shared_factor_expanded_once(self, monkeypatch):
+        # one object expands once, to the longest reach of a term using it;
+        # an equal object is another factor
+        calls = []
+        real = exactalg.series_expand
+
+        def recording(f, order):
+            calls.append((f, order))
+            return real(f, order)
+
+        monkeypatch.setattr(exactalg, "series_expand", recording)
+        f = RatFun(P(1, 2, -3), one_minus_t(2) * one_plus_t(3))
+        g = RatFun(P(1, 2, -3), one_minus_t(2) * one_plus_t(3))
+        terms = [(7, [f, f]), (3, [f]), (12, [f]), (5, [g, f]), (11, [g])]
+        got = truncated_sum(terms, 10)
+        assert [(f is h, order) for h, order in calls] == [(True, 7), (False, 5)]
+        monkeypatch.undo()
+        assert got == self.check(terms, 10)
 
     def test_empty_sums(self):
         assert self.check([], 5).coeffs == (0,) * 6
-        assert self.check([(6, [(1, 2)]), (9, [])], 5).is_zero
-        # the empty product is 1 and the empty factor is 0
+        assert self.check([(6, [RatFun(P(1, 2))]), (9, [])], 5).is_zero
+        # the empty product is 1 and the zero factor is 0
         assert self.check([(2, [])], 4).coeffs == (0, 0, 1, 0, 0)
-        assert self.check([(0, [(1, 1), ()])], 4).is_zero
+        assert self.check([(0, [RatFun(P(1, 1)), RatFun.zero()])], 4).is_zero
 
     def test_terms_cancelling_to_zero(self):
         rng = random.Random(4444)
         for _ in range(30):
             order = rng.randint(0, 10)
             terms = self.rand_terms(rng, order, rng.randint(1, 4))
-            negated = [(shift, [tuple(-c for c in factors[0])] + factors[1:])
-                       for shift, factors in terms if factors]
+            negated = [(shift, [-factors[0]] + factors[1:]) for shift, factors in terms if factors]
             terms = [term for term in terms if term[1]]
             assert self.check(terms + negated, order).is_zero
 
@@ -863,13 +888,14 @@ class TestTruncatedSum:
         # one factor and one term: the width bound is the l1 norm of the prefix
         for bits in range(1, 210, 3):
             for c in (2**bits - 1, 2**bits, -(2**bits)):
-                self.check([(0, [(c,)])], 3)
-                self.check([(1, [(c, -c, c)]), (0, [(0, c)])], 2)
-                self.check([(0, [(1, -1), (c, c, c, c)])], 3)
+                self.check([(0, [RatFun(P(c))])], 3)
+                self.check([(1, [RatFun(P(c, -c, c))]), (0, [RatFun(P(0, c))])], 2)
+                self.check([(0, [RatFun(P(1, -1)), RatFun(P(c, c, c, c))])], 3)
+                self.check([(0, [RatFun(P(c), one_minus_t(1))])], 3)
 
     def test_negative_shift_raises(self):
         with pytest.raises(ValueError):
-            truncated_sum([(-1, [(1,)])], 3)
+            truncated_sum([(-1, [RatFun.one()])], 3)
 
 
 class TestStrides:
@@ -1015,12 +1041,18 @@ class TestCancelMatchesFormer:
         passes.clear()
         assert _cancel(list(one_minus_t(5).coeffs), {1: 1, 5: 2}) == (Poly.one(), ((5, 1),))
         assert passes == [((), (5,), True)]
-        # 1 + t passes the screen of 1 - t**2 and fails it; Phi_1 always
-        # passes the screen and is tried once, as the stride e = 1; then
+        # 1 + t passes the t = 2 screen of 1 - t**2 and of Phi_1 = 1 - t, but
+        # its coefficients sum to 2, so no stride is tried; then
         # Phi_2 = 1 + t divides by the Mobius rule, (1 - t**2) / (1 - t)
         passes.clear()
         assert _cancel([1, 1], {1: 2, 2: 1}) == (Poly.one(), ((1, 2),))
-        assert passes == [((), (2,), False), ((), (1,), False), ((1,), (2,), True)]
+        assert passes == [((1,), (2,), True)]
+        # after the stride 1 - t**2 the quotient 1 + t sums to 2, so no
+        # second stride is tried, though 1 - 2**2 divides its value 3
+        passes.clear()
+        num = one_minus_t(2) * P(1, 1)
+        assert _cancel(list(num.coeffs), {1: 2, 2: 2}) == (Poly.one(), ((1, 1),))
+        assert passes == [((), (2,), True), ((1,), (2,), True)]
 
 
 class TestCyclotomicAtTwo:
