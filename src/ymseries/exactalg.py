@@ -25,10 +25,14 @@ division, one _cancel of the denominator by every Phi_d it could hold, and
 refuses any other denominator.
 
 Rational functions have one arithmetic, signed_sum: RatFun's sum, product
-and quotient are signed_sum terms.  signed_sum sums over one common
-denominator, kept as Phi_d multiplicities, and divides each Phi_d out of
-the summed numerator while it divides.  The sum runs over a balanced tree
-of packed integers, unpacked once at the root.  The slot width comes from
+and quotient are signed_sum terms, and a RatFun's expanded denominator is
+built only when it is read.  signed_sum sums over one common denominator,
+kept as Phi_d multiplicities, and divides each Phi_d out of the summed
+numerator while it divides.  The sum runs over a balanced tree of packed
+integers, the terms sorted by exponent and each distinct numerator packed
+once; a node holds its sum divided by its lowest power of t, so cofactor
+products never run over zero slots, and the root is unpacked once and
+its power of t put back after the division.  The slot width comes from
 a bound on every coefficient of the summed numerator: since |ab|_inf <=
 |a|_1 |b|_inf, term i adds at most |sign_i| |num_i|_1 times the l1 norms
 of its cofactor's factors.  Divisions go by binomial strides: dividing
@@ -224,7 +228,7 @@ class RatFun:
 
     num is a Poly and factors the denominator's Phi_d multiplicities, as
     (d, m) pairs ascending in d, each m positive; den is their expanded
-    product, computed once when the value is built.  No Phi_d in factors
+    product, built on its first read and kept.  No Phi_d in factors
     divides num, and a zero num has no factors, so equal functions have
     equal num and factors.  Each Phi_d has constant term 1, so den(0) = 1.
 
@@ -235,7 +239,7 @@ class RatFun:
     * and / go through signed_sum.
     """
 
-    __slots__ = ("num", "factors", "den")
+    __slots__ = ("num", "factors", "_den")
 
     def __init__(self, num: Poly, den: Poly = Poly((1,))):
         if den.is_zero:
@@ -247,7 +251,19 @@ class RatFun:
     def _set(self, num: Poly, factors: tuple):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "den", _expand(factors))
+
+    @property
+    def den(self) -> Poly:
+        """The product of Phi_d**m over factors, expanded on the first read and kept.
+
+        Arithmetic reads only factors, so a value that is never rendered,
+        expanded or divided by is never expanded.
+        """
+        try:
+            return self._den
+        except AttributeError:
+            object.__setattr__(self, "_den", _expand(self.factors))
+            return self._den
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
@@ -818,27 +834,31 @@ def _cofactor(common: dict, mult: dict, width: int, powers: dict) -> int:
     return out
 
 
-def _sum_over_common(parts, width: int, powers: dict) -> tuple:
-    """(packed numerator, denominator map) of the sum of the (sign, num, e, mult) parts.
+def _sum_over_common(leaves, width: int, powers: dict) -> tuple:
+    """(packed value, lowest exponent, denominator map) of the sum of the leaves.
 
-    A packed numerator is the polynomial's value at t = 2**(8*width), so
-    the products and sums below are big-integer products and sums; the
-    caller picks width so that the summed numerator unpacks.  The
-    denominator map takes the largest multiplicity of each Phi_d.  The parts
-    are summed pairwise as a balanced tree, so each numerator is multiplied
-    by the cofactor of its half's denominator, which stays small until the
-    last levels.
+    Each leaf is a (packed signed numerator, e, mult) triple standing for
+    that numerator times t**e over prod Phi_d**mult[d], and the leaves come
+    ascending in e.  A packed numerator is the polynomial's value at
+    t = 2**(8*width), so the products, shifts and sums below are big-integer
+    ones; the caller picks width so that the summed numerator unpacks.  The
+    leaves are summed pairwise as a balanced tree, so each numerator is
+    multiplied by the cofactor of its half's denominator, which stays small
+    until the last levels.  A node's value is its sum divided by t**e, e its
+    first leaf's exponent, the lowest under it; its denominator map takes
+    the largest multiplicity of each Phi_d.  Each child is multiplied by its
+    cofactor first, and only then is the right one shifted by the
+    difference of the two exponents, so no product runs over zero slots.
     """
-    if len(parts) == 1:
-        sign, num, e, mult = parts[0]
-        return sign * _pack(num.coeffs, width) << (8 * width * e), mult
-    half = len(parts) // 2
-    left, lmult = _sum_over_common(parts[:half], width, powers)
-    right, rmult = _sum_over_common(parts[half:], width, powers)
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    left, low, lmult = _sum_over_common(leaves[:half], width, powers)
+    right, high, rmult = _sum_over_common(leaves[half:], width, powers)
     common = {d: max(lmult.get(d, 0), rmult.get(d, 0)) for d in lmult | rmult}
     left *= _cofactor(common, lmult, width, powers)
     right *= _cofactor(common, rmult, width, powers)
-    return left + right, common
+    return left + (right << (8 * width * (high - low))), low, common
 
 
 def signed_sum(terms) -> RatFun:
@@ -858,15 +878,20 @@ def signed_sum(terms) -> RatFun:
     1 - t**k is the product of those.  The common denominator takes the
     largest multiplicity of each Phi_d, and the numerators are summed over
     it pairwise, packed into integers (_sum_over_common) and unpacked once.
-    Term i's share of the summed numerator is sign_i * num_i times its
-    cofactor, the product of the factors it lacks; since |ab|_inf <=
-    |a|_1 |b|_inf and |ab|_1 <= |a|_1 |b|_1, the sum over i of |sign_i|
-    |num_i|_1 prod |Phi_d|_1 over its cofactor bounds every coefficient,
-    and sets the slot width.  Each Phi_d is then divided out of the summed
-    numerator while it divides and its multiplicity stays positive, which
-    leaves the canonical quotient (_cancel): whole strides 1 - t**e first,
-    then single Phi_d, each tried only when its value at t = 2 divides the
-    numerator's.  A zero sum is RatFun.zero().
+    Each distinct numerator object is packed once per call.  The terms go
+    into the tree sorted by exponent, which keeps the shifts inside it
+    short, and its root stands for the sum divided by t**e, e the lowest
+    exponent.  Term i's share of the summed numerator is sign_i * num_i
+    times its cofactor, the product of the factors it lacks; since
+    |ab|_inf <= |a|_1 |b|_inf and |ab|_1 <= |a|_1 |b|_1, the sum over i of
+    |sign_i| |num_i|_1 prod |Phi_d|_1 over its cofactor bounds every
+    coefficient, and sets the slot width.  Each Phi_d is then divided out
+    of the summed numerator while it divides and its multiplicity stays
+    positive, which leaves the canonical quotient (_cancel): whole strides
+    1 - t**e first, then single Phi_d, each tried only when its value at
+    t = 2 divides the numerator's.  t is prime to every Phi_d, so the
+    division does not depend on t**e, which is put back after it.  A zero
+    sum is RatFun.zero().
     """
     parts = []
     for sign, factor, e, ks in terms:
@@ -888,6 +913,9 @@ def signed_sum(terms) -> RatFun:
                 mult[d] = mult.get(d, 0) + 1
         if not num.is_zero:
             parts.append((sign, num, e, mult))
+    if not parts:
+        return RatFun.zero()
+    parts.sort(key=lambda part: part[2])
     common = {}
     for *_, mult in parts:
         for d, m in mult.items():
@@ -899,8 +927,16 @@ def signed_sum(terms) -> RatFun:
         for sign, num, _, mult in parts
     )
     width = _width(bound)
-    total = _sum_over_common(parts, width, {})[0] if parts else 0
-    cs = _unpack(total, width)
-    if not any(cs):
+    # id(num) -> num packed at width; parts holds each num, so no id is reused
+    packed = {}
+    leaves = []
+    for sign, num, e, mult in parts:
+        value = packed.get(id(num))
+        if value is None:
+            value = packed[id(num)] = _pack(num.coeffs, width)
+        leaves.append((sign * value, e, mult))
+    total, low, _ = _sum_over_common(leaves, width, {})
+    if not total:
         return RatFun.zero()
-    return _cyclotomic_ratfun(*_cancel(cs, common))
+    num, factors = _cancel(_unpack(total, width), common)
+    return _cyclotomic_ratfun(Poly((0,) * low + num.coeffs), factors)

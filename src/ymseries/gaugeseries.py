@@ -41,13 +41,15 @@ class DegreeProfile:
             raise ValueError("the first center_count degrees, and only those, must be 1")
 
 
+@lru_cache(maxsize=None)
 def unitary_block_profile(m: int) -> DegreeProfile:
-    """Degrees of U(m): 1, 2, ..., m with a single torus generator."""
+    """Degrees of U(m): 1, 2, ..., m with a single torus generator, built once per m."""
     return DegreeProfile(tuple(range(1, m + 1)), 1)
 
 
+@lru_cache(maxsize=None)
 def tail_profile(family: str, m: int) -> DegreeProfile:
-    """Degrees of a rank-m orthogonal or symplectic factor."""
+    """Degrees of a rank-m orthogonal or symplectic factor, built once per pair."""
     if family in (SO_ODD, SYMPLECTIC):
         return DegreeProfile(tuple(2 * k for k in range(1, m + 1)), 0)
     if family == SO_EVEN:

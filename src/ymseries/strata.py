@@ -112,17 +112,6 @@ def _check_chamber(family, comp, labels, tail_kind, shapes, floor=(0, 1)):
         raise InvalidPoint(f"block slopes must strictly decrease: {slopes}")
 
 
-def _bundle_class(family, labels, tail_kind) -> int | None:
-    """The bundle class of a point's data, as AtiyahBottPoint.bundle_class."""
-    if family == UNITARY:
-        return sum(labels)
-    if family == SYMPLECTIC:
-        return 0
-    if tail_kind == TAIL_ZERO:
-        return None  # a split orthogonal point
-    return sum(labels) % 2
-
-
 @dataclass(frozen=True)
 class AtiyahBottPoint:
     """One stratum index: composition with labels and a tail marker.
@@ -161,7 +150,13 @@ class AtiyahBottPoint:
 
     def bundle_class(self) -> int | None:
         """w2 or degree of the bundle the point belongs to; None when split."""
-        return _bundle_class(self.family, self.labels, self.tail_kind)
+        if self.family == UNITARY:
+            return sum(self.labels)
+        if self.family == SYMPLECTIC:
+            return 0
+        if self.is_split:
+            return None
+        return sum(self.labels) % 2
 
     def key(self):
         return (self.composition, self.labels, self.tail_kind)
@@ -220,10 +215,11 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
     the mean and contributes at least their slope gap); for the other
     families block slopes are bounded by the codimension through the single
     and doubled roots.  Split (zero-tail) orthogonal points meet every
-    bundle class and are always included; every other leaf's class is read
-    off its labels and tail kind before a point is built, so only kept
-    points are constructed.  Returns (point, codim) pairs
-    sorted by codimension and then by the point data.
+    bundle class and are always included.  An orthogonal point's w2 is the
+    parity of its label sum, so its last label is tried only at the parity
+    of c, or at 0 where that makes a zero tail; every leaf is then of
+    class c, and only kept points are constructed.  Returns (point, codim)
+    pairs sorted by codimension and then by the point data.
 
     Blocks are placed by decreasing slope, and the enumeration carries d,
     the exact codimension of the roots among the P placed coordinates
@@ -258,13 +254,10 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
         lo_num = c - n * (codim_bound + 1)
     else:
         den, hi_num, lo_num = 1, codim_bound + 1, 0
-    target = c if unitary else c % 2
     found = []
 
     def finish(comp, labels, d):
         for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
-            if _bundle_class(fam, labels, tail_kind) not in (None, target):
-                continue
             pt = AtiyahBottPoint(fam, tuple(comp), tuple(labels), tail_kind)
             if codim(g, pt, ell) != d:
                 raise ExactnessError(f"codim({pt}) disagrees with the enumerated {d}")
@@ -291,6 +284,15 @@ def enumerate_ab_points(g: GroupSpec, c: int, ell: int, codim_bound: int):
                 # only the last block may carry label 0
                 lo = max(lo, 1)
             for k in range(lo, hi + 1):
+                if (
+                    not r
+                    and fam in (SO_ODD, SO_EVEN)
+                    and (total + k - c) % 2
+                    and TAIL_ZERO not in _tail_shapes(fam, p, k)
+                ):
+                    # the last orthogonal label fixes w2 = (total + k) mod 2,
+                    # except on a zero tail, which is split
+                    continue
                 if unitary:
                     inc = p * total - k * size + p * size * (ell - 1)
                     cross = r * (total + k) - (size + p) * (c - total - k)

@@ -210,6 +210,39 @@ class TestRatFunMake:
             assert lhs == rhs
 
 
+class TestLazyDenominator:
+    """den is the expansion of factors, made on its first read and kept."""
+
+    def test_expanded_on_first_read(self, monkeypatch):
+        expanded = []
+        real = exactalg._expand
+        monkeypatch.setattr(exactalg, "_expand", lambda pairs: expanded.append(pairs) or real(pairs))
+        f = signed_sum([(1, RatFun.one(), 0, (2, 3)), (-1, RatFun.one(), 1, (6,))])
+        assert f.factors and not expanded
+        den = f.den
+        assert den == real(f.factors) and f.den is den
+        assert expanded == [f.factors]
+
+    def test_cannot_be_assigned(self):
+        f = RatFun(P(1, 2), one_minus_t(3))
+        with pytest.raises(AttributeError):
+            f.den = Poly.one()
+        assert f.den == one_minus_t(3)
+        with pytest.raises(AttributeError):
+            f.den = Poly.one()
+        assert f.den == one_minus_t(3)
+
+    def test_eq_and_hash_ignore_the_expansion(self):
+        rng = random.Random(3030)
+        for _ in range(30):
+            f = wide_factor(rng, 8, 30)
+            a, b = f + RatFun.one(), RatFun.one() + f
+            assert a == b and hash(a) == hash(b)
+            assert a.den == _expand(a.factors)
+            assert a == b and b == a and hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+
 class TestConstructorMatchesOracle:
     """RatFun(num, den) on +-1 times products of Phi_d against the former
     gcd canonical form (tests/former_ratfun.py)."""
@@ -761,6 +794,48 @@ class TestPackedSumMatchesFormer:
             rng.shuffle(negated)
             got = self.check(terms + negated)
             assert got.is_zero and got.den == Poly.one()
+
+    def test_spread_exponents(self):
+        # exponents over 0..400 in random order: the tree shifts a node's
+        # higher child by the gap after the cofactor products, and the root
+        # by the lowest exponent of all
+        rng = random.Random(2727)
+        for _ in range(20):
+            terms = wide_terms(rng, rng.randint(2, 8))
+            terms = [(sign, factor, rng.randint(0, 400), ks) for sign, factor, _, ks in terms]
+            got = self.check(terms)
+            # every exponent raised by the same amount moves the root shift alone
+            lifted = [(sign, factor, e + 37, ks) for sign, factor, e, ks in terms]
+            assert signed_sum(lifted) == got * RatFun.t_power(37)
+
+    def test_shared_factor_objects(self, monkeypatch):
+        # one RatFun object in several terms and inside product tuples, next
+        # to an equal but distinct copy
+        rng = random.Random(2828)
+        for _ in range(20):
+            f, g = wide_factor(rng, 299, 30), wide_factor(rng, 8, 12)
+            copy = RatFun(f.num, f.den)
+            assert copy == f and copy.num is not f.num
+            self.check(
+                [
+                    (1, f, rng.randint(0, 9), ()),
+                    (-2, f, rng.randint(0, 9), (4,)),
+                    (3, (f, g), rng.randint(0, 9), ()),
+                    (-1, (g, f, f), rng.randint(0, 9), (2, 6)),
+                    (1, copy, rng.randint(0, 9), ()),
+                    (2, (copy, f), rng.randint(0, 9), (3,)),
+                ]
+            )
+        # each distinct numerator object is packed once per sum
+        packed = []
+        real = exactalg._pack
+        monkeypatch.setattr(exactalg, "_pack", lambda cs, width: packed.append(cs) or real(cs, width))
+        terms = [(1, f, 0, ()), (-2, f, 3, (4,)), (1, copy, 1, ()), (5, f, 2, ()), (-1, copy, 0, (2,))]
+        got = signed_sum(terms)
+        shared = [cs for cs in packed if cs == f.num.coeffs]
+        assert len(shared) == 2 and {id(cs) for cs in shared} == {id(f.num.coeffs), id(copy.num.coeffs)}
+        monkeypatch.undo()
+        assert pair(got) == former.signed_sum(terms)
 
     def test_coefficients_at_the_slot_bound(self):
         # one monomial numerator: the width bound is the coefficient itself

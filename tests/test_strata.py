@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -161,6 +162,26 @@ class TestEnumerate:
             pts = enumerate_ab_points(g, w2, 2, 30)
             assert pts and len(calls) == len(pts), w2
             assert all(p.bundle_class() in (None, w2) for p, _ in pts)
+
+    @pytest.mark.parametrize(
+        "fam,n,bound,kept,digest",
+        [
+            ("so-even", 5, 50, 90, "05a10082586e7c323c95b5fada1c5c428c48c9108c27eb5236329c66607a6416"),
+            ("so-even", 6, 40, 21, "6a0a7ef7d9ed8209446e8a7465d8ec33ed28deaf358a5804f443908dd9f805b7"),
+            ("so-odd", 3, 30, 24, "f3972970ea8db52883d2771b953f7ad6d74aa957404d0c63ab9e929296deb84e"),
+        ],
+    )
+    def test_last_label_takes_the_class_parity(self, fam, n, bound, kept, digest, monkeypatch):
+        # SO(10), SO(12) and SO(7) at w2 = 1: the last label is tried only
+        # where sum k_j is odd or it makes a split zero tail, so every leaf
+        # shape is a kept point; each list is pinned by the sha256 of its
+        # (key, codim) pairs
+        built = []
+        check = AtiyahBottPoint.__post_init__
+        monkeypatch.setattr(AtiyahBottPoint, "__post_init__", lambda self: built.append(self) or check(self))
+        pts = enumerate_ab_points(GroupSpec(fam, n), 1, 2, bound)
+        assert len(built) == len(pts) == kept
+        assert hashlib.sha256(repr([(p.key(), d) for p, d in pts]).encode()).hexdigest() == digest
 
 
 class TestStratumSeries:
