@@ -194,6 +194,9 @@ def cmd_verify_recursion(args) -> int:
             f"{g.describe()} class {c} genus {args.genus}: identity {status} "
             f"to degree {args.order} using {report.strata_used} strata"
         )
+        if not report.holds:
+            degree, residual = next((k, r) for k, r in enumerate(report.residual.coeffs) if r)
+            print(f"first nonzero residual at degree {degree}: {residual}")
     return 0 if report.holds else 1
 
 
@@ -230,10 +233,14 @@ def cmd_verify_appendix(args) -> int:
             classes.append(Fraction(rng.randint(0, den - 1), den))
             weights.append(p)
         spec = ConeSumSpec(tuple(weights), tuple(classes))
-        if cone_sum_truncated(spec, args.order) != series_expand(
-            cone_sum_closed(spec), args.order
-        ):
-            print(f"cone sum mismatch at {spec}", file=sys.stderr)
+        counted = cone_sum_truncated(spec, args.order).coeffs
+        closed = series_expand(cone_sum_closed(spec), args.order).coeffs
+        if counted != closed:
+            degree, a, b = next((k, a, b) for k, (a, b) in enumerate(zip(counted, closed)) if a != b)
+            print(
+                f"cone sum mismatch at {spec}: degree {degree}, lattice count {a}, closed form {b}",
+                file=sys.stderr,
+            )
             ok = False
     # run every check before the first report line, so a bad sample count
     # leaves stdout empty

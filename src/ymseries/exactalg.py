@@ -49,9 +49,12 @@ Z[t]; the numerator's value is carried through each quotient.  A stride
 Phi_1 divides it.  The Mobius rule builds Phi_d and gives Phi_d(2)
 without building it.  cyclotomic_quotient builds a closed product from
 Phi_d multiplicities and cancels them by subtraction, and every product of
-Phi_d is one packed product.  truncated_sum adds truncated products of
-rational functions on one packed integer: it expands each distinct factor
-once and cuts each product by a centred remainder.
+Phi_d is one packed product.  series_expand nets the Mobius rule over
+the Phi_d map into a count per stride 1 - t**e and runs one truncated
+pass per stride, a shifted subtraction or a running sum.  truncated_sum
+adds truncated products of rational functions on one packed integer: it
+expands each distinct factor once and cuts each product by a centred
+remainder.
 """
 
 from __future__ import annotations
@@ -256,8 +259,8 @@ class RatFun:
     def den(self) -> Poly:
         """The product of Phi_d**m over factors, expanded on the first read and kept.
 
-        Arithmetic reads only factors, so a value that is never rendered,
-        expanded or divided by is never expanded.
+        Arithmetic and series_expand read only factors, so a value that is
+        never rendered or divided by is never expanded.
         """
         try:
             return self._den
@@ -350,24 +353,40 @@ def ratfun_eq(f: RatFun, g: RatFun) -> bool:
 def series_expand(f: RatFun, order: int) -> CoeffVector:
     """Coefficients of the power series of f at t = 0, through t**order.
 
-    The denominator is a product of Phi_d, each with constant term 1, so
-    den(0) = 1 and the recurrence runs on integers with no division.
-    Cyclotomic denominators are sparse, so it walks only the terms c t^j of
-    den with j >= 1 and c != 0.
+    It reads f.num and f.factors and never expands the denominator.  By the
+    Mobius rule of _mobius_strides, 1/Phi_d**m is prod (1 - t**e)**m over
+    down divided by prod (1 - t**e)**m over up, so the whole denominator
+    nets out to a count per stride e: 1 - t**6 = Phi_1 Phi_2 Phi_3 Phi_6
+    is one stride 6 again.  The numerator, cut or padded to order + 1
+    coefficients, is multiplied by 1 - t**e once per positive count (a
+    shifted subtraction) and divided by it once per negative count (a
+    running sum along each residue class mod e).  Truncation modulo
+    t**(order+1) is a ring map and each 1 - t**e is a unit of Z[[t]], so
+    the passes commute and none needs a divisibility test; a stride longer
+    than order is the identity there and is skipped.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
-    num = f.num.coeffs
-    terms = [(j, c) for j, c in enumerate(f.den.coeffs) if j and c]
-    out = []
-    for k in range(order + 1):
-        acc = num[k] if k < len(num) else 0
-        for j, c in terms:
-            if j > k:
-                break
-            acc -= c * out[k - j]
-        out.append(acc)
-    return CoeffVector(order, tuple(out))
+    net = {}
+    for d, m in f.factors:
+        up, down = _mobius_strides(d)
+        for e in down:
+            net[e] = net.get(e, 0) + m
+        for e in up:
+            net[e] = net.get(e, 0) - m
+    size = order + 1
+    cs = list(f.num.coeffs[:size])
+    cs += [0] * (size - len(cs))
+    for e, k in net.items():
+        if e >= size:
+            continue
+        for _ in range(abs(k)):
+            if k > 0:
+                cs[e:] = map(sub, cs[e:], cs[:-e])
+            else:
+                for r in range(e):
+                    cs[r::e] = accumulate(cs[r::e])
+    return CoeffVector(order, tuple(cs))
 
 
 def truncated_sum(terms, order: int) -> CoeffVector:

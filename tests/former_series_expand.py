@@ -2,9 +2,9 @@
 
 exactalg.series_expand used to subtract every denominator term c t^j for
 j = 1 .. deg den, zero or not, and to divide every coefficient by den(0),
-even when den(0) = 1.  It now walks only the nonzero terms and never
-divides: every denominator is a product of cyclotomic polynomials, so
-den(0) = 1.  The tests compare the two on random rational functions.
+even when den(0) = 1.  It now never expands the denominator: it nets the
+Phi_d multiplicities into strides 1 - t**e and runs one truncated pass
+per stride.  The tests compare the two on random rational functions.
 """
 
 from fractions import Fraction

@@ -15,6 +15,7 @@ import pytest
 from levi_case_table import case_table
 from reference_series import REFERENCE_CASES
 from ymseries.closedforms import (
+    _su_torus,
     flat_series,
     lr_general,
     so_even_flat,
@@ -132,7 +133,24 @@ def test_criterion_2_exceptional_isomorphisms():
         assert ratfun_eq(sp_flat(2, ell), so_odd_flat(2, ell, 0))
         assert ratfun_eq(so_even_flat(2, ell, 0), sun_flat(2, ell) * sun_flat(2, ell))
         assert ratfun_eq(so_even_flat(3, ell, 0), sun_flat(4, ell))
-    print("\ncriterion 2: PASS - exceptional isomorphism identities, genus 1..5")
+    # isogenies with central kernel, at both classes: SO(3) = PU(2),
+    # SO(4) = (SU(2) x SU(2))/+-1 and SO(6) = SU(4)/+-1; torus is the
+    # central torus factor (1 + t)^(2 ell) / (1 - t^2) of U(n) over SU(n)
+    for engine in ("specialized", "general"):
+        for ell in range(1, 5):
+            torus = _su_torus(ell)
+            for w in (0, 1):
+                so3, so4, so6, u2, u4 = (
+                    flat_series(GroupSpec(fam, n), c, ell, engine)
+                    for fam, n, c in (
+                        ("so-odd", 1, w), ("so-even", 2, w), ("so-even", 3, w), ("u", 2, w), ("u", 4, 2 * w)
+                    )
+                )
+                assert ratfun_eq(so3 * torus, u2), (engine, ell, w)
+                assert ratfun_eq(so4 * torus * torus, u2 * u2), (engine, ell, w)
+                assert ratfun_eq(so6 * torus, u4), (engine, ell, w)
+    print("\ncriterion 2: PASS - exceptional isomorphism identities, genus 1..5, "
+          "and isogenies at both classes, genus 1..4, both engines")
 
 
 def test_criterion_3_engine_cross_check():

@@ -10,7 +10,7 @@ from ymseries import cli, levidata, strata
 from ymseries.cli import main
 from ymseries.errors import ExactnessError, InputError
 from ymseries.closedforms import so_even_flat, sp_flat, zagier_un
-from ymseries.exactalg import Poly, RatFun
+from ymseries.exactalg import CoeffVector, Poly, RatFun
 from ymseries.gaugeseries import tail_profile
 from ymseries.levidata import enumerate_parabolics
 from ymseries.nonorient import chamber_involution, enumerate_nonorientable_points
@@ -176,6 +176,69 @@ class TestVerifiers:
             "--langlands-samples", "2", "--seed", "3",
         )
         assert code == 0 and "rank 3: ok" in out
+
+
+def bumped(cv, bumps):
+    """cv with bumps[k] added to its coefficient of t**k."""
+    return CoeffVector(cv.order, tuple(c + bumps.get(k, 0) for k, c in enumerate(cv.coeffs)))
+
+
+class TestFailureDiagnostics:
+    """Each verb whose check ends in a series expansion names where it
+    fails, shown by a mismatch injected into one side of its check."""
+
+    RECURSION = ["verify-recursion", "--group", "sp", "--rank", "1", "--genus", "2", "--order", "24"]
+
+    def inject_residual(self, monkeypatch):
+        real = strata.truncated_sum
+        monkeypatch.setattr(
+            strata, "truncated_sum", lambda terms, order: bumped(real(terms, order), {7: 3, 12: 5})
+        )
+
+    def test_recursion_names_the_first_residual(self, capsys, monkeypatch):
+        self.inject_residual(monkeypatch)
+        code, out, err = run(capsys, *self.RECURSION)
+        assert code == 1 and not err
+        assert out.splitlines() == [
+            "Sp(1) class 0 genus 2: identity FAILS to degree 24 using 6 strata",
+            "first nonzero residual at degree 7: -3",
+        ]
+
+    def test_recursion_json_is_unchanged_on_failure(self, capsys, monkeypatch):
+        self.inject_residual(monkeypatch)
+        report = strata.verify_recursion(GroupSpec("sp", 1), 0, 2, 24)
+        code, out, _ = run(capsys, *self.RECURSION, "--format", "json")
+        assert code == 1
+        assert out == json.dumps(report.to_json(), sort_keys=True) + "\n"
+        assert report.residual.coeffs[7] == -3 and report.residual.coeffs[12] == -5
+
+    def test_recursion_success_prints_one_line(self, capsys):
+        code, out, _ = run(capsys, *self.RECURSION)
+        assert code == 0
+        assert out == "Sp(1) class 0 genus 2: identity holds to degree 24 using 6 strata\n"
+
+    def test_appendix_names_the_first_differing_degree(self, capsys, monkeypatch):
+        # the second spec's lattice count is off at degrees 5 and 9
+        real = cli.cone_sum_truncated
+        seen = []
+
+        def miscounted(spec, order):
+            got = real(spec, order)
+            seen.append((spec, got.coeffs))
+            return bumped(got, {5: 1, 9: -2}) if len(seen) == 2 else got
+
+        monkeypatch.setattr(cli, "cone_sum_truncated", miscounted)
+        code, out, err = run(
+            capsys, "verify-appendix", "--order", "20", "--cone-samples", "4",
+            "--langlands-samples", "1", "--seed", "3",
+        )
+        spec, coeffs = seen[1]
+        assert code == 1 and len(seen) == 4
+        assert err == (
+            f"cone sum mismatch at {spec}: degree 5, lattice count {coeffs[5] + 1}, "
+            f"closed form {coeffs[5]}\n"
+        )
+        assert "cone sums: 4 random specs to degree 20: FAIL" in out
 
 
 def test_usage_error_exit_code():

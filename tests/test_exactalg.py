@@ -232,6 +232,24 @@ class TestLazyDenominator:
             f.den = Poly.one()
         assert f.den == one_minus_t(3)
 
+    def test_series_leave_it_unbuilt(self, monkeypatch):
+        # series_expand and truncated_sum read factors only; the cached
+        # flat series is multiplied into a new value, whose den is unread
+        fresh = [
+            signed_sum([(1, RatFun(P(1, 2, 3)), 0, (2, 3, 30)), (-1, RatFun.one(), 1, (6, 6))]),
+            cyclotomic_quotient([(1, 4)], [(2, 1), (42, 2)], 3),
+            flat_series(GroupSpec("sp", 3), 0, 2) * RatFun.t_power(1),
+        ]
+
+        def refused(pairs):
+            raise AssertionError(f"expanded {pairs}")
+
+        monkeypatch.setattr(exactalg, "_expand", refused)
+        for f in fresh:
+            series_expand(f, 50)
+        truncated_sum([(0, fresh), (3, fresh[:1])], 60)
+        assert not any(hasattr(f, "_den") for f in fresh)
+
     def test_eq_and_hash_ignore_the_expansion(self):
         rng = random.Random(3030)
         for _ in range(30):
@@ -1256,6 +1274,90 @@ class TestSeriesExpand:
                 sum(sf[j] * sg[k - j] for j in range(k + 1)) for k in range(n + 1)
             )
             assert sfg == cauchy
+
+
+class TestSeriesByStrides:
+    """series_expand nets each Phi_d**m into Mobius strides 1 - t**e; against
+    the former dense recurrence on the expanded denominator
+    (tests/former_series_expand.py) where the strides' edges lie: several
+    primes in d, strides cancelling across factors, strides longer than
+    the order, repeated factors and numerators longer than the order."""
+
+    # Phi_d with three or four distinct primes in d
+    WIDE = (30, 42, 105, 210)
+
+    def check(self, f, order):
+        got = series_expand(f, order)
+        assert got.order == order
+        assert got.coeffs == dense_series_expand(f.num, f.den, order), (f, order)
+        return got.coeffs
+
+    def test_every_order_to_400(self):
+        rng = random.Random(3201)
+        cases = [
+            flat_series(GroupSpec("sp", 4), 0, 2),
+            RatFun(P(1, -3, 2), _expand([(30, 2), (42, 1), (105, 1), (210, 1)])),
+            RatFun(wide_num(rng, 60), _expand([(1, 3), (2, 2), (6, 1), (210, 2)])),
+        ]
+        for f in cases:
+            full = self.check(f, 400)
+            for order in range(401):
+                assert series_expand(f, order).coeffs == full[: order + 1], (f, order)
+
+    def test_many_prime_cyclotomics(self):
+        rng = random.Random(3202)
+        for d in self.WIDE:
+            for m in (1, 2, 3):
+                f = RatFun(Poly(rand_coeffs(rng, rng.randint(1, 20), 8)), _cyclotomic(d) ** m)
+                assert f.factors == ((d, m),)
+                for order in (0, 1, d - 1, d, d + 1, 2 * d + 1, 400):
+                    self.check(f, order)
+
+    def test_strides_cancel_across_factors(self):
+        # every Phi_d with d | e is 1 - t**e: one stride, its Mobius strides
+        # cancelled across the factors
+        for e in self.WIDE:
+            for m in (1, 2):
+                f = RatFun(Poly.one(), _expand([(d, m) for d in _divisors(e)]))
+                assert f.factors == tuple((d, m) for d in _divisors(e))
+                got = self.check(f, 3 * e)
+                assert got == series_expand(RatFun(Poly.one(), one_minus_t(e) ** m), 3 * e).coeffs
+                assert got[: e] == (1,) + (0,) * (e - 1) and got[e] == m
+        rng = random.Random(3203)
+        for _ in range(40):
+            ds = rng.sample(_divisors(210), rng.randint(2, 8)) + rng.sample(self.WIDE, 2)
+            mult = {d: rng.randint(1, 3) for d in ds}
+            f = RatFun(Poly(rand_coeffs(rng, rng.randint(1, 30), 8)), _expand(mult.items()))
+            self.check(f, rng.choice([0, 7, 29, 30, 105, 209, 210, 211, 400]))
+
+    def test_strides_longer_than_the_order(self):
+        # below the shortest stride the series is the cut numerator
+        rng = random.Random(3204)
+        for e in (1, 2, 17, 50, 210):
+            for m in (1, 2, 4):
+                num = Poly(rand_coeffs(rng, rng.randint(1, 2 * e + 2), 8))
+                f = RatFun(num, one_minus_t(e) ** m)
+                for order in sorted({0, e // 2, e - 1}):
+                    got = self.check(f, order)
+                    assert got == (f.num.coeffs + (0,) * (order + 1))[: order + 1]
+                self.check(f, e)
+                self.check(f, 3 * e + 1)
+
+    def test_numerators_longer_than_the_order(self):
+        rng = random.Random(3205)
+        longer = 0
+        for _ in range(200):
+            order = rng.randint(0, 40)
+            num = Poly(rand_coeffs(rng, rng.randint(order + 2, 3 * order + 5), rng.choice([1, 8, 200])))
+            f = RatFun(num, wide_den(rng, 60, 4))
+            longer += f.num.degree > order
+            self.check(f, order)
+        assert longer > 190
+
+    def test_zero_function(self):
+        for order in (0, 1, 5, 400):
+            assert series_expand(RatFun.zero(), order).coeffs == (0,) * (order + 1)
+            assert series_expand(RatFun(Poly.zero(), one_minus_t(3)), order).is_zero
 
 
 class TestRendering:
