@@ -7,7 +7,8 @@ Verbs:
   strata-list         enumerate stratum indices with codimensions
   components          nonorientable component classification (JSON-able)
   verify-recursion    stratification identity for one bundle
-  verify-isomorphisms the four exceptional-isomorphism series identities
+  verify-isomorphisms the five exceptional-isomorphism series identities and
+                      three isogenies, each at both classes
   verify-appendix     cone-sum and alternating-identity property suites
 
 Exit status, decided in main from the two bases in ymseries.errors:
@@ -17,7 +18,9 @@ Exit status, decided in main from the two bases in ymseries.errors:
   3  a fault in the program: an ExactnessError, an exact invariant that did
      not hold ("internal error: ..."), or any other exception, a bug, which
      is followed by its traceback
-Diagnostics go to stderr; results to stdout.  A verb run with --genus
+Diagnostics go to stderr; results to stdout.  When the two routes of
+poincare --engine both disagree, the second stderr line names the first
+degree at which their power series differ.  A verb run with --genus
 below 2 adds one "note:" line on stderr, since the stratification presumes
 genus >= 2.  The default truncation degree for verification verbs is 40,
 overridable by --order or the environment variable YM_TRUNCATION_DEFAULT.
@@ -34,11 +37,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .closedforms import (
+    _su_torus,
     flat_series,
     so_even_flat,
     so_odd_flat,
     sp_flat,
     sun_flat,
+    zagier_un,
 )
 from .errors import ExactnessError, InputError
 from .exactalg import latex_ratfun, ratfun_eq, ratfun_to_json, render_ratfun, series_expand
@@ -106,9 +111,19 @@ def cmd_poincare(args) -> int:
     meta = {"group": g.describe(), "genus": args.genus, "topclass": c}
     engine = "general" if args.engine == "general" else "specialized"
     f = flat_series(g, c, args.genus, engine=engine)
-    if args.engine == "both" and not ratfun_eq(f, flat_series(g, c, args.genus, engine="general")):
-        print("engine disagreement between specialized and general routes", file=sys.stderr)
-        return 1
+    if args.engine == "both":
+        general = flat_series(g, c, args.genus, engine="general")
+        if not ratfun_eq(f, general):
+            print("engine disagreement between specialized and general routes", file=sys.stderr)
+            # every denominator has constant term 1, so the series first
+            # differ at the lowest term of the difference's numerator
+            k = next(k for k, x in enumerate((f - general).num.coeffs) if x)
+            a, b = (series_expand(h, k).coeffs[k] for h in (f, general))
+            print(
+                f"first differing series coefficient at degree {k}: specialized {a}, general {b}",
+                file=sys.stderr,
+            )
+            return 1
     print(_emit_ratfun(f, args.format, meta))
     return 0
 
@@ -212,6 +227,17 @@ def cmd_verify_isomorphisms(args) -> int:
         ),
         ("Spin(6) = SU(4)", ratfun_eq(so_even_flat(3, ell, 0), sun_flat(4, ell))),
     ]
+    # isogenies with central kernel at both classes, through the central
+    # torus factor of U(n) over SU(n)
+    torus = _su_torus(ell)
+    for w in (0, 1):
+        u2 = zagier_un(2, w, ell)
+        for name, lhs, rhs in (
+            ("SO(3) = PU(2)", so_odd_flat(1, ell, w) * torus, u2),
+            ("SO(4) = (SU(2) x SU(2))/+-1", so_even_flat(2, ell, w) * torus * torus, u2 * u2),
+            ("SO(6) = SU(4)/+-1", so_even_flat(3, ell, w) * torus, zagier_un(4, 2 * w, ell)),
+        ):
+            checks.append((f"{name}, w2 = {w}", ratfun_eq(lhs, rhs)))
     ok = True
     for name, holds in checks:
         print(f"{name}: {'ok' if holds else 'FAIL'}")

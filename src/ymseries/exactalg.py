@@ -8,12 +8,13 @@ Phi_d, so this module provides exactly three value types:
   RatFun      numerator over a product of Phi_d, kept as its multiplicities
   CoeffVector truncated power-series coefficients of a RatFun
 
-All values are immutable and all arithmetic is exact.  Every product uses
-Kronecker substitution: a polynomial is packed into one integer, its value
-at t = 2**(8*width), with each coefficient in a width-byte slot.  The
-evaluation is a ring map, so products and sums of packed values are packed
-products and sums; a result unpacks when each of its coefficients fits a
-signed slot.  _pack and _unpack are the one pair of helpers for it.
+All values are immutable and all arithmetic is exact, and each stores
+one fact once: a CoeffVector's order is its length less one.  Every
+product uses Kronecker substitution: a polynomial is packed into one
+integer, its value at t = 2**(8*width), with each coefficient in a
+width-byte slot.  The evaluation is a ring map, so products and sums of
+packed values are packed products and sums; a result unpacks when each of
+its coefficients fits a signed slot.  _pack and _unpack are the one pair of helpers for it.
 
 A RatFun has one canonical form: its numerator with every Phi_d of the
 denominator divided out while it divides.  Each Phi_d is irreducible and
@@ -54,11 +55,13 @@ the Phi_d map into a count per stride 1 - t**e and runs one truncated
 pass per stride, a shifted subtraction or a running sum.  truncated_sum
 adds truncated products of rational functions on one packed integer: it
 expands each distinct factor once and cuts each product by a centred
-remainder.
+remainder.  parse_poly, the reader of the canonical text form, matches one
+term pattern at a time and refuses a negative exponent.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
@@ -320,26 +323,20 @@ class RatFun:
 class CoeffVector:
     """Power-series coefficients of a RatFun modulo t**(order+1)."""
 
-    order: int
     coeffs: tuple
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient list must have length order + 1")
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __add__(self, other: "CoeffVector") -> "CoeffVector":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return CoeffVector(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __sub__(self, other: "CoeffVector") -> "CoeffVector":
         if self.order != other.order:
             raise ValueError("order mismatch")
-        return CoeffVector(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CoeffVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
 # -- spec-level operations ---------------------------------------------
@@ -386,7 +383,7 @@ def series_expand(f: RatFun, order: int) -> CoeffVector:
             else:
                 for r in range(e):
                     cs[r::e] = accumulate(cs[r::e])
-    return CoeffVector(order, tuple(cs))
+    return CoeffVector(tuple(cs))
 
 
 def truncated_sum(terms, order: int) -> CoeffVector:
@@ -452,17 +449,17 @@ def truncated_sum(terms, order: int) -> CoeffVector:
             value = ((value * factor + half) & mask) - half
         total += value << (slot * shift)
     cs = _unpack(total, width)
-    return CoeffVector(order, tuple(cs) + (0,) * (order + 1 - len(cs)))
+    return CoeffVector(tuple(cs) + (0,) * (order + 1 - len(cs)))
 
 
 # -- rendering and parsing ----------------------------------------------
 
 
-def _render_term(c: int, d: int, sep: str = "*", caret: str = "^", brace: bool = False) -> str:
+def _render_term(c: int, d: int, sep: str, brace: bool) -> str:
     e = f"{{{d}}}" if brace else f"{d}"
     if d == 0:
         return str(c)
-    tpart = "t" if d == 1 else f"t{caret}{e}"
+    tpart = "t" if d == 1 else f"t^{e}"
     if c == 1:
         return tpart
     if c == -1:
@@ -470,14 +467,14 @@ def _render_term(c: int, d: int, sep: str = "*", caret: str = "^", brace: bool =
     return f"{c}{sep}{tpart}"
 
 
-def _render_poly(p: Poly, sep: str, caret: str, brace: bool) -> str:
+def _render_poly(p: Poly, sep: str, brace: bool) -> str:
     if p.is_zero:
         return "0"
     parts = []
     for d, c in enumerate(p.coeffs):
         if c == 0:
             continue
-        term = _render_term(c, d, sep, caret, brace)
+        term = _render_term(c, d, sep, brace)
         if not parts:
             parts.append(term)
         elif term.startswith("-"):
@@ -489,7 +486,7 @@ def _render_poly(p: Poly, sep: str, caret: str, brace: bool) -> str:
 
 def render_poly(p: Poly) -> str:
     """Canonical plain text, monomials in increasing degree."""
-    return _render_poly(p, "*", "^", brace=False)
+    return _render_poly(p, "*", brace=False)
 
 
 def render_ratfun(f: RatFun) -> str:
@@ -497,7 +494,7 @@ def render_ratfun(f: RatFun) -> str:
 
 
 def latex_poly(p: Poly) -> str:
-    return _render_poly(p, "", "^", brace=True)
+    return _render_poly(p, "", brace=True)
 
 
 def latex_ratfun(f: RatFun) -> str:
@@ -506,56 +503,31 @@ def latex_ratfun(f: RatFun) -> str:
     return f"\\frac{{{latex_poly(f.num)}}}{{{latex_poly(f.den)}}}"
 
 
+# one term: a sign run, then a coefficient, t or t^e, or both
+_TERM = re.compile(r"([+-]*)(?:(\d+)(?:\*(?=t))?)?(t(?:\^(\d+))?)?")
+
+
 def parse_poly(text: str) -> Poly:
-    """Parse the canonical plain-text polynomial form."""
+    """Parse the canonical plain-text polynomial form.
+
+    The text, spaces removed, is a run of terms, each a sign run and then
+    a coefficient, t or t^e, or both (c*t^e or ct^e); every term after the
+    first starts with a sign.  Exponents are natural numbers, and terms of
+    one degree add up.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial")
-    if s == "0":
-        return Poly.zero()
-    # split into signed terms
-    terms = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-*^":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
     coeffs: dict[int, int] = {}
-    for term in terms:
-        if not term or term in "+-":
-            raise ParseError(f"bad term in {text!r}")
-        sign = 1
-        body = term
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
-        if "t" not in body:
-            try:
-                c, d = sign * int(body), 0
-            except ValueError as exc:
-                raise ParseError(f"bad constant {term!r}") from exc
-        else:
-            head, _, tail = body.partition("t")
-            if head.endswith("*"):
-                head = head[:-1]
-            try:
-                c = sign * (int(head) if head else 1)
-            except ValueError as exc:
-                raise ParseError(f"bad coefficient {term!r}") from exc
-            if tail == "":
-                d = 1
-            elif tail.startswith("^"):
-                try:
-                    d = int(tail[1:])
-                except ValueError as exc:
-                    raise ParseError(f"bad exponent {term!r}") from exc
-            else:
-                raise ParseError(f"bad term {term!r}")
-        coeffs[d] = coeffs.get(d, 0) + c
+    pos = 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        signs, digits, tpart, exponent = m.groups()
+        if not (digits or tpart) or (pos and not signs):
+            raise ParseError(f"bad term at {s[pos:]!r} in {text!r}")
+        d = int(exponent) if exponent else 1 if tpart else 0
+        coeffs[d] = coeffs.get(d, 0) + (-1) ** signs.count("-") * int(digits or 1)
+        pos = m.end()
     out = [0] * (max(coeffs) + 1)
     for d, c in coeffs.items():
         out[d] = c

@@ -2,10 +2,11 @@
 
 The rational cohomology of BG for a compact connected group G is a free
 algebra on generators in degrees 2*d_1 <= ... <= 2*d_n, with d_1 = ... = d_r
-= 1 accounting for the central torus.  Mapping-space arguments turn this
-degree list into a closed product formula for P_t of the classifying space
-of the gauge group of any principal bundle over a closed surface, orientable
-(genus ell) or nonorientable (m crosscaps).
+= 1 accounting for the central torus.  A DegreeProfile stores the halved
+degrees alone, and its torus count r is read off them.  Mapping-space
+arguments turn this degree list into a closed product formula for P_t of
+the classifying space of the gauge group of any principal bundle over a
+closed surface, orientable (genus ell) or nonorientable (m crosscaps).
 """
 
 from __future__ import annotations
@@ -30,33 +31,32 @@ from .rootsys import (
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Halved generator degrees of H^*(BG; Q) with the torus count in front."""
+    """Halved generator degrees of H^*(BG; Q), ascending."""
 
     degrees: tuple
-    center_count: int
 
-    def __post_init__(self):
-        r = self.center_count
-        if any(d != 1 for d in self.degrees[:r]) or any(d == 1 for d in self.degrees[r:]):
-            raise ValueError("the first center_count degrees, and only those, must be 1")
+    @property
+    def center_count(self) -> int:
+        """The torus generators: exactly those of halved degree 1."""
+        return self.degrees.count(1)
 
 
 @lru_cache(maxsize=None)
 def unitary_block_profile(m: int) -> DegreeProfile:
     """Degrees of U(m): 1, 2, ..., m with a single torus generator, built once per m."""
-    return DegreeProfile(tuple(range(1, m + 1)), 1)
+    return DegreeProfile(tuple(range(1, m + 1)))
 
 
 @lru_cache(maxsize=None)
 def tail_profile(family: str, m: int) -> DegreeProfile:
     """Degrees of a rank-m orthogonal or symplectic factor, built once per pair."""
     if family in (SO_ODD, SYMPLECTIC):
-        return DegreeProfile(tuple(2 * k for k in range(1, m + 1)), 0)
+        return DegreeProfile(tuple(2 * k for k in range(1, m + 1)))
     if family == SO_EVEN:
         if m == 1:
             # SO(2) is a torus
-            return DegreeProfile((1,), 1)
-        return DegreeProfile(tuple(sorted([2 * k for k in range(1, m)] + [m])), 0)
+            return DegreeProfile((1,))
+        return DegreeProfile(tuple(sorted([2 * k for k in range(1, m)] + [m])))
     raise UnsupportedFamily(f"tail degree profiles are not defined for family {family!r}")
 
 
@@ -66,7 +66,7 @@ def betti_degrees(g: GroupSpec) -> DegreeProfile:
     if fam == UNITARY:
         return unitary_block_profile(n)
     if fam == SPECIAL_UNITARY:
-        return DegreeProfile(tuple(range(2, n + 1)), 0)
+        return DegreeProfile(tuple(range(2, n + 1)))
     if fam in (SO_ODD, SPIN_ODD, SYMPLECTIC):
         return tail_profile(SO_ODD, n)
     if fam in (SO_EVEN, SPIN_EVEN):
@@ -76,12 +76,7 @@ def betti_degrees(g: GroupSpec) -> DegreeProfile:
 
 def concat_profiles(profiles) -> DegreeProfile:
     """Degree profile of a product group."""
-    degrees = []
-    centers = 0
-    for p in profiles:
-        degrees.extend(p.degrees)
-        centers += p.center_count
-    return DegreeProfile(tuple(sorted(degrees)), centers)
+    return DegreeProfile(tuple(sorted(d for p in profiles for d in p.degrees)))
 
 
 @lru_cache(maxsize=None)

@@ -142,7 +142,7 @@ def cone_sum_truncated(spec: ConeSumSpec, order: int) -> CoeffVector:
                 for f in range(e + first, order + 1, p):
                     placed[f] += c
         counts = placed
-    return CoeffVector(order, tuple(counts))
+    return CoeffVector(tuple(counts))
 
 
 # -- Langlands combinatorial identity ------------------------------------
@@ -363,14 +363,18 @@ class ParabolicPoset:
 
     group: GroupSpec
     ell: int
-    elements: tuple  # frozensets of 1-based indices
-    profiles: dict  # element -> LeviProfile
+    profiles: dict  # element -> LeviProfile, in enumerate_parabolics order
+
+    @property
+    def elements(self) -> tuple:
+        """The cut sets, frozensets of 1-based indices, in profiles' order."""
+        return tuple(self.profiles)
 
 
 def build_parabolic_poset(g: GroupSpec, ell: int) -> ParabolicPoset:
     """All standard parabolics of g, each with its Levi profile."""
     profiles = {cut: levi_profile(g, cut) for cut in enumerate_parabolics(g)}
-    return ParabolicPoset(group=g, ell=ell, elements=tuple(profiles), profiles=profiles)
+    return ParabolicPoset(group=g, ell=ell, profiles=profiles)
 
 
 def default_gauge_assignment(poset: ParabolicPoset) -> dict:

@@ -15,11 +15,12 @@ chain nodes of the Dynkin diagram in I:
                     when neither is, the last block is an orthogonal tail
 
 For each parabolic this module produces the data the series formulas
-consume.  The Levi's blocks, tail and Betti degree profile (for its gauge
-series) come from the composition.  The complex dimension of the unipotent
-radical and the pairings of the half-sum of its roots against the coroots
-indexed by I come from the root system alone: the radical is the set of
-positive roots whose support meets I.  That one rule is the only source of
+consume.  The Levi's blocks and tail come from the composition, and its
+Betti degree profile (for its gauge series) from those on first read.
+The complex dimension of the unipotent radical and the pairings of the
+half-sum of its roots against the coroots indexed by I come from the root
+system alone: the radical is the set of positive roots whose support
+meets I.  That one rule is the only source of
 Levi data, and all of it is integers: 2 rho_P is the sum of the radical's
 roots, and each pair weight 4 <rho_P, a^v> = 2 <2 rho_P, a^v> is an int.
 The parabolic sum and the forward lattice walk of the inversion read
@@ -68,7 +69,14 @@ class LeviProfile:
     simple_indices: tuple  # 1-based indices of the simple roots in I
     pair_weights: tuple  # ints 4 <rho_P, a^v>, aligned with simple_indices
     two_rho: tuple  # 2 rho_P, the integer sum of the radical's roots
-    betti: DegreeProfile
+
+    @cached_property
+    def betti(self) -> DegreeProfile:
+        """The Levi's degree profile: its unitary blocks' and its tail's."""
+        profiles = [unitary_block_profile(b) for b in self.unitary_blocks]
+        if self.tail is not None:
+            profiles.append(tail_profile(*self.tail))
+        return concat_profiles(profiles)
 
     @cached_property
     def rho_pairings(self) -> tuple:
@@ -166,9 +174,6 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
         blocks, tail = comp, None
     else:
         blocks, tail = comp[:-1], (fam, comp[-1])
-    profiles = [unitary_block_profile(b) for b in blocks]
-    if tail is not None:
-        profiles.append(tail_profile(*tail))
     rs = build_root_system(g)
     dim_u, two_rho = _radical(rs, cut, frozenset())
     return LeviProfile(
@@ -178,7 +183,6 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
         simple_indices=tuple(indices),
         pair_weights=tuple(2 * pairing(two_rho, rs.simple_coroots[a - 1]) for a in indices),
         two_rho=two_rho,
-        betti=concat_profiles(profiles),
     )
 
 

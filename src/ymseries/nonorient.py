@@ -137,8 +137,8 @@ class TwistedU:
     n: int
     k: int
 
-    def render(self, surface="l,i") -> str:
-        return f"M~({surface};{self.n},{self.k})"
+    def render(self) -> str:
+        return f"M~(l,i;{self.n},{self.k})"
 
     def to_json(self) -> dict:
         return {"kind": "twisted_u", "n": self.n, "k": self.k}
@@ -152,10 +152,10 @@ class TwistedO:
     det: int  # +1 or -1: determinant constraint on the twisting element
     sign: int  # +1 or -1: which obstruction component
 
-    def render(self, surface="l,i") -> str:
+    def render(self) -> str:
         d = "+" if self.det == 1 else "-"
         s = "+" if self.sign == 1 else "-"
-        return f"VO({surface};{self.size};det{d};comp{s})"
+        return f"VO(l,i;{self.size};det{d};comp{s})"
 
     def to_json(self) -> dict:
         return {"kind": "twisted_o", "size": self.size, "det": self.det, "sign": self.sign}
@@ -167,7 +167,7 @@ class FlatSp:
 
     n: int
 
-    def render(self, surface="l,i") -> str:
+    def render(self) -> str:
         return f"M(Sp({self.n}))"
 
     def to_json(self) -> dict:
@@ -189,9 +189,12 @@ class Component:
 @dataclass(frozen=True)
 class ComponentReport:
     point: NonorientablePoint
-    component_count: int
     components: tuple
     validity: dict
+
+    @property
+    def component_count(self) -> int:
+        return len(self.components)
 
     def to_json(self) -> dict:
         return {
@@ -289,7 +292,7 @@ def classify_components(g: GroupSpec, p: NonorientablePoint) -> ComponentReport:
             factors.append(FlatSp(comp[-1]))
         else:
             factors = [TwistedU(a, k) for a, k in zip(comp, labels)]
-        return ComponentReport(p, 1, (Component(None, tuple(factors)),), validity)
+        return ComponentReport(p, (Component(None, tuple(factors)),), validity)
     # orthogonal: a split point carries the tail's O(size) factor in two signed parts
     m, head = comp[-1], sum(labels[:-1])
     if fam == SO_ODD and p.zero_tail:
@@ -302,14 +305,14 @@ def classify_components(g: GroupSpec, p: NonorientablePoint) -> ComponentReport:
         offset = n * (n + 1) // 2 if fam == SO_ODD else n // 2
         w2 = (sum(labels) + i * offset) % 2
         factors = tuple(TwistedU(a, -k) for a, k in zip(comp, labels))
-        return ComponentReport(p, 1, (Component(w2, factors),), validity)
+        return ComponentReport(p, (Component(w2, factors),), validity)
     size, det, exponent = split
     body = tuple(TwistedU(a, -k) for a, k in zip(comp[:-1], labels[:-1]))
     comps = tuple(
         Component(w2, body + (TwistedO(size, det, outer * (-1) ** exponent),))
         for w2, outer in ((0, 1), (1, -1))
     )
-    return ComponentReport(p, 2, comps, validity)
+    return ComponentReport(p, comps, validity)
 
 
 def decomposition_render(report: ComponentReport) -> str:

@@ -95,21 +95,13 @@ class GroupSpec:
         }[fam]
 
 
-@dataclass(frozen=True)
-class TopClass:
-    """Topological class of a bundle: an element of pi_1 of the group.
+def validate_topclass(g: GroupSpec, c: int) -> int:
+    """c, checked to be the topological class of a g-bundle: an element of pi_1 of g.
 
     For u this is the degree (any integer), for so-odd/so-even the second
     Stiefel-Whitney bit (0 or 1), and for the simply connected su, sp and
     spin families the only value 0.
     """
-
-    value: int = 0
-
-
-def validate_topclass(g: GroupSpec, c) -> int:
-    if isinstance(c, TopClass):
-        c = c.value
     if g.family in SO_LIKE:
         if c not in (0, 1):
             raise InputError(f"{g.describe()} carries a w2 bit, got {c}")

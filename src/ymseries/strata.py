@@ -25,7 +25,8 @@ in total); it prunes on that plus the exact cross terms to the coordinates
 not yet placed, and checks every kept point against `codim`.  The identity
 check takes the weighted sum of the strata's truncated products of flat
 series as one exactalg.truncated_sum, which expands each distinct factor
-once.
+once.  Its report stores the residual and the strata; the degree, whether
+the identity holds and the stratum count are read off those two.
 """
 
 from __future__ import annotations
@@ -376,11 +377,20 @@ class RecursionReport:
     group: GroupSpec
     topclass: int
     ell: int
-    degree: int
-    holds: bool
     residual: CoeffVector
-    strata_used: int
     strata: tuple  # ((point, codim), ...)
+
+    @property
+    def degree(self) -> int:
+        return self.residual.order
+
+    @property
+    def holds(self) -> bool:
+        return self.residual.is_zero
+
+    @property
+    def strata_used(self) -> int:
+        return len(self.strata)
 
     def to_json(self) -> dict:
         return {
@@ -417,14 +427,4 @@ def verify_recursion(g: GroupSpec, c: int, ell: int, degree: int) -> RecursionRe
         factors = stratum_factors(g, pt, component if pt.is_split else None)
         terms.append((2 * d, [flat_series(GroupSpec(fam, n), k, ell) for fam, n, k in factors]))
     rhs = truncated_sum(terms, degree)
-    residual = lhs - rhs
-    return RecursionReport(
-        group=g,
-        topclass=c,
-        ell=ell,
-        degree=degree,
-        holds=residual.is_zero,
-        residual=residual,
-        strata_used=len(points),
-        strata=tuple(points),
-    )
+    return RecursionReport(group=g, topclass=c, ell=ell, residual=lhs - rhs, strata=tuple(points))

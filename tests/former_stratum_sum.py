@@ -52,14 +52,5 @@ def verify_recursion(g, c, ell, degree):
     for _, d, coeffs in truncated_stratum_series(g, c, ell, points, degree):
         for i, x in enumerate(coeffs):
             rhs[2 * d + i] += x
-    residual = CoeffVector(degree, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
-    return RecursionReport(
-        group=g,
-        topclass=c,
-        ell=ell,
-        degree=degree,
-        holds=residual.is_zero,
-        residual=residual,
-        strata_used=len(points),
-        strata=tuple(points),
-    )
+    residual = CoeffVector(tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
+    return RecursionReport(group=g, topclass=c, ell=ell, residual=residual, strata=tuple(points))

@@ -6,11 +6,11 @@ import pkgutil
 import pytest
 
 import ymseries
-from ymseries import cli, levidata, strata
+from ymseries import cli, closedforms, levidata, strata
 from ymseries.cli import main
 from ymseries.errors import ExactnessError, InputError
 from ymseries.closedforms import so_even_flat, sp_flat, zagier_un
-from ymseries.exactalg import CoeffVector, Poly, RatFun
+from ymseries.exactalg import CoeffVector, Poly, RatFun, series_expand
 from ymseries.gaugeseries import tail_profile
 from ymseries.levidata import enumerate_parabolics
 from ymseries.nonorient import chamber_involution, enumerate_nonorientable_points
@@ -168,7 +168,7 @@ class TestVerifiers:
 
     def test_isomorphisms(self, capsys):
         code, out, _ = run(capsys, "verify-isomorphisms", "--genus", "2")
-        assert code == 0 and out.count("ok") == 5
+        assert code == 0 and out.count("ok") == 11
 
     def test_appendix_small(self, capsys):
         code, out, _ = run(
@@ -180,7 +180,7 @@ class TestVerifiers:
 
 def bumped(cv, bumps):
     """cv with bumps[k] added to its coefficient of t**k."""
-    return CoeffVector(cv.order, tuple(c + bumps.get(k, 0) for k, c in enumerate(cv.coeffs)))
+    return CoeffVector(tuple(c + bumps.get(k, 0) for k, c in enumerate(cv.coeffs)))
 
 
 class TestFailureDiagnostics:
@@ -216,6 +216,21 @@ class TestFailureDiagnostics:
         code, out, _ = run(capsys, *self.RECURSION)
         assert code == 0
         assert out == "Sp(1) class 0 genus 2: identity holds to degree 24 using 6 strata\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_poincare_names_the_first_differing_degree(self, capsys, monkeypatch, fmt):
+        # the general route is off by t^3
+        real = closedforms.lr_general
+        monkeypatch.setattr(closedforms, "lr_general", lambda *args: real(*args) + RatFun.t_power(3))
+        code, out, err = run(
+            capsys, "poincare", "--group", "sp", "--rank", "2", "--genus", "2", "--format", fmt,
+        )
+        a = series_expand(sp_flat(2, 2), 3).coeffs[3]
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "engine disagreement between specialized and general routes",
+            f"first differing series coefficient at degree 3: specialized {a}, general {a + 1}",
+        ]
 
     def test_appendix_names_the_first_differing_degree(self, capsys, monkeypatch):
         # the second spec's lattice count is off at degrees 5 and 9

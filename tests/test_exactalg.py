@@ -10,6 +10,7 @@ import pytest
 
 import former_signed_sum as former
 from former_cancel import former_cancel
+from former_parse_poly import parse_poly as former_parse_poly
 from former_ratfun import canonical, content, divexact, divexact_int, poly_gcd
 from former_series_expand import dense_series_expand
 from reference_series import one_plus_t
@@ -1388,13 +1389,67 @@ class TestRendering:
         with pytest.raises(ParseError):
             parse_poly("")
 
+    @pytest.mark.parametrize(
+        "text", ["t^2 + 5*t^-1", "1 - t^-1", "(1)/(1 - t^-1 + t)", "t^-6"]
+    )
+    def test_negative_exponents_refused(self, text):
+        with pytest.raises(ParseError, match=r"bad term at '\^-"):
+            parse_ratfun(text)
+
+    @pytest.mark.parametrize(
+        "text, former", [("*t", P(0, 1)), ("1 + *t", P(1, 1)), ("t^+5", P(0, 0, 0, 0, 0, 1))]
+    )
+    def test_noncanonical_spellings_refused(self, text, former):
+        assert former_parse_poly(text) == former
+        with pytest.raises(ParseError):
+            parse_poly(text)
+
+
+class TestParserMatchesFormer:
+    """parse_poly against the former hand tokenizer on random strings."""
+
+    # what the former reader accepted and parse_poly refuses: a signed
+    # exponent, and a '*' with no coefficient before it
+    REFUSED = re.compile(r"\^[+-]|(?<!\d)\*t")
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ParseError:
+            return ParseError
+        except Exception as exc:  # the former reader's IndexError
+            return type(exc)
+
+    def test_random_corpus(self):
+        rng = random.Random(3301)
+        alphabet = "0123456789t^*+- "
+        seen = set()
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
+            # as an exponent, a run of 4 to 10 digits asks for a list of up to 10**10 slots
+            if re.search(r"\d{4}", text.replace(" ", "")):
+                continue
+            former, new = self.outcome(former_parse_poly, text), self.outcome(parse_poly, text)
+            if isinstance(new, Poly):
+                assert former == new, text
+                seen.add("read")
+            else:
+                assert new is ParseError, text
+                if isinstance(former, Poly):
+                    assert self.REFUSED.search(text.replace(" ", "")), text
+                    seen.add("refused")
+        assert seen == {"read", "refused"}
+
 
 class TestCoeffVector:
     def test_length_checked(self):
-        with pytest.raises(ValueError):
-            CoeffVector(3, (1, 2))
+        # the order is read off the length, and a difference needs equal ones
+        assert CoeffVector((1, 2)).order == 1
+        with pytest.raises(ValueError, match="order mismatch"):
+            CoeffVector((1, 2)) - CoeffVector((1, 2, 3))
 
     def test_sub(self):
-        a = CoeffVector(2, (1, 2, 3))
-        b = CoeffVector(2, (1, 1, 1))
+        a = CoeffVector((1, 2, 3))
+        b = CoeffVector((1, 1, 1))
         assert (a - b).coeffs == (0, 1, 2)

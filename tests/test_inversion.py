@@ -178,7 +178,7 @@ def point_by_point_cone_sum(spec, order):
             e += spec.weights[idx]
 
     rec(0, 0)
-    return CoeffVector(order, tuple(coeffs))
+    return CoeffVector(tuple(coeffs))
 
 
 def fraction_block_average(h, levi):
@@ -282,7 +282,7 @@ def box_walk_residual(poset, a0, b0_top, topclass, order):
             for i, c in enumerate(series_expand(b0_cache[key], order - int(exponent)).coeffs):
                 rhs[int(exponent) + i] += c
     lhs = series_expand(a0[top], order)
-    return CoeffVector(order, tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
+    return CoeffVector(tuple(a - b for a, b in zip(lhs.coeffs, rhs)))
 
 
 def bundles(max_n):

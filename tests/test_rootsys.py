@@ -13,7 +13,6 @@ from ymseries.rootsys import (
     FAMILIES,
     DimensionMismatch,
     GroupSpec,
-    TopClass,
     UnsupportedFamily,
     UnsupportedRank,
     _levi_inverse,
@@ -435,12 +434,12 @@ class TestWeightOnPi1:
 
 
 def test_topclass_validation():
-    assert validate_topclass(GroupSpec("u", 2), TopClass(-3)) == -3
+    assert validate_topclass(GroupSpec("u", 2), -3) == -3
     assert validate_topclass(GroupSpec("so-odd", 2), 1) == 1
     with pytest.raises(ValueError):
         validate_topclass(GroupSpec("so-even", 2), 2)
     with pytest.raises(ValueError):
-        validate_topclass(GroupSpec("sp", 1), TopClass(1))
+        validate_topclass(GroupSpec("sp", 1), 1)
 
 
 @pytest.mark.parametrize("c", [1, -1, 5])
