@@ -18,6 +18,8 @@ Exit status, decided in main from the two bases in ymseries.errors:
   3  a fault in the program: an ExactnessError, an exact invariant that did
      not hold ("internal error: ..."), or any other exception, a bug, which
      is followed by its traceback
+  141  stdout was closed before the output was written (128 + SIGPIPE, as
+     for a process the signal ends); nothing is printed
 Diagnostics go to stderr; results to stdout.  When the two routes of
 poincare --engine both disagree, the second stderr line names the first
 degree at which their power series differ.  A verb run with --genus
@@ -53,7 +55,7 @@ from .nonorient import (
     classify_components,
     decomposition_render,
 )
-from .rootsys import GroupSpec, validate_topclass
+from .rootsys import FAMILIES, SO_LIKE, SPECIAL_UNITARY, UNITARY, GroupSpec, validate_topclass
 from .strata import (
     AtiyahBottPoint,
     enumerate_ab_points,
@@ -78,7 +80,7 @@ def _group(args) -> GroupSpec:
 def _topclass(args, g: GroupSpec) -> int:
     """The bundle class from --degree or --w2; a nonzero flag another family
     cannot use is an InputError, as a nonzero su degree is."""
-    unitary, orthogonal = g.family in ("u", "su"), g.family in ("so-odd", "so-even")
+    unitary, orthogonal = g.family in (UNITARY, SPECIAL_UNITARY), g.family in SO_LIKE
     if args.degree and not unitary:
         raise InputError(f"{g.describe()} takes no --degree, got {args.degree}")
     if args.w2 and not orthogonal:
@@ -289,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_group_flags(p, genus=True, topclass=True):
-        p.add_argument(
-            "--group",
-            required=True,
-            choices=["u", "su", "so-odd", "so-even", "sp", "spin-odd", "spin-even"],
-        )
+        p.add_argument("--group", required=True, choices=FAMILIES)
         p.add_argument("--rank", type=int, required=True, help="the rank parameter n")
         if genus:
             p.add_argument("--genus", type=int, required=True)
@@ -368,6 +366,13 @@ def main(argv=None) -> int:
         if hasattr(args, "order") and args.order is None:
             args.order = _default_truncation()
         code = args.func(args)
+        # flushed here, so that a closed stdout is caught below and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; with stdout on devnull the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,14 +2,20 @@
 
 Two independent routes to the same values live here.
 
-The specialized route transcribes, family by family, the closed alternating
-sums over compositions of n: the unitary series (Zagier's solution of the
-rank-n recursion), and its symplectic and orthogonal counterparts; SU(n)
-is the degree-zero unitary series with the central torus factor divided
-out, once, in flat_series.  Each function builds its formula exactly as
-printed, term by term, so the code doubles as the auditable transcription.
-Both routes hand their signed terms to exactalg.signed_sum, the one
-accumulator of every alternating series.
+The specialized route transcribes the closed alternating sums over
+compositions of n: the unitary series (Zagier's solution of the rank-n
+recursion), and its symplectic and orthogonal counterparts; SU(n) is the
+degree-zero unitary series with the central torus factor divided out,
+once, in flat_series.  Sp(n) and SO(2n+1) are Langlands dual, with the
+same Betti degrees and Levi tails, and their series is one printed
+formula (_end_root_terms) in which only the end simple root's length
+changes two boundary exponents: sp_flat sums it with the long end root,
+so_odd_flat with the short one.  SO(2n) has its own walk, since its fork
+of two end roots adds a summand family, a last block of size 1 with both
+fork nodes cut, that the B_n/C_n pair lacks.  Each function builds its
+formula exactly as printed, term by term, so the code doubles as the
+auditable transcription.  Both routes hand their signed terms to
+exactalg.signed_sum, the one accumulator of every alternating series.
 
 The general route (lr_general, on a group, a bundle class and a genus)
 evaluates the abstract inversion of the stratification recursion at the
@@ -125,74 +131,66 @@ def sun_flat(n: int, ell: int) -> RatFun:
     return flat_series(GroupSpec(SPECIAL_UNITARY, n), 0, ell)
 
 
+def _end_root_terms(n: int, ell: int, w: int, long_end: bool):
+    """The signed terms of the B_n/C_n pair: Sp(n) when long_end, whose end
+    simple root 2 theta_n is long, and SO(2n+1) on the bundle with bit w
+    otherwise, whose end root theta_n is short.
+
+    Two summand families per composition (n_1, ..., n_r) of n:
+
+    first family (all blocks unitary), sign (-1)^r:
+      prod gauge * t^{(ell-1)(2 sum n_i n_j + n(n+1))}
+      * t^{2 sum_{i<r}(n_i+n_{i+1}) + k <w/2>}
+      / [prod_{i<r}(1 - t^{2(n_i+n_{i+1})})] (1 - t^k)
+
+    second family (orthogonal/symplectic tail on the last block), sign
+    (-1)^(r-1):
+      prod_{i<r} gauge * tail * t^{(ell-1)(2 sum n_i n_j + n(n+1) - n_r(n_r+1))}
+      * t^{2 sum_{i<r-1}(n_i+n_{i+1}) + eps(r) b}
+      / [prod_{i<r-1}(1 - t^{2(n_i+n_{i+1})})] (1 - eps(r) t^b)
+
+    Only the two boundary exponents depend on the end root: k = 2(n_r + 1)
+    and b = 2(n_{r-1} + 2n_r + 1) for the long one, k = 4 n_r and
+    b = 2(n_{r-1} + 2n_r) for the short one.  Each twist is the sum of its
+    family's denominator exponents, the first family's last one scaled by
+    <w/2>, and the two groups have the same tail factor.
+    """
+    for comp in _compositions(n):
+        r, last = len(comp), comp[-1]
+        pair2 = 2 * _pair_sum(comp)
+        adj = _doubled_adjacent_sums(comp)
+        k = 2 * (last + 1) if long_end else 4 * last
+        e1 = (ell - 1) * (pair2 + n * (n + 1)) + sum(adj) + k * frac_part(w, 2) // 2
+        yield (-1) ** r, _gauge(ell, comp), e1, adj + [k]
+
+        ks2 = adj[: r - 2]
+        if r > 1:
+            # the long end root adds 1 to the boundary's half
+            ks2.append(2 * (comp[-2] + 2 * last + long_end))
+        e2 = (ell - 1) * (pair2 + n * (n + 1) - last * (last + 1)) + sum(ks2)
+        tail = tail_profile(SYMPLECTIC, last)
+        yield (-1) ** (r - 1), _gauge(ell, comp[:-1], tail), e2, ks2
+
+
 @lru_cache(maxsize=None)
 def sp_flat(n: int, ell: int) -> RatFun:
-    """Flat series for Sp(n): two summand families per composition.
-
-    First family (all blocks unitary), sign (-1)^r:
-      prod gauge * t^{(ell-1)(2 sum n_i n_j + n(n+1))}
-      * t^{2 sum_{i<r}(n_i+n_{i+1}) + 2(n_r+1)}
-      / [prod_{i<r}(1 - t^{2(n_i+n_{i+1})})] (1 - t^{2(n_r+1)})
-
-    Second family (symplectic tail on the last block), sign (-1)^(r-1):
-      prod_{i<r} gauge * tail * t^{(ell-1)(2 sum n_i n_j + n(n+1) - n_r(n_r+1))}
-      * t^{2 sum_{i<r-1}(n_i+n_{i+1}) + 2 eps(r)(n_{r-1}+2n_r+1)}
-      / [prod_{i<r-1}(1 - t^{2(n_i+n_{i+1})})] (1 - eps(r) t^{2(n_{r-1}+2n_r+1)})
-    """
+    """Flat series for Sp(n): the B_n/C_n sum of _end_root_terms with the
+    long end root, k = 2(n_r + 1) and b = 2(n_{r-1} + 2n_r + 1), at w = 0,
+    where the first family's twist is k."""
     _check_rank_and_genus(n, 1, ell)
-
-    def terms():
-        for comp in _compositions(n):
-            r, last = len(comp), comp[-1]
-            pair2 = 2 * _pair_sum(comp)
-            adj = _doubled_adjacent_sums(comp)
-            e1 = (ell - 1) * (pair2 + n * (n + 1)) + sum(adj) + 2 * (last + 1)
-            yield (-1) ** r, _gauge(ell, comp), e1, adj + [2 * (last + 1)]
-
-            ks2 = adj[: r - 2]
-            e2 = (ell - 1) * (pair2 + n * (n + 1) - last * (last + 1)) + sum(ks2)
-            if r > 1:
-                boundary = 2 * (comp[-2] + 2 * last + 1)
-                ks2 = ks2 + [boundary]
-                e2 += boundary
-            tail = tail_profile(SYMPLECTIC, last)
-            yield (-1) ** (r - 1), _gauge(ell, comp[:-1], tail), e2, ks2
-
-    return signed_sum(terms())
+    return signed_sum(_end_root_terms(n, ell, 0, True))
 
 
 @lru_cache(maxsize=None)
 def so_odd_flat(n: int, ell: int, w2: int) -> RatFun:
-    """Flat series for SO(2n+1) on the bundle with Stiefel-Whitney bit w2.
-
-    Same two-family shape as the symplectic series; the bundle enters only
-    through the first family, whose twist carries 4 n_r <w2/2> (so 4 n_r at
-    w2 = 0 and 2 n_r at w2 = 1).  The second family's boundary denominator
-    exponent is 2 n_{r-1} + 4 n_r and its twist telescopes to
-    2 sum_{i<r}(n_i+n_{i+1}) + 2 eps(r) n_r.
-    """
+    """Flat series for SO(2n+1) on the bundle with Stiefel-Whitney bit w2:
+    the B_n/C_n sum of _end_root_terms with the short end root, k = 4 n_r
+    and b = 2(n_{r-1} + 2n_r).  The bundle enters only through the first
+    family's twist 4 n_r <w2/2>, 4 n_r at w2 = 0 and 2 n_r at w2 = 1."""
     _check_rank_and_genus(n, 1, ell)
     if w2 not in (0, 1):
         raise InputError("w2 is a bit")
-    q4 = 2 * frac_part(w2, 2)  # 4 <w2/2>
-
-    def terms():
-        for comp in _compositions(n):
-            r, last = len(comp), comp[-1]
-            pair2 = 2 * _pair_sum(comp)
-            adj = _doubled_adjacent_sums(comp)
-            e1 = (ell - 1) * (pair2 + n * (n + 1)) + sum(adj) + last * q4
-            yield (-1) ** r, _gauge(ell, comp), e1, adj + [4 * last]
-
-            ks2 = adj[: r - 2]
-            e2 = (ell - 1) * (pair2 + n * (n + 1) - last * (last + 1)) + sum(adj)
-            if r > 1:
-                ks2 = ks2 + [2 * comp[-2] + 4 * last]
-                e2 += 2 * last
-            tail = tail_profile(SO_ODD, last)
-            yield (-1) ** (r - 1), _gauge(ell, comp[:-1], tail), e2, ks2
-
-    return signed_sum(terms())
+    return signed_sum(_end_root_terms(n, ell, w2, False))
 
 
 @lru_cache(maxsize=None)

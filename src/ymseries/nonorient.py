@@ -107,7 +107,9 @@ class NonorientablePoint:
             raise InvalidPoint("a zero tail stores label 0")
         if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
             raise UnsupportedFamily(f"nonorientable points are not defined for family {fam!r}")
-        tail_kind = _FLAGS_TO_TAIL.get((self.zero_tail, self.minus_last), "zero_tail+minus_last")
+        if self.zero_tail and self.minus_last:
+            raise InvalidPoint("zero_tail and minus_last exclude each other")
+        tail_kind = _FLAGS_TO_TAIL[self.zero_tail, self.minus_last]
         shapes = _final_shapes(fam, sum(comp), comp[-1], labels[-1])
         # symplectic chamber values 2 k_j / n_j - 1 must stay positive
         floor = (1, 2) if fam == SYMPLECTIC else (0, 1)

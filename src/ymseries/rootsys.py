@@ -143,18 +143,14 @@ def _simple_data(g: GroupSpec):
     a_chain = [_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
     if fam in (UNITARY, SPECIAL_UNITARY):
         return a_chain, list(a_chain)
-    if fam in (SO_ODD, SPIN_ODD):
-        roots = a_chain + [_vec(n, {n - 1: 1})]
-        coroots = list(a_chain) + [_vec(n, {n - 1: 2})]
-        return roots, coroots
+    if fam in (SO_ODD, SPIN_ODD, SYMPLECTIC):
+        # Sp(n)'s end root is SO(2n+1)'s end coroot, and the reverse
+        short, long = _vec(n, {n - 1: 1}), _vec(n, {n - 1: 2})
+        end_root, end_coroot = (long, short) if fam == SYMPLECTIC else (short, long)
+        return a_chain + [end_root], a_chain + [end_coroot]
     if fam in (SO_EVEN, SPIN_EVEN):
-        roots = a_chain + [_vec(n, {n - 2: 1, n - 1: 1})]
-        coroots = list(a_chain) + [_vec(n, {n - 2: 1, n - 1: 1})]
-        return roots, coroots
-    if fam == SYMPLECTIC:
-        roots = a_chain + [_vec(n, {n - 1: 2})]
-        coroots = list(a_chain) + [_vec(n, {n - 1: 1})]
-        return roots, coroots
+        fork = _vec(n, {n - 2: 1, n - 1: 1})
+        return a_chain + [fork], a_chain + [fork]
     raise UnsupportedFamily(f"simple roots are not defined for family {fam!r}")
 
 

@@ -1,7 +1,10 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +152,13 @@ class TestComponents:
             "--composition", "2", "--labels", "1",
         )
         assert code == 2 and not out and "1/2" in err
+
+    def test_zero_tail_and_minus_last_exclude_each_other(self, capsys):
+        code, out, err = run(
+            capsys, "components", "--group", "so-even", "--rank", "4", "--surface-i", "1",
+            "--composition", "2,2", "--labels", "1,0", "--zero-tail", "--minus-last",
+        )
+        assert (code, out, err) == (2, "", "error: zero_tail and minus_last exclude each other\n")
 
 
 class TestVerifiers:
@@ -493,6 +503,31 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--genus", "1")
         assert code == 0 and out == stdout
         assert err == "note: the stratification presumes genus >= 2, got 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a short output, left in the buffer until main flushes it
+            ["poincare", "--group", "sp", "--rank", "2", "--genus", "2"],
+            # 200,002 bytes, more than a pipe holds, so the print itself fails
+            ["series", "--group", "u", "--rank", "1", "--genus", "2", "--order", "100000"],
+        ],
+    )
+    def test_closed_stdout_exits_141(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ymseries.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_every_exception_has_one_base(self):
         classes = set()

@@ -3,6 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from former_tail_forms import (
+    former_so_odd_flat,
+    former_so_odd_terms,
+    former_sp_flat,
+    former_sp_terms,
+)
 from former_twists import former_frac_part, former_zagier_terms
 from reference_series import REFERENCE_CASES, one_plus_t
 from ymseries.closedforms import (
@@ -22,6 +28,7 @@ from ymseries.exactalg import (
     one_minus_t,
     parse_ratfun,
     ratfun_eq,
+    render_ratfun,
     series_expand,
 )
 from ymseries.rootsys import GroupSpec, UnsupportedFamily
@@ -100,6 +107,48 @@ class TestZagierTwistsMatchFormer:
         monkeypatch.setattr(closedforms, "_doubled_adjacent_sums", lambda comp: [1] * (len(comp) - 1))
         with pytest.raises(ExactnessError, match="exponent 2/3 is not a natural number"):
             closedforms._zagier_cached.__wrapped__(3, 1, 2)
+
+
+class TestEndRootFormMatchesFormer:
+    """Sp(n) and SO(2n+1) through one walk, against their former transcriptions."""
+
+    def test_same_terms_up_to_rank_nine(self, monkeypatch):
+        captured = []
+        monkeypatch.setattr(closedforms, "signed_sum", lambda terms: captured.append(list(terms)))
+        for n in range(1, 10):
+            for ell in (1, 2):
+                # past the caches, which would keep the patched result
+                cases = [(former_sp_terms(n, ell), sp_flat.__wrapped__, (n, ell))]
+                for w2 in (0, 1):
+                    cases.append((former_so_odd_terms(n, ell, w2), so_odd_flat.__wrapped__, (n, ell, w2)))
+                for former, walk, args in cases:
+                    captured.clear()
+                    walk(*args)
+                    assert captured[0] == list(former), (walk.__name__, args)
+
+    def test_same_rendering(self):
+        for n in range(1, 8):
+            for ell in (1, 2, 3):
+                assert render_ratfun(sp_flat(n, ell)) == render_ratfun(former_sp_flat(n, ell))
+                for w2 in (0, 1):
+                    got, expect = so_odd_flat(n, ell, w2), former_so_odd_flat(n, ell, w2)
+                    assert render_ratfun(got) == render_ratfun(expect), (n, ell, w2)
+
+    @pytest.mark.parametrize(
+        "walk,former,args",
+        [(sp_flat, former_sp_flat, args) for args in [(0, 2), (2, 0), (0, 0)]]
+        + [
+            (so_odd_flat, former_so_odd_flat, args)
+            for args in [(0, 2, 0), (2, 0, 0), (2, 2, 2), (0, 0, 2), (2, 0, 2), (2, 2, -1)]
+        ],
+    )
+    def test_same_input_errors(self, walk, former, args):
+        # the rank first, then the genus, then w2
+        with pytest.raises(InputError) as expect:
+            former(*args)
+        with pytest.raises(InputError) as caught:
+            walk(*args)
+        assert str(caught.value) == str(expect.value)
 
 
 class TestZagier:

@@ -63,6 +63,11 @@ class TestPointValidation:
         with pytest.raises(InvalidPoint):
             NonorientablePoint("so-even", (3, 1), (1, 0), True, 1)
 
+    @pytest.mark.parametrize("fam", ["so-odd", "so-even", "sp"])
+    def test_zero_tail_and_minus_last_exclude_each_other(self, fam):
+        with pytest.raises(InvalidPoint, match="^zero_tail and minus_last exclude each other$"):
+            NonorientablePoint(fam, (2, 2), (1, 0), True, 1, True)
+
     def test_one_invalid_point_class(self):
         from ymseries import strata
 

@@ -112,6 +112,16 @@ class TestBuildRootSystem:
         assert set(rs.simple_roots) == {V(1, -1), V(0, 1)}
         assert set(rs.positive_roots) == {V(1, -1), V(0, 1), V(1, 0), V(1, 1)}
 
+    def test_sp_and_so_odd_are_dual(self):
+        # Sp(n)'s simple roots are SO(2n+1)'s simple coroots, and the reverse
+        for n in range(1, 7):
+            sp, so = (build_root_system(GroupSpec(fam, n)) for fam in ("sp", "so-odd"))
+            assert (sp.simple_roots, sp.simple_coroots) == (so.simple_coroots, so.simple_roots)
+            assert sp.simple_roots[-1] == V(*[0] * (n - 1), 2)
+            assert so.simple_roots[-1] == V(*[0] * (n - 1), 1)
+            spin = build_root_system(GroupSpec("spin-odd", n))
+            assert (spin.simple_roots, spin.simple_coroots) == (so.simple_roots, so.simple_coroots)
+
     def test_positive_root_counts(self):
         for n in range(1, 7):
             counts = {"u": n * (n - 1) // 2, "so-odd": n * n, "sp": n * n}
