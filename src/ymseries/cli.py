@@ -57,6 +57,9 @@ from .nonorient import (
 )
 from .rootsys import FAMILIES, SO_LIKE, SPECIAL_UNITARY, UNITARY, GroupSpec, validate_topclass
 from .strata import (
+    TAIL_MINUS,
+    TAIL_NONE,
+    TAIL_ZERO,
     AtiyahBottPoint,
     enumerate_ab_points,
     stratum_row,
@@ -157,7 +160,7 @@ def cmd_stratum(args) -> int:
     g = _group(args)
     comp = _parse_int_list(args.composition, "--composition")
     labels = _parse_int_list(args.labels, "--labels")
-    tail = {"none": "none", "zero": "zero_block", "minus": "minus_last"}[args.tail]
+    tail = {"none": TAIL_NONE, "zero": TAIL_ZERO, "minus": TAIL_MINUS}[args.tail]
     pt = AtiyahBottPoint(g.family, comp, labels, tail)
     f = stratum_series(g, pt, args.genus, component=args.component)
     meta = {
@@ -190,7 +193,10 @@ def cmd_components(args) -> int:
     g = _group(args)
     comp = _parse_int_list(args.composition, "--composition")
     labels = _parse_int_list(args.labels, "--labels")
-    pt = NonorientablePoint(g.family, comp, labels, args.zero_tail, args.surface_i, args.minus_last)
+    if args.zero_tail and args.minus_last:
+        raise InputError("zero_tail and minus_last exclude each other")
+    tail = TAIL_ZERO if args.zero_tail else TAIL_MINUS if args.minus_last else TAIL_NONE
+    pt = NonorientablePoint(g.family, comp, labels, args.surface_i, tail)
     report = classify_components(g, pt)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))

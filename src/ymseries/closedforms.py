@@ -58,6 +58,7 @@ from .rootsys import (
     UNITARY,
     GroupSpec,
     UnsupportedFamily,
+    UnsupportedRank,
     frac_part,
     levi_classes,
     pi1_representative,
@@ -68,9 +69,10 @@ F = Fraction
 
 
 def _check_rank_and_genus(n: int, least_n: int, ell: int):
-    """Reject a rank parameter below least_n or a genus below 1, naming which."""
+    """Reject a rank parameter below least_n (UnsupportedRank, as GroupSpec
+    raises) or a genus below 1 (InputError), naming which."""
     if n < least_n:
-        raise InputError(f"need rank n >= {least_n}, got n = {n}")
+        raise UnsupportedRank(f"need rank n >= {least_n}, got n = {n}")
     if ell < 1:
         raise InputError(f"need genus ell >= 1, got ell = {ell}")
 

@@ -116,15 +116,11 @@ class Poly:
         return Poly((1,))
 
     @staticmethod
-    def const(c: int) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
-    def t_power(e: int, c: int = 1) -> "Poly":
-        """The monomial c * t**e."""
+    def t_power(e: int) -> "Poly":
+        """The monomial t**e."""
         if e < 0:
             raise ValueError("negative exponent")
-        return Poly((0,) * e + (c,))
+        return Poly((0,) * e + (1,))
 
     # -- basic queries ------------------------------------------------
 
@@ -180,9 +176,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(tuple(c * x for x in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -390,10 +383,11 @@ def truncated_sum(terms, order: int) -> CoeffVector:
     """sum of t**shift * prod factors over the terms, modulo t**(order+1).
 
     Each term is a pair (shift, factors): a natural number and a sequence
-    of RatFuns, whose empty product is 1.  A term reaches order - shift + 1
-    slots, and one that reaches none adds nothing.  Each distinct factor
-    object is expanded once (series_expand), through the longest reach of
-    a term using it.  A term with a factor whose prefix over its reach is
+    of RatFuns, whose empty product is 1.  The order must be nonnegative,
+    as for series_expand.  A term reaches order - shift + 1 slots, and one
+    that reaches none adds nothing.  Each distinct factor object is
+    expanded once (series_expand), through the longest reach of a term
+    using it.  A term with a factor whose prefix over its reach is
     zero adds nothing and is dropped.  The sum runs on packed integers at
     one slot width, and each factor is packed once, through the longest
     reach of a term kept.  In a term, a longer factor and each product are
@@ -407,6 +401,8 @@ def truncated_sum(terms, order: int) -> CoeffVector:
     therefore stays below half its range, and the centred remainder is
     exact.
     """
+    if order < 0:
+        raise InputError("order must be nonnegative")
     # id(f) -> (f, the longest reach of a term using f); the entry holds f,
     # so no id is reused during the call
     longest = {}
@@ -549,11 +545,6 @@ def ratfun_to_json(f: RatFun) -> dict:
 
 
 # -- cyclotomic products and the alternating-sum accumulator ------------
-
-
-def one_minus_t(e: int) -> Poly:
-    """1 - t**e."""
-    return Poly.one() - Poly.t_power(e)
 
 
 @lru_cache(maxsize=None)

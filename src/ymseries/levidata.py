@@ -154,9 +154,12 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
     The composition's cut positions are the chain nodes in cut, plus n - 1
     on so-even when both fork nodes are in cut; outside u, its last block
     is an orthogonal or symplectic tail unless an end node is in cut.
-    dim_u, 2 rho_P and the pair weights come from the root system (_radical).
-    Both arguments and the result are frozen, so each profile is built
-    once; a cut set that is not inside 1..rank raises on every call.
+    dim_u and 2 rho_P are _radical of the cut set, and the pair weights
+    are 4 <rho_P, a^v> over a in the cut set.  Both arguments and the result
+    are frozen, so each profile is built once per process: a poset built
+    again for the same group, at another genus or class, reads its profiles
+    from the cache.  A cut set that is not inside 1..rank raises on every
+    call.
     """
     n, fam = g.n, g.family
     if fam not in (UNITARY, SO_ODD, SO_EVEN, SYMPLECTIC):
@@ -175,7 +178,7 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
     else:
         blocks, tail = comp[:-1], (fam, comp[-1])
     rs = build_root_system(g)
-    dim_u, two_rho = _radical(rs, cut, frozenset())
+    dim_u, two_rho = _radical(rs, cut)
     return LeviProfile(
         unitary_blocks=tuple(blocks),
         tail=tail,
@@ -195,22 +198,22 @@ def levi_profile(g: GroupSpec, cut: frozenset) -> LeviProfile:
 # that build_root_system computes once per group.
 
 
-def _radical(rs, small_cut: frozenset, large_cut: frozenset) -> tuple:
-    """(count, integer sum) of the positive roots in the Levi cut by
-    large_cut, outside the one cut by small_cut."""
-    small = sum(1 << a for a in small_cut)
-    large = sum(1 << a for a in large_cut)
+def _radical(rs, cut: frozenset) -> tuple:
+    """(count, integer sum) of the positive roots whose support meets the
+    cut set: the roots of the unipotent radical of its parabolic P, whose
+    sum is 2 rho_P.  For parabolics P <= Q (cut sets I_P >= I_Q), 2 rho_P^Q
+    is the coordinatewise difference of the sums at I_P and at I_Q, as
+    every root whose support meets I_Q also meets I_P."""
+    mask = sum(1 << a for a in cut)
     roots = [
-        beta
-        for beta, support in zip(rs.positive_roots, rs.positive_supports)
-        if support & small and not support & large
+        beta for beta, support in zip(rs.positive_roots, rs.positive_supports) if support & mask
     ]
     return len(roots), tuple(map(sum, zip(*roots))) or (0,) * rs.n
 
 
 def dim_u_from_roots(g: GroupSpec, cut: frozenset) -> int:
     """|R+ of g| minus |R+ of the Levi of the cut set, from the root system alone."""
-    return _radical(build_root_system(g), cut, frozenset())[0]
+    return _radical(build_root_system(g), cut)[0]
 
 
 def rho_pairings_from_roots(g: GroupSpec, cut: frozenset) -> dict:
@@ -223,7 +226,7 @@ def rho_pairings_from_roots(g: GroupSpec, cut: frozenset) -> dict:
     e.g. 2*theta_2 for Sp(3) with I = {alpha_1, alpha_3}.)
     """
     rs = build_root_system(g)
-    two_rho = _radical(rs, cut, frozenset())[1]
+    two_rho = _radical(rs, cut)[1]
     return {a: F(pairing(two_rho, rs.simple_coroots[a - 1]), 2) for a in sorted(cut)}
 
 

@@ -10,11 +10,13 @@ the second Stiefel-Whitney class) each lives on, and the ordered list of
 twisted-variety factors its reduced representation variety splits into.
 
 The point rules (tail shapes, strictly decreasing slopes down to the
-family's floor, and the InvalidPoint error) are shared with `strata`; the
-nonorientable index set only moves the symplectic floor to slope 1/2 and
-forces a zero tail, of any size, on odd-rank even-orthogonal points.  The
-enumeration bounds each label by those same rules, so it builds only the
-points it returns; the point constructor still checks each of them.
+family's floor, and the InvalidPoint error) are shared with `strata`, and
+a point stores the shape of its last block as an AtiyahBottPoint does, as
+one strata.TAIL_* tail kind.  The nonorientable index set only moves the
+symplectic floor to slope 1/2 and forces a zero tail, of any size, on
+odd-rank even-orthogonal points.  The enumeration bounds each label by
+those same rules, so it builds only the points it returns; the point
+constructor still checks each of them.
 
 No numeric series are attached to the twisted factors; the reports are
 structural, to be filled by a series provider if one ever exists.
@@ -46,8 +48,6 @@ from .strata import (
 )
 
 F = Fraction
-
-_FLAGS_TO_TAIL = {(False, False): TAIL_NONE, (True, False): TAIL_ZERO, (False, True): TAIL_MINUS}
 
 
 def _final_shapes(family: str, n: int, size: int, label: int) -> tuple:
@@ -86,46 +86,44 @@ class NonorientablePoint:
 
     Block j of size n_j carries the integer label k_j; the chamber value of
     the block is 2 k_j / n_j - 1 for symplectic groups and 2 k_j / n_j for
-    orthogonal ones.  zero_tail marks a final block sitting at chamber
-    value 0 (its label is stored as 0); minus_last marks the
-    even-orthogonal shape whose last coordinate is negated.
+    orthogonal ones.  tail_kind is the shape of the final block, one of the
+    strata.TAIL_* values as on an AtiyahBottPoint: TAIL_ZERO for a block
+    sitting at chamber value 0 (its label is stored as 0), TAIL_MINUS for
+    the even-orthogonal shape whose last coordinate is negated, and
+    TAIL_NONE otherwise.
     """
 
     family: str
     composition: tuple
     labels: tuple
-    zero_tail: bool
     surface_i: int
-    minus_last: bool = False
+    tail_kind: str = TAIL_NONE
 
     def __post_init__(self):
         if self.surface_i not in (1, 2):
             raise InvalidPoint("surface_i must be 1 or 2")
         comp, labels, fam = self.composition, self.labels, self.family
         _check_blocks(comp, labels)
-        if self.zero_tail and labels[-1] != 0:
+        if self.tail_kind == TAIL_ZERO and labels[-1] != 0:
             raise InvalidPoint("a zero tail stores label 0")
         if fam not in (SYMPLECTIC, SO_ODD, SO_EVEN):
             raise UnsupportedFamily(f"nonorientable points are not defined for family {fam!r}")
-        if self.zero_tail and self.minus_last:
-            raise InvalidPoint("zero_tail and minus_last exclude each other")
-        tail_kind = _FLAGS_TO_TAIL[self.zero_tail, self.minus_last]
         shapes = _final_shapes(fam, sum(comp), comp[-1], labels[-1])
         # symplectic chamber values 2 k_j / n_j - 1 must stay positive
         floor = (1, 2) if fam == SYMPLECTIC else (0, 1)
-        _check_chamber(fam, comp, labels, tail_kind, shapes, floor)
+        _check_chamber(fam, comp, labels, self.tail_kind, shapes, floor)
 
     def chamber_vector(self) -> tuple:
         """The tau-fixed chamber vector the point indexes."""
-        fam = self.family
+        fam, tail = self.family, self.tail_kind
         out = []
         last = len(self.composition) - 1
         for j, (p, k) in enumerate(zip(self.composition, self.labels)):
             if fam == SYMPLECTIC:
-                val = F(2 * k, p) - 1 if not (self.zero_tail and j == last) else F(0)
+                val = F(2 * k, p) - 1 if not (tail == TAIL_ZERO and j == last) else F(0)
             else:
                 val = F(2 * k, p)
-            if self.minus_last and j == last:
+            if tail == TAIL_MINUS and j == last:
                 out.extend([val] * (p - 1) + [-val])
             else:
                 out.extend([val] * p)
@@ -181,12 +179,6 @@ class Component:
     w2: int | None  # Stiefel-Whitney bit; None where pi_1 is trivial
     factors: tuple
 
-    @property
-    def bundle_label(self) -> str:
-        if self.w2 is None or self.w2 == 0:
-            return "trivial_bundle"
-        return "nontrivial_bundle"
-
 
 @dataclass(frozen=True)
 class ComponentReport:
@@ -204,8 +196,8 @@ class ComponentReport:
             "point": {
                 "composition": list(self.point.composition),
                 "labels": list(self.point.labels),
-                "zero_tail": self.point.zero_tail,
-                "minus_last": self.point.minus_last,
+                "zero_tail": self.point.tail_kind == TAIL_ZERO,
+                "minus_last": self.point.tail_kind == TAIL_MINUS,
             },
             "surface_i": self.point.surface_i,
             "components": [
@@ -264,15 +256,13 @@ def enumerate_nonorientable_points(g: GroupSpec, i: int, bound: int):
                 continue
             for k in final_labels(part, hi):
                 for tail_kind in _final_shapes(fam, n, part, k):
-                    zero_tail, minus_last = tail_kind == TAIL_ZERO, tail_kind == TAIL_MINUS
-                    pt = NonorientablePoint(fam, comp + (part,), labels + (k,), zero_tail, i, minus_last)
-                    found.append(pt)
+                    found.append(NonorientablePoint(fam, comp + (part,), labels + (k,), i, tail_kind))
 
     extend((), (), n)
-    return sorted(
-        found,
-        key=lambda p: (len(p.composition), p.composition, p.labels, p.minus_last, p.zero_tail),
-    )
+    return sorted(found, key=lambda p: (
+        len(p.composition), p.composition, p.labels,
+        p.tail_kind == TAIL_MINUS, p.tail_kind == TAIL_ZERO,
+    ))
 
 
 def classify_components(g: GroupSpec, p: NonorientablePoint) -> ComponentReport:
@@ -289,7 +279,7 @@ def classify_components(g: GroupSpec, p: NonorientablePoint) -> ComponentReport:
     comp, labels = p.composition, p.labels
     validity = {"l_min": 2 * i}
     if fam == SYMPLECTIC:
-        if p.zero_tail:
+        if p.tail_kind == TAIL_ZERO:
             factors = [TwistedU(a, k) for a, k in zip(comp[:-1], labels[:-1])]
             factors.append(FlatSp(comp[-1]))
         else:
@@ -297,11 +287,11 @@ def classify_components(g: GroupSpec, p: NonorientablePoint) -> ComponentReport:
         return ComponentReport(p, (Component(None, tuple(factors)),), validity)
     # orthogonal: a split point carries the tail's O(size) factor in two signed parts
     m, head = comp[-1], sum(labels[:-1])
-    if fam == SO_ODD and p.zero_tail:
+    if fam == SO_ODD and p.tail_kind == TAIL_ZERO:
         split = (2 * m + 1, (-1) ** (n - m), head + i * (n - m) * (n - m - 1) // 2)
     elif fam == SO_EVEN and n % 2 == 1:
         split = (2 * m, (-1) ** (m - 1), head + i * (n // 2) + i * m * (m - 1) // 2)
-    elif fam == SO_EVEN and p.zero_tail:
+    elif fam == SO_EVEN and p.tail_kind == TAIL_ZERO:
         split = (2 * m, (-1) ** m, head + i * (n // 2) + i * m * (m + 1) // 2)
     else:
         offset = n * (n + 1) // 2 if fam == SO_ODD else n // 2

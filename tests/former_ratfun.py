@@ -11,6 +11,7 @@ Phi_d is irreducible and primitive (Gauss's lemma); the tests compare them.
 
 from math import gcd
 
+from polys import scaled
 from ymseries.exactalg import Poly
 
 
@@ -99,13 +100,13 @@ def poly_gcd(a, b):
         if R.is_zero:
             break
         if R.degree == 0:
-            return Poly.const(c)
+            return Poly((c,))
         A, B = B, divexact_int(R, g * h**d)
         g = A.coeffs[-1]
         if d >= 1:
             h = g**d // h ** (d - 1)
     prim = divexact_int(B, content(B))
-    return _sign_normalize(prim).scale(c)
+    return scaled(_sign_normalize(prim), c)
 
 
 def canonical(num, den):

@@ -14,7 +14,8 @@ from functools import lru_cache
 from itertools import count
 
 from former_ratfun import canonical, divexact
-from ymseries.exactalg import Poly, RatFun, one_minus_t
+from polys import one_minus_t
+from ymseries.exactalg import Poly, RatFun
 
 
 def _divisors(k):

@@ -11,17 +11,13 @@ factored form is the one consistent with the closed formulas and with
 series positivity, once its stray (1+t)^{2 ell} prefactor is dropped).
 """
 
-from ymseries.exactalg import Poly, RatFun, one_minus_t
-
-
-def one_plus_t(e):
-    """1 + t**e, expanded by hand."""
-    return Poly.one() + Poly.t_power(e)
+from polys import one_minus_t, one_plus_t, scaled
+from ymseries.exactalg import Poly, RatFun
 
 
 def _term(ell, sign, pluses, texp, minuses, coeff=1):
     """sign * coeff * prod (1+t^a)^(m*ell or m) * t^texp / prod (1-t^b)."""
-    num = Poly.t_power(texp).scale(sign * coeff)
+    num = scaled(Poly.t_power(texp), sign * coeff)
     for base, power in pluses:
         num = num * one_plus_t(base) ** power
     den = Poly.one()

@@ -43,7 +43,7 @@ from ymseries.levidata import (
 )
 from ymseries.nonorient import classify_components, enumerate_nonorientable_points
 from ymseries.rootsys import GroupSpec, build_root_system
-from ymseries.strata import enumerate_ab_points, stratum_series, verify_recursion
+from ymseries.strata import TAIL_ZERO, enumerate_ab_points, stratum_series, verify_recursion
 
 F = Fraction
 TESTDATA = os.path.join(os.path.dirname(__file__), "..", "testdata")
@@ -305,7 +305,7 @@ def _expected_report(fam, n, pt):
     if fam == "sp":
         return {"count": 1, "w2": (None,)}
     if fam == "so-odd":
-        if not pt.zero_tail:
+        if pt.tail_kind != TAIL_ZERO:
             return {"count": 1, "w2": ((sum(labels) + i * n * (n + 1) // 2) % 2,)}
         m = comp[-1]
         exponent = sum(labels[:-1]) + i * (n - m) * (n - m - 1) // 2
@@ -328,7 +328,7 @@ def _expected_report(fam, n, pt):
             "signs": ((-1) ** exponent, -((-1) ** exponent)),
             "o_size": 2 * m,
         }
-    if pt.zero_tail:
+    if pt.tail_kind == TAIL_ZERO:
         m = comp[-1]
         exponent = sum(labels[:-1]) + i * (n - m) * (n - m - 1) // 2
         return {

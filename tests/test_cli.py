@@ -160,6 +160,24 @@ class TestComponents:
         )
         assert (code, out, err) == (2, "", "error: zero_tail and minus_last exclude each other\n")
 
+    @pytest.mark.parametrize(
+        "group,composition,labels",
+        [
+            ("sp", "1,2", "1,0"),
+            ("so-odd", "1,2", "1,0"),
+            # each of these also breaks a point rule; the flag pair is named first
+            ("sp", "1,2", "1"),
+            ("sp", "1,2", "1,1"),
+            ("u", "1,2", "1,0"),
+        ],
+    )
+    def test_flag_pair_refused_before_the_point(self, capsys, group, composition, labels):
+        code, out, err = run(
+            capsys, "components", "--group", group, "--rank", "3", "--surface-i", "1",
+            "--composition", composition, "--labels", labels, "--zero-tail", "--minus-last",
+        )
+        assert (code, out, err) == (2, "", "error: zero_tail and minus_last exclude each other\n")
+
 
 class TestVerifiers:
     def test_recursion_ok(self, capsys):

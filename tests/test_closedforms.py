@@ -10,7 +10,8 @@ from former_tail_forms import (
     former_sp_terms,
 )
 from former_twists import former_frac_part, former_zagier_terms
-from reference_series import REFERENCE_CASES, one_plus_t
+from polys import one_minus_t, one_plus_t
+from reference_series import REFERENCE_CASES
 from ymseries.closedforms import (
     flat_series,
     frac_part,
@@ -25,13 +26,12 @@ from ymseries import closedforms
 from ymseries.errors import ExactnessError, InputError
 from ymseries.exactalg import (
     RatFun,
-    one_minus_t,
     parse_ratfun,
     ratfun_eq,
     render_ratfun,
     series_expand,
 )
-from ymseries.rootsys import GroupSpec, UnsupportedFamily
+from ymseries.rootsys import GroupSpec, UnsupportedFamily, UnsupportedRank
 
 F = Fraction
 TESTDATA = os.path.join(os.path.dirname(__file__), "..", "testdata")
@@ -194,6 +194,27 @@ class TestFlatClosedForms:
             so_even_flat(1, 2, 0)
         with pytest.raises(ValueError):
             so_odd_flat(2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "call,least",
+        [
+            (lambda n: zagier_un(n, 0, 2), 1),
+            (lambda n: sp_flat(n, 2), 1),
+            (lambda n: so_even_flat(n, 2, 0), 2),
+            (lambda n: sun_flat(n, 2), 2),
+        ],
+        ids=["zagier_un", "sp_flat", "so_even_flat", "sun_flat"],
+    )
+    def test_rank_below_least_is_unsupported_rank(self, call, least):
+        # the fault GroupSpec also raises UnsupportedRank for
+        for n in (least - 1, -1):
+            with pytest.raises(UnsupportedRank, match=f"^need rank n >= {least}, got n = {n}$"):
+                call(n)
+
+    def test_genus_below_one_is_plain_input_error(self):
+        with pytest.raises(InputError, match="^need genus ell >= 1, got ell = 0$") as caught:
+            sp_flat(1, 0)
+        assert type(caught.value) is InputError
 
 
 class TestExceptionalIsomorphisms:

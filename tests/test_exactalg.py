@@ -13,7 +13,7 @@ from former_cancel import former_cancel
 from former_parse_poly import parse_poly as former_parse_poly
 from former_ratfun import canonical, content, divexact, divexact_int, poly_gcd
 from former_series_expand import dense_series_expand
-from reference_series import one_plus_t
+from polys import one_minus_t, one_plus_t, scaled
 from ymseries.exactalg import (
     CoeffVector,
     NotCyclotomic,
@@ -22,7 +22,6 @@ from ymseries.exactalg import (
     RatFun,
     ZeroDenominator,
     latex_ratfun,
-    one_minus_t,
     parse_poly,
     parse_ratfun,
     ratfun_eq,
@@ -422,7 +421,7 @@ def per_term_signed_sum(terms):
     every other term's denominator, cancelled once into the oracle gcd form."""
     nums, dens = [], []
     for sign, factor, e, ks in terms:
-        nums.append(factor.num * Poly.t_power(e, sign))
+        nums.append(factor.num * scaled(Poly.t_power(e), sign))
         dens.append(factor.den * den_of(ks))
     total, common = Poly.zero(), Poly.one()
     for i, num in enumerate(nums):
@@ -436,7 +435,7 @@ def per_term_signed_sum(terms):
 def rand_den(rng):
     """A denominator of up to three factors 1 - t^k and 1 + t^k, k <= 8, and
     at most one Phi_d, d <= 30, times a unit +1 or -1."""
-    den = Poly.const(rng.choice([1, -1]))
+    den = Poly((rng.choice([1, -1]),))
     for _ in range(rng.randint(0, 3)):
         den = den * rng.choice([one_minus_t, one_plus_t])(rng.randint(1, 8))
     return den * _cyclotomic(rng.randint(1, 30)) ** rng.randint(0, 1)
@@ -483,7 +482,7 @@ class TestSignedSum:
                 num, den = num * f.num, den * f.den
             e, ks = rng.randint(0, 4), tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 2)))
             got = signed_sum([(-2, tuple(fs), e, ks)])
-            assert pair(got) == canonical(num * Poly.t_power(e, -2), den * den_of(ks))
+            assert pair(got) == canonical(num * scaled(Poly.t_power(e), -2), den * den_of(ks))
 
     def test_random_terms_match_per_term_loop(self):
         rng = random.Random(4242)
@@ -755,7 +754,7 @@ def wide_num(rng, bits):
 def wide_den(rng, top, count=3):
     """A product of up to count random factors 1 - t^k, 1 + t^k and Phi_k,
     k <= top, times a unit +1 or -1."""
-    den = Poly.const(rng.choice([1, -1]))
+    den = Poly((rng.choice([1, -1]),))
     for _ in range(rng.randint(0, count)):
         den = den * rng.choice([one_minus_t, one_plus_t, _cyclotomic])(rng.randint(1, top))
     return den
@@ -860,8 +859,8 @@ class TestPackedSumMatchesFormer:
         # one monomial numerator: the width bound is the coefficient itself
         for bits in range(1, 310, 3):
             for c in (2**bits - 1, 2**bits, -(2**bits)):
-                self.check([(1, RatFun(Poly.t_power(1, c), one_minus_t(4)), 0, ())])
-                self.check([(-3, RatFun(Poly.const(c)), 2, (6,)), (-3, RatFun.one(), 0, ())])
+                self.check([(1, RatFun(scaled(Poly.t_power(1), c), one_minus_t(4)), 0, ())])
+                self.check([(-3, RatFun(Poly((c,))), 2, (6,)), (-3, RatFun.one(), 0, ())])
 
 
 def schoolbook_truncated_sum(terms, order):
@@ -990,6 +989,15 @@ class TestTruncatedSum:
     def test_negative_shift_raises(self):
         with pytest.raises(ValueError):
             truncated_sum([(-1, [RatFun.one()])], 3)
+
+    @pytest.mark.parametrize("order", [-1, -3])
+    @pytest.mark.parametrize("terms", [[], [(0, [RatFun.one()]), (2, [RatFun(P(1, 2))])]])
+    def test_negative_order_raises(self, order, terms):
+        # refused as series_expand refuses it, with or without terms
+        with pytest.raises(InputError, match="^order must be nonnegative$"):
+            series_expand(RatFun.one(), order)
+        with pytest.raises(InputError, match="^order must be nonnegative$"):
+            truncated_sum(terms, order)
 
 
 class TestStrides:
@@ -1239,7 +1247,7 @@ class TestSeriesExpand:
         outcomes = set()
         for _ in range(80):
             den = wide_den(rng, 30, int(10 * density))
-            den = den * Poly.const(d0 * den[0])
+            den = den * Poly((d0 * den[0],))
             num = den * rand_poly(rng, 8) if rng.random() < 0.5 else rand_poly(rng, 8)
             order = rng.randint(0, 50)
             if abs(d0) > 1:

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from reference_series import one_plus_t
-from ymseries.exactalg import Poly, RatFun, one_minus_t, ratfun_eq, series_expand
+from polys import one_minus_t, one_plus_t
+from ymseries.exactalg import Poly, RatFun, ratfun_eq, series_expand
 from ymseries.gaugeseries import (
     DegreeProfile,
     betti_degrees,

@@ -9,6 +9,7 @@ import pytest
 
 from former_twists import former_first_exponents, former_frac_part, former_parabolic_terms
 from former_weights import _rref, _solve, dual_weights, weight_on_pi1
+from polys import one_minus_t
 from ymseries.closedforms import flat_series, sp_flat, zagier_un
 from ymseries import inversion
 from ymseries.errors import ExactnessError, InputError
@@ -16,7 +17,6 @@ from ymseries.exactalg import (
     CoeffVector,
     Poly,
     RatFun,
-    one_minus_t,
     ratfun_eq,
     series_expand,
     signed_sum,
@@ -257,7 +257,7 @@ def box_walk_residual(poset, a0, b0_top, topclass, order):
             continue
         idxs = sorted(p_cut)
         coroots = [rs.simple_coroots[a - 1] for a in idxs]
-        rho = tuple(F(x, 2) for x in _radical(rs, p_cut, top)[1])
+        rho = tuple(F(x, 2) for x in _radical(rs, p_cut)[1])
         p_weights = [4 * pairing(rho, v) for v in coroots]
         base_vals = [pairing(weights[a - 1], rep) for a in idxs]
         box = [

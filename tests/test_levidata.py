@@ -238,8 +238,9 @@ class TestRootDataConsistency:
         ]
         pairs = [(small, large) for small in cuts for large in cuts if large <= small]
         for small, large in pairs:
-            # 2 rho, the integer sum the forward lattice walk reads
-            two_rho = _radical(rs, small, large)[1]
+            # 2 rho_P^Q, the integer sum the forward lattice walk reads: every
+            # root whose support meets large also meets small, as large <= small
+            two_rho = tuple(x - y for x, y in zip(_radical(rs, small)[1], _radical(rs, large)[1]))
             assert all(type(x) is int for x in two_rho)
             if rs.positive_roots:
                 assert two_rho == tuple(2 * x for x in former_relative_rho(rs, small, large))

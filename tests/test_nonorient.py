@@ -15,7 +15,7 @@ from ymseries.nonorient import (
     enumerate_nonorientable_points,
 )
 from ymseries.rootsys import GroupSpec
-from ymseries.strata import _tail_shapes
+from ymseries.strata import TAIL_MINUS, TAIL_ZERO, _tail_shapes
 
 F = Fraction
 
@@ -48,56 +48,51 @@ class TestInvolution:
 
 class TestPointValidation:
     def test_sp_slope_floor(self):
-        NonorientablePoint("sp", (2,), (2,), False, 1)  # slope 1 > 1/2
+        NonorientablePoint("sp", (2,), (2,), 1)  # slope 1 > 1/2
         with pytest.raises(InvalidPoint):
-            NonorientablePoint("sp", (2,), (1,), False, 1)  # slope 1/2 not allowed
+            NonorientablePoint("sp", (2,), (1,), 1)  # slope 1/2 not allowed
 
     def test_so_even_odd_rank_needs_tail(self):
-        NonorientablePoint("so-even", (1, 2), (1, 0), True, 1)
+        NonorientablePoint("so-even", (1, 2), (1, 0), 1, TAIL_ZERO)
         with pytest.raises(InvalidPoint):
-            NonorientablePoint("so-even", (3,), (1,), False, 1)
+            NonorientablePoint("so-even", (3,), (1,), 1)
 
     def test_so_even_odd_rank_tail_of_any_size(self):
         # a size-one zero tail: odd rank only, as no orientable so-even point carries one
-        NonorientablePoint("so-even", (2, 1), (1, 0), True, 1)
+        NonorientablePoint("so-even", (2, 1), (1, 0), 1, TAIL_ZERO)
         with pytest.raises(InvalidPoint):
-            NonorientablePoint("so-even", (3, 1), (1, 0), True, 1)
-
-    @pytest.mark.parametrize("fam", ["so-odd", "so-even", "sp"])
-    def test_zero_tail_and_minus_last_exclude_each_other(self, fam):
-        with pytest.raises(InvalidPoint, match="^zero_tail and minus_last exclude each other$"):
-            NonorientablePoint(fam, (2, 2), (1, 0), True, 1, True)
+            NonorientablePoint("so-even", (3, 1), (1, 0), 1, TAIL_ZERO)
 
     def test_one_invalid_point_class(self):
         from ymseries import strata
 
         assert InvalidPoint is strata.InvalidPoint
         with pytest.raises(strata.InvalidPoint):
-            NonorientablePoint("so-odd", (1,), (1,), False, 1, minus_last=True)
+            NonorientablePoint("so-odd", (1,), (1,), 1, TAIL_MINUS)
 
     def test_chamber_values(self):
-        pt = NonorientablePoint("sp", (1, 1), (2, 0), True, 1)
+        pt = NonorientablePoint("sp", (1, 1), (2, 0), 1, TAIL_ZERO)
         assert pt.chamber_vector() == (F(3), F(0))
-        pt = NonorientablePoint("so-odd", (2,), (1,), False, 2)
+        pt = NonorientablePoint("so-odd", (2,), (1,), 2)
         assert pt.chamber_vector() == (F(1), F(1))
-        pt = NonorientablePoint("so-even", (2, 2), (3, 1), False, 1, minus_last=True)
+        pt = NonorientablePoint("so-even", (2, 2), (3, 1), 1, TAIL_MINUS)
         assert pt.chamber_vector() == (F(3), F(3), F(1), F(-1))
 
 
 class TestEnumerate:
     def test_sp1(self):
         pts = enumerate_nonorientable_points(GroupSpec("sp", 1), 1, 2)
-        got = {(p.composition, p.labels, p.zero_tail) for p in pts}
+        got = {(p.composition, p.labels, p.tail_kind == TAIL_ZERO) for p in pts}
         assert got == {((1,), (0,), True), ((1,), (1,), False), ((1,), (2,), False)}
 
     def test_so3(self):
         pts = enumerate_nonorientable_points(GroupSpec("so-odd", 1), 1, 1)
-        got = {(p.composition, p.labels, p.zero_tail) for p in pts}
+        got = {(p.composition, p.labels, p.tail_kind == TAIL_ZERO) for p in pts}
         assert got == {((1,), (0,), True), ((1,), (1,), False)}
 
     def test_so6_mandatory_tail(self):
         pts = enumerate_nonorientable_points(GroupSpec("so-even", 3), 2, 1)
-        assert pts and all(p.zero_tail for p in pts)
+        assert pts and all(p.tail_kind == TAIL_ZERO for p in pts)
         got = {(p.composition, p.labels) for p in pts}
         assert got == {((3,), (0,)), ((1, 2), (1, 0)), ((2, 1), (1, 0))}
 
@@ -105,10 +100,10 @@ class TestEnumerate:
         pts = enumerate_nonorientable_points(GroupSpec("so-even", 4), 1, 5)
         # a size-one final block admits negative labels without a minus flag
         assert any(p.labels[-1] < 0 for p in pts)
-        assert any(p.minus_last for p in pts)
-        assert any(p.zero_tail for p in pts)
+        assert any(p.tail_kind == TAIL_MINUS for p in pts)
+        assert any(p.tail_kind == TAIL_ZERO for p in pts)
         for p in pts:
-            if p.minus_last:
+            if p.tail_kind == TAIL_MINUS:
                 assert p.composition[-1] >= 2
 
     def test_deterministic(self):
@@ -123,9 +118,9 @@ class TestEnumerate:
         fam, n = g.family, g.n
         found = set()
 
-        def try_point(comp, labels, zero_tail, minus_last):
+        def try_point(comp, labels, tail_kind):
             try:
-                pt = NonorientablePoint(fam, tuple(comp), tuple(labels), zero_tail, i, minus_last)
+                pt = NonorientablePoint(fam, tuple(comp), tuple(labels), i, tail_kind)
             except InvalidPoint:
                 return
             found.add(pt)
@@ -133,7 +128,7 @@ class TestEnumerate:
         def extend(comp, labels, remaining):
             if remaining == 0:
                 for tail_kind in _tail_shapes(fam, comp[-1], labels[-1]):
-                    try_point(comp, labels, tail_kind == "zero_block", tail_kind == "minus_last")
+                    try_point(comp, labels, tail_kind)
                 return
             for part in range(1, remaining + 1):
                 final = part == remaining
@@ -141,7 +136,7 @@ class TestEnumerate:
                 for k in range(lo, bound + 1):
                     extend(comp + [part], labels + [k], remaining - part)
             if fam in ("sp", "so-even"):
-                try_point(comp + [remaining], labels + [0], True, False)
+                try_point(comp + [remaining], labels + [0], TAIL_ZERO)
 
         extend([], [], n)
         return found
@@ -185,20 +180,20 @@ class TestEnumerate:
 
 class TestClassify:
     def test_sp2_two_blocks(self):
-        pt = NonorientablePoint("sp", (1, 1), (2, 1), False, 1)
+        pt = NonorientablePoint("sp", (1, 1), (2, 1), 1)
         rep = classify_components(GroupSpec("sp", 2), pt)
         assert rep.component_count == 1
         (comp,) = rep.components
-        assert comp.w2 is None and comp.bundle_label == "trivial_bundle"
+        assert comp.w2 is None
         assert comp.factors == (TwistedU(1, 2), TwistedU(1, 1))
 
     def test_sp_zero_tail(self):
-        pt = NonorientablePoint("sp", (1, 2), (1, 0), True, 2)
+        pt = NonorientablePoint("sp", (1, 2), (1, 0), 2, TAIL_ZERO)
         rep = classify_components(GroupSpec("sp", 3), pt)
         assert rep.components[0].factors == (TwistedU(1, 1), FlatSp(2))
 
     def test_so7_split_example(self):
-        pt = NonorientablePoint("so-odd", (1, 2), (1, 0), True, 1)
+        pt = NonorientablePoint("so-odd", (1, 2), (1, 0), 1, TAIL_ZERO)
         rep = classify_components(GroupSpec("so-odd", 3), pt)
         assert rep.component_count == 2
         plus, minus = rep.components
@@ -208,7 +203,7 @@ class TestClassify:
         assert minus.factors == (TwistedU(1, -1), TwistedO(5, -1, 1))
 
     def test_so3_klein_example(self):
-        pt = NonorientablePoint("so-odd", (1,), (1,), False, 2)
+        pt = NonorientablePoint("so-odd", (1,), (1,), 2)
         rep = classify_components(GroupSpec("so-odd", 1), pt)
         assert rep.component_count == 1
         assert rep.components[0].w2 == 1
@@ -223,7 +218,7 @@ class TestClassify:
         g = GroupSpec("so-even", 4)
         for pt in enumerate_nonorientable_points(g, 1, 2):
             rep = classify_components(g, pt)
-            assert rep.component_count == (2 if pt.zero_tail else 1)
+            assert rep.component_count == (2 if pt.tail_kind == TAIL_ZERO else 1)
 
     def test_sp_always_one(self):
         g = GroupSpec("sp", 2)
@@ -231,12 +226,12 @@ class TestClassify:
             assert classify_components(g, pt).component_count == 1
 
     def test_validity_threshold(self):
-        pt = NonorientablePoint("sp", (1,), (1,), False, 2)
+        pt = NonorientablePoint("sp", (1,), (1,), 2)
         rep = classify_components(GroupSpec("sp", 1), pt)
         assert rep.validity == {"l_min": 4}
 
     def test_json_round_trip(self):
-        pt = NonorientablePoint("so-even", (1, 2), (1, 0), True, 1)
+        pt = NonorientablePoint("so-even", (1, 2), (1, 0), 1, TAIL_ZERO)
         rep = classify_components(GroupSpec("so-even", 3), pt)
         data = json.loads(json.dumps(rep.to_json()))
         assert data["group"] == "SO(6)"
@@ -268,17 +263,17 @@ class TestSignIdentities:
 
 class TestRender:
     def test_sp_product(self):
-        pt = NonorientablePoint("sp", (1, 1), (2, 1), False, 1)
+        pt = NonorientablePoint("sp", (1, 1), (2, 1), 1)
         rep = classify_components(GroupSpec("sp", 2), pt)
         assert decomposition_render(rep) == "M~(l,i;1,2) x M~(l,i;1,1)"
 
     def test_two_lines(self):
-        pt = NonorientablePoint("so-odd", (1, 2), (1, 0), True, 1)
+        pt = NonorientablePoint("so-odd", (1, 2), (1, 0), 1, TAIL_ZERO)
         rep = classify_components(GroupSpec("so-odd", 3), pt)
         lines = decomposition_render(rep).splitlines()
         assert lines[0].startswith("+: ") and lines[1].startswith("-: ")
 
     def test_central_tail_only(self):
-        pt = NonorientablePoint("sp", (2,), (0,), True, 1)
+        pt = NonorientablePoint("sp", (2,), (0,), 1, TAIL_ZERO)
         rep = classify_components(GroupSpec("sp", 2), pt)
         assert decomposition_render(rep) == "M(Sp(2))"
